@@ -5,9 +5,10 @@ from .seq import (BD, BOT, EMPTY, ONE, ZERO, BottomedSeq, Incompatible,
                   parse, render)
 from .space import (POINT_AT_INFINITY, SpaceModel, builtin_space,
                     compactified_example, gray_digit, gray_subbase)
-from .subbase import (Cut, DyadicSubbase, FunctionalSubbase, KSlice,
-                      OracleSubbase, duplicated_subbase, enumerate_K, is_cusl,
-                      kslice_to_dot, member_closed, member_open, permute, phi)
+from .subbase import (Cut, DistanceCut, DistanceSubbase, DyadicSubbase,
+                      FunctionalSubbase, KSlice, OracleSubbase, digit_table,
+                      duplicated_subbase, enumerate_K, is_cusl, kslice_to_dot,
+                      member_closed, member_open, permute, phi)
 from .checker import (CheckReport, check_exterior_pair, check_proper,
                       check_strong_proper)
 from .builder import BuilderParams, build, unpair
@@ -17,7 +18,8 @@ __all__ = [
     "parse", "render",
     "POINT_AT_INFINITY", "SpaceModel", "builtin_space",
     "compactified_example", "gray_digit", "gray_subbase",
-    "Cut", "DyadicSubbase", "FunctionalSubbase", "KSlice", "OracleSubbase",
+    "Cut", "DistanceCut", "DistanceSubbase", "DyadicSubbase",
+    "FunctionalSubbase", "KSlice", "OracleSubbase", "digit_table",
     "duplicated_subbase", "enumerate_K", "is_cusl", "kslice_to_dot",
     "member_closed", "member_open", "permute", "phi",
     "CheckReport", "check_exterior_pair", "check_proper",

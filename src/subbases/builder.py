@@ -10,6 +10,7 @@ of them.  The checkers remain the acceptance gate for the result.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -18,8 +19,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .checker import _masks
+from .seq import BD, BINARY_DIGITS, BottomedSeq, render
 from .space import SpaceModel
-from .subbase import Cut, FunctionalSubbase
+from .subbase import DistanceCut, DistanceSubbase, classify, table_codes
 
 _EPS = 1e-9
 
@@ -102,17 +105,11 @@ class AvoidSet:
         return len(self.values)
 
 
-def candidate(M: SpaceModel, n: int, params: BuilderParams = None):
-    """Cut function and target interval for step n: distance to the
+def candidate(M: SpaceModel, n: int) -> Tuple[int, Tuple[Fraction, Fraction]]:
+    """Centre and target interval for step n: the sample index of the
     n0-th dense point, and the n1-th base interval."""
     n0, n1 = unpair(n)
-    center_index = M.dense_index(n0)
-    center = M.sample_points[center_index]
-
-    def f(x):
-        return M.metric(center, x)
-
-    return Cut(f=f, c=None, center_index=center_index), base_interval(n1)
+    return M.dense_index(n0), base_interval(n1)
 
 
 def _local_extrema(f_vals: np.ndarray, region: np.ndarray,
@@ -137,24 +134,13 @@ def _local_extrema(f_vals: np.ndarray, region: np.ndarray,
     return out
 
 
-def _small_support_masks(table: np.ndarray, n: int, npts: int, digits,
-                         support: int, closed: bool):
-    """Masks of S-bar(sigma) (or S(sigma)) for sigma with small support."""
-    import itertools
-
-    yield "e", np.ones(npts, dtype=bool)
-    indices = range(n)
-    for size in range(1, support + 1):
-        for ks in itertools.combinations(indices, size):
+def _small_support(n: int, digits, support: int):
+    """Patterns over indices < n fixing at most `support` digits from
+    `digits`, the empty pattern first."""
+    for size in range(support + 1):
+        for ks in itertools.combinations(range(n), size):
             for vals in itertools.product(digits, repeat=size):
-                mask = np.ones(npts, dtype=bool)
-                for k, code in zip(ks, vals):
-                    if closed and code != 2:
-                        mask &= (table[k] == code) | (table[k] == 2)
-                    else:
-                        mask &= table[k] == code
-                tag = ",".join("%d:%d" % (k, c) for k, c in zip(ks, vals))
-                yield tag, mask
+                yield BottomedSeq(zip(ks, vals))
 
 
 def collect_avoid(M: SpaceModel, table: np.ndarray, f_vals: np.ndarray,
@@ -172,36 +158,26 @@ def collect_avoid(M: SpaceModel, table: np.ndarray, f_vals: np.ndarray,
     npts = len(M.sample_points)
     avoid = AvoidSet()
 
-    for tag, mask in _small_support_masks(table, n, npts, (0, 1),
-                                          params.region_support, closed=True):
+    for sigma in _small_support(n, BINARY_DIGITS, params.region_support):
+        _, mask = _masks(table, sigma)
         if mask.any():
             for v in _local_extrema(f_vals, mask, neighbors):
-                avoid.add(v, "extremum|closed[%s]" % tag)
+                avoid.add(v, "extremum|closed[%s]" % render(sigma))
 
     # regions realized by sampled codes: the closed set of phi(x)|_n
-    seen = set()
-    for i in range(npts):
-        code = tuple(int(c) for c in table[:, i])
-        if code in seen:
-            continue
-        seen.add(code)
-        mask = np.ones(npts, dtype=bool)
-        for k, c in enumerate(code):
-            if c == 2:
-                continue
-            mask &= (table[k] == c) | (table[k] == 2)
+    for code in table_codes(table):
+        _, mask = _masks(table, code)
         for v in _local_extrema(f_vals, mask, neighbors):
-            avoid.add(v, "extremum|code[%s]" %
-                      "".join(str(c) for c in code))
+            avoid.add(v, "extremum|code[%s]" % render(code, width=n))
 
     if strong:
-        # sampled boundary regions S(tau), tau over {bd, bot}
-        for tag, mask in _small_support_masks(table, n, npts, (2,),
-                                              params.region_support,
-                                              closed=False):
-            if tag != "e" and mask.any():
+        # sampled boundary regions S(tau), tau over {bd, bot}; the closed
+        # and the open set of tau coincide
+        for tau in _small_support(n, (BD,), params.region_support):
+            _, mask = _masks(table, tau)
+            if not tau.is_empty() and mask.any():
                 for v in _local_extrema(f_vals, mask, neighbors):
-                    avoid.add(v, "extremum|boundary[%s]" % tag)
+                    avoid.add(v, "extremum|boundary[%s]" % render(tau))
         # earlier cut values with a sampled critical interaction:
         # x extremal for f_k among neighbors on its own f_n level band
         band = 2 * float(M.resolution)
@@ -261,9 +237,14 @@ class BuildLogRecord:
 
 @dataclass
 class BuildResult:
-    subbase: FunctionalSubbase
+    subbase: DistanceSubbase
     log: List[BuildLogRecord]
-    separation: float  # fraction of sample pairs split by some digit
+    table: np.ndarray  # the builder's digit codes of every cut at every sample
+
+    @property
+    def separation(self) -> float:
+        """Fraction of sample pairs split by some digit."""
+        return separation_fraction(self.table)
 
     def log_lines(self) -> str:
         return "\n".join(json.dumps(r.to_json()) for r in self.log)
@@ -274,11 +255,8 @@ def separation_fraction(table: np.ndarray) -> float:
     npts = table.shape[1]
     if npts < 2:
         return 1.0
-    groups = {}
-    for i in range(npts):
-        key = table[:, i].tobytes()
-        groups[key] = groups.get(key, 0) + 1
-    same = sum(g * (g - 1) // 2 for g in groups.values())
+    _, groups = np.unique(table, axis=1, return_counts=True)
+    same = sum(int(g) * (int(g) - 1) // 2 for g in groups)
     total = npts * (npts - 1) // 2
     return 1.0 - same / total
 
@@ -294,14 +272,14 @@ def build(M: SpaceModel, params: BuilderParams) -> BuildResult:
     npts = len(M.sample_points)
     neighbors = M.neighbor_lists(2 * M.resolution)
     table = np.empty((0, npts), dtype=np.int8)
-    cuts: List[Cut] = []
+    cuts: List[DistanceCut] = []
     chosen: List[float] = []
     cut_fvals: List[np.ndarray] = []
     log: List[BuildLogRecord] = []
 
     for n in range(params.count):
-        cut, interval = candidate(M, n)
-        f_vals = M.distance_row(cut.center_index)
+        center_index, interval = candidate(M, n)
+        f_vals = M.distance_row(center_index)
         avoid = collect_avoid(M, table, f_vals, n, params.strong, params,
                               neighbors, chosen, cut_fvals)
         n1 = unpair(n)[1]
@@ -316,15 +294,11 @@ def build(M: SpaceModel, params: BuilderParams) -> BuildResult:
                     raise
                 n1 += 1
                 interval = base_interval(n1)
-        cuts.append(Cut(f=cut.f, c=c, center_index=cut.center_index))
+        cuts.append(DistanceCut(center_index, c))
         chosen.append(float(c))
         cut_fvals.append(f_vals)
-        cf = float(c)
-        row = np.where(f_vals < cf - _EPS, 0,
-                       np.where(f_vals > cf + _EPS, 1, 2)).astype(np.int8)
-        table = np.vstack([table, row])
+        table = np.vstack([table, classify(f_vals, c)])
         log.append(BuildLogRecord(n, unpair(n)[0], interval, len(avoid),
                                   c, retries))
 
-    subbase = FunctionalSubbase(cuts, boundary_tol=1e-9)
-    return BuildResult(subbase, log, separation_fraction(table))
+    return BuildResult(DistanceSubbase(M, cuts), log, table)

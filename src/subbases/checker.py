@@ -5,11 +5,13 @@ tested by a witness surrogate on the sample grid: a point of
 S-bar(sigma) must lie within delta of a sample of S(sigma).  A pass
 certifies the absence of violations at resolution delta only; a failure
 carries self-verifying witnesses.
+
+The checks read the digit code of every sample from `subbase.digit_table`
+(re-exported here), the one place where classification is decided.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,14 +19,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .seq import BD, BINARY_DIGITS, BOT, DIGITS, ONE, ZERO, BottomedSeq, render
+from .seq import (BD, BINARY_DIGITS, DIGITS, ONE, ZERO, BottomedSeq,
+                  enumerate_sequences, render)
 from .space import SpaceModel
-from .subbase import DyadicSubbase
+from .subbase import DIGIT_CODE, DyadicSubbase, digit_table  # noqa: F401  (re-export)
 
 _SLACK = 1e-9
 _MAX_VIOLATIONS = 100
-
-_DIGIT_CODE = {ZERO: 0, ONE: 1, BD: 2}
 
 
 class CheckerError(ValueError):
@@ -63,6 +64,15 @@ class CheckReport:
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def add(self, violation: Violation) -> bool:
+        """Record a violation; False once the list is full and truncated."""
+        self.verdict = "fail"
+        if len(self.violations) < _MAX_VIOLATIONS:
+            self.violations.append(violation)
+            return True
+        self.truncated = True
+        return False
 
     def to_json(self) -> dict:
         return {
@@ -104,72 +114,50 @@ def _point_json(p):
     return str(p)
 
 
-def digit_table(S: DyadicSubbase, M: SpaceModel, depth: int) -> np.ndarray:
-    """depth x n_samples int table of classifications (0, 1, 2=boundary)."""
-    n = len(M.sample_points)
-    table = np.empty((depth, n), dtype=np.int8)
-    for k in range(depth):
-        for i, x in enumerate(M.sample_points):
-            table[k, i] = _DIGIT_CODE[S.digit(k, x)]
-    return table
-
-
-def _sigma_iter(depth: int, alphabet):
-    """All sigma with dom within {0..depth-1}, entries from alphabet.
-
-    Lexicographic over positions and digit values; each sigma once.
-    """
-    letters = tuple(alphabet) + (BOT,)
-    for tup in itertools.product(letters, repeat=depth):
-        yield BottomedSeq({i: ch for i, ch in enumerate(tup) if ch != BOT})
-
-
-def _masks(table: np.ndarray, sigma: BottomedSeq, n: int):
+def _masks(table: np.ndarray, sigma: BottomedSeq):
     """Sampled membership of S(sigma) and S-bar(sigma) as boolean arrays."""
-    open_mask = np.ones(n, dtype=bool)
-    closed_mask = np.ones(n, dtype=bool)
+    open_mask = np.ones(table.shape[1], dtype=bool)
+    closed_mask = np.ones(table.shape[1], dtype=bool)
     for k, a in sigma.items():
         row = table[k]
-        code = _DIGIT_CODE[a]
-        open_mask &= row == code
-        if a == BD:
-            closed_mask &= row == code
-        else:
-            closed_mask &= (row == code) | (row == 2)
+        hit = row == DIGIT_CODE[a]
+        open_mask &= hit
+        closed_mask &= hit if a == BD else hit | (row == DIGIT_CODE[BD])
     return open_mask, closed_mask
+
+
+def _check_delta(M: SpaceModel, delta):
+    if Fraction(delta) < 2 * M.resolution:
+        raise CheckerError("delta %s is below twice the grid resolution %s"
+                           % (delta, M.resolution))
+
+
+def _far_samples(M: SpaceModel, samples: np.ndarray, target: np.ndarray, delta):
+    """(index, nearest) for each sample with no target sample within delta;
+    nearest is the distance to the nearest target sample, None if none."""
+    has_target = bool(target.any())
+    limit = float(delta) + _SLACK
+    for i in samples:
+        nearest = None
+        if has_target:
+            nearest = float(M.distance_row(int(i))[target].min())
+            if nearest <= limit:
+                continue
+        yield int(i), nearest
 
 
 def _run_check(S: DyadicSubbase, M: SpaceModel, depth: int, delta,
                alphabet, kind: str) -> CheckReport:
-    delta_f = float(delta)
-    if Fraction(delta) < 2 * M.resolution:
-        raise CheckerError("delta %s is below twice the grid resolution %s"
-                           % (delta, M.resolution))
+    _check_delta(M, delta)
     if depth > len(S):
         raise IndexError("depth %d exceeds number of cuts %d" % (depth, len(S)))
-    n = len(M.sample_points)
     table = digit_table(S, M, depth)
     report = CheckReport("pass", kind, depth, delta, M.resolution)
-    for sigma in _sigma_iter(depth, alphabet):
-        open_mask, closed_mask = _masks(table, sigma, n)
+    for sigma in enumerate_sequences(depth, alphabet):
+        open_mask, closed_mask = _masks(table, sigma)
         candidates = np.nonzero(closed_mask & ~open_mask)[0]
-        if candidates.size == 0:
-            continue
-        has_open = bool(open_mask.any())
-        for i in candidates:
-            row = M.distance_row(int(i))
-            if has_open:
-                nearest = float(row[open_mask].min())
-                if nearest <= delta_f + _SLACK:
-                    continue
-            else:
-                nearest = None
-            report.verdict = "fail"
-            if len(report.violations) < _MAX_VIOLATIONS:
-                report.violations.append(
-                    Violation(sigma, M.sample_points[int(i)], nearest))
-            else:
-                report.truncated = True
+        for i, nearest in _far_samples(M, candidates, open_mask, delta):
+            if not report.add(Violation(sigma, M.sample_points[i], nearest)):
                 return report
             break  # first violation per sigma only
     return report
@@ -199,39 +187,19 @@ def check_exterior_pair(S: DyadicSubbase, M: SpaceModel, sigma: BottomedSeq,
     """
     if not sigma.is_binary():
         raise CheckerError("exterior check requires sigma over {0,1,_}")
-    delta_f = float(delta)
-    if Fraction(delta) < 2 * M.resolution:
-        raise CheckerError("delta %s is below twice the grid resolution %s"
-                           % (delta, M.resolution))
+    _check_delta(M, delta)
     depth = sigma.length
-    n = len(M.sample_points)
     table = digit_table(S, M, depth)
-    open_mask, _closed = _masks(table, sigma, n)
-    opposite = np.zeros(n, dtype=bool)
+    open_mask, _closed = _masks(table, sigma)
+    opposite = np.zeros(table.shape[1], dtype=bool)
     for k, a in sigma.items():
-        opposite |= table[k] == _DIGIT_CODE[ONE if a == ZERO else ZERO]
+        opposite |= table[k] == DIGIT_CODE[ONE if a == ZERO else ZERO]
     report = CheckReport("pass", "exterior", depth, delta, M.resolution)
-
-    def direction(outside_mask, target_mask):
-        has_target = bool(target_mask.any())
-        for i in np.nonzero(outside_mask)[0]:
-            if has_target:
-                nearest = float(M.distance_row(int(i))[target_mask].min())
-                if nearest <= delta_f + _SLACK:
-                    continue
-            else:
-                nearest = None
-            report.verdict = "fail"
-            if len(report.violations) < _MAX_VIOLATIONS:
-                report.violations.append(
-                    Violation(sigma, M.sample_points[int(i)], nearest))
-            else:
-                report.truncated = True
-                return
-
     # x outside S(sigma) must be close to the opposite union, and vice versa
-    direction(~open_mask, opposite)
-    direction(~opposite, open_mask)
+    for outside, target in ((~open_mask, opposite), (~opposite, open_mask)):
+        for i, nearest in _far_samples(M, np.nonzero(outside)[0], target, delta):
+            if not report.add(Violation(sigma, M.sample_points[i], nearest)):
+                return report
     return report
 
 

@@ -7,8 +7,6 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -25,14 +23,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-
-def _threads_cap() -> int:
-    # SUBBASE_THREADS caps internal parallelism; evaluation is sequential,
-    # which trivially respects any cap.
-    try:
-        return max(1, int(os.environ.get("SUBBASE_THREADS", "1")))
-    except ValueError:
-        return 1
+DEFAULT_RESOLUTION = Fraction(1, 256)
 
 
 def _header(**kv):
@@ -41,17 +32,22 @@ def _header(**kv):
 
 
 def _space_from_args(args) -> SpaceModel:
-    if getattr(args, "space_file", None):
-        return builtin_space("finite", args.resolution, file=args.space_file)
-    return builtin_space(args.space, args.resolution)
+    resolution = DEFAULT_RESOLUTION if args.resolution is None else args.resolution
+    if args.space_file:
+        return builtin_space("finite", resolution, file=args.space_file)
+    return builtin_space(args.space, resolution)
 
 
 def _load_subbase(args, need_space=False):
     M = None
-    if getattr(args, "space", None) or getattr(args, "space_file", None):
+    if args.space or args.space_file:
         M = _space_from_args(args)
-    S, M = files.load_subbase(args.subbase, M=M,
-                              space_file=getattr(args, "space_file", None))
+    S, M = files.load_subbase(args.subbase, M=M, space_file=args.space_file)
+    if (args.resolution is not None and M is not None
+            and M.resolution != args.resolution):
+        raise SystemExit2("%s embeds the %s space at resolution %s, but the "
+                          "command line names resolution %s"
+                          % (args.subbase, M.name, M.resolution, args.resolution))
     if need_space and M is None:
         raise SystemExit2("this command needs a space: pass --space or use a "
                           "subbase file with an embedded space")
@@ -72,7 +68,7 @@ def cmd_build(args) -> int:
     for line in result.log_lines().splitlines():
         print(line)
     print("# separation=%.6f" % result.separation)
-    data = files.subbase_to_json(result.subbase, M)
+    data = files.subbase_to_json(result.subbase)
     files.save_subbase(args.out, data)
     print("# wrote %s" % args.out)
     return EXIT_PASS
@@ -219,8 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                                             "torus"), required=False)
         sp.add_argument("--space-file", help="finite space JSON file")
         sp.add_argument("--resolution", type=Fraction,
-                        default=Fraction(1, 256),
-                        help="grid step, e.g. 1/256")
+                        help="grid step, e.g. 1/256 (the default)")
 
     sp = sub.add_parser("build", help="construct a subbase by randomized cuts")
     add_space(sp)
@@ -274,7 +269,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
-    _threads_cap()
     try:
         return args.fn(args)
     except SystemExit2 as exc:

@@ -7,9 +7,8 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import space as space_mod
-from .builder import BuildResult
 from .space import SpaceModel, builtin_space, gray_subbase
-from .subbase import Cut, DyadicSubbase, FunctionalSubbase
+from .subbase import DistanceCut, DistanceSubbase, DyadicSubbase
 
 
 def parse_rational(text: str) -> Fraction:
@@ -30,26 +29,15 @@ def parse_point(text: str):
     return tuple(parse_rational(part) for part in text.split(","))
 
 
-def space_to_json(M: SpaceModel) -> dict:
-    return {"name": M.name, "resolution": str(M.resolution)}
-
-
-def space_from_json(data: dict, file: str = None) -> SpaceModel:
-    return builtin_space(data["name"], parse_rational(data["resolution"]),
-                         file=file)
-
-
-def subbase_to_json(S: DyadicSubbase, M: SpaceModel = None) -> dict:
-    if isinstance(S, FunctionalSubbase) and S.exact_oracle is None:
-        out = {
-            "kind": "distance",
-            "cuts": [{"center_index": c.center_index, "cut": str(c.c)}
-                     for c in S.cuts],
-        }
-        if M is not None:
-            out["space"] = space_to_json(M)
-        return out
-    raise ValueError("unsupported subbase type for serialization")
+def subbase_to_json(S: DyadicSubbase) -> dict:
+    if not isinstance(S, DistanceSubbase):
+        raise ValueError("unsupported subbase type for serialization")
+    return {
+        "kind": "distance",
+        "cuts": [{"center_index": c.center_index, "cut": str(c.c)}
+                 for c in S.cuts],
+        "space": {"name": S.space.name, "resolution": str(S.space.resolution)},
+    }
 
 
 def gray_to_json(pairs: int) -> dict:
@@ -64,28 +52,31 @@ def save_subbase(path: str, data: dict):
 
 def load_subbase(path: str, M: SpaceModel = None,
                  space_file: str = None) -> Tuple[DyadicSubbase, Optional[SpaceModel]]:
-    """Load a subbase JSON file; reconstruct its space when embedded."""
+    """Load a subbase JSON file.
+
+    A distance subbase's embedded space wins: a space M named besides it
+    must have the same name and resolution, or the load fails.
+    """
     with open(path) as fh:
         data = json.load(fh)
     kind = data.get("kind")
     if kind == "gray":
         return gray_subbase(int(data.get("pairs", 8))), M
     if kind == "distance":
-        if M is None:
-            if "space" not in data:
-                raise ValueError("distance subbase needs a space "
-                                 "(embedded or via --space)")
-            M = space_from_json(data["space"], file=space_file)
-        cuts = []
-        for rec in data["cuts"]:
-            idx = int(rec["center_index"])
-            c = parse_rational(rec["cut"])
-            center = M.sample_points[idx]
-            cuts.append(Cut(f=(lambda x, p=center, MM=M: MM.metric(p, x)),
-                            c=c, center_index=idx))
-        return FunctionalSubbase(cuts, boundary_tol=1e-9), M
+        if "space" in data:
+            name = data["space"]["name"]
+            resolution = parse_rational(data["space"]["resolution"])
+            if M is None:
+                M = builtin_space(name, resolution, file=space_file)
+            elif (M.name, M.resolution) != (name, resolution):
+                raise ValueError("%s embeds the %s space at resolution %s, but "
+                                 "the command line names the %s space at "
+                                 "resolution %s" % (path, name, resolution,
+                                                    M.name, M.resolution))
+        elif M is None:
+            raise ValueError("distance subbase needs a space "
+                             "(embedded or via --space)")
+        cuts = [DistanceCut(int(rec["center_index"]), parse_rational(rec["cut"]))
+                for rec in data["cuts"]]
+        return DistanceSubbase(M, cuts), M
     raise ValueError("unknown subbase kind %r" % kind)
-
-
-def built_subbase_json(result: BuildResult, M: SpaceModel) -> dict:
-    return subbase_to_json(result.subbase, M)

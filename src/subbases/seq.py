@@ -145,11 +145,6 @@ class BottomedSeq:
 EMPTY = BottomedSeq()
 
 
-def seq(*pairs: Tuple[int, str]) -> BottomedSeq:
-    """Convenience constructor from (index, digit) pairs."""
-    return BottomedSeq(pairs)
-
-
 def parse(text: str) -> BottomedSeq:
     """Parse the ASCII codec '0', '1', 'b', '_'; error on any other character."""
     d = {}

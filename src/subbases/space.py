@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .seq import BD, ONE, ZERO
-from .subbase import Cut, DyadicSubbase, FunctionalSubbase, OracleSubbase
+from .subbase import OracleSubbase
 from .subbase import duplicated_subbase  # noqa: F401  (re-export: counterexample helper)
 
 
@@ -159,18 +159,9 @@ def _as_scalar(x) -> Fraction:
     return Fraction(x)
 
 
-def gray_subbase(pairs: int = 8) -> FunctionalSubbase:
+def gray_subbase(pairs: int = 8) -> OracleSubbase:
     """The Gray subbase of [0, 1] with the exact digit oracle."""
-
-    def make_cut(n):
-        return Cut(f=lambda x, n=n: -math.cos((2 ** n) * math.pi * float(_as_scalar(x))),
-                   c=0.0)
-
-    def oracle(n, x):
-        return gray_digit(_as_scalar(x), n)
-
-    return FunctionalSubbase([make_cut(n) for n in range(pairs)],
-                             exact_oracle=oracle)
+    return OracleSubbase(pairs, lambda n, x: gray_digit(_as_scalar(x), n))
 
 
 # -- built-in space models ----------------------------------------------

@@ -4,15 +4,35 @@ A subbase is a finite enumeration of disjoint open pairs (S_n^0, S_n^1).
 The classifier returns '0' for points of S_n^0, '1' for S_n^1 and 'b' for
 the leftover set S_n^bd = X \\ (S_n^0 u S_n^1).  The coding map reports
 bottom at every 'b' classification.
+
+The digit code of a sample (int8 0, 1, 2 = boundary) is decided here
+alone: `digit_row` classifies every sample of a space model at once, and
+`digit_table`, which stacks the rows, is read by the checker, the K slices
+and the builder.  Distance cuts classify with `classify`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .seq import BD, BOT, EMPTY, ONE, ZERO, BottomedSeq, render, sort_key
+import numpy as np
+
+from .seq import BD, ONE, ZERO, BottomedSeq, render, sort_key
+
+BOUNDARY_TOL = 1e-9
+DIGIT_CODE = {ZERO: 0, ONE: 1, BD: 2}
+CODE_DIGIT = (ZERO, ONE, BD)
+
+
+def classify(values, c) -> np.ndarray:
+    """Digit codes of function values against the cut value c: 0 below,
+    1 above, 2 within BOUNDARY_TOL of c."""
+    cf = float(c)
+    values = np.asarray(values, dtype=float)
+    return np.where(values < cf - BOUNDARY_TOL, 0,
+                    np.where(values > cf + BOUNDARY_TOL, 1, 2)).astype(np.int8)
 
 
 class DyadicSubbase:
@@ -24,6 +44,12 @@ class DyadicSubbase:
     def digit(self, n: int, x) -> str:
         """Classification of x by pair n: ZERO, ONE or BD."""
         raise NotImplementedError
+
+    def digit_row(self, n: int, M) -> np.ndarray:
+        """Digit codes of pair n at every sample of the space model M."""
+        self._check_index(n)
+        return np.array([DIGIT_CODE[self.digit(n, x)] for x in M.sample_points],
+                        dtype=np.int8)
 
     @property
     def classifies_boundary(self) -> bool:
@@ -41,23 +67,16 @@ class Cut:
 
     f: Callable
     c: object
-    center_index: Optional[int] = None
 
 
 class FunctionalSubbase(DyadicSubbase):
     """Subbase cut from functions: S_n^0 = {f_n < c_n}, S_n^1 = {f_n > c_n}.
 
-    With an exact oracle the sign is computed arithmetically and
-    boundary_tol is ignored; otherwise |f_n(x) - c_n| <= boundary_tol is
-    classified as the boundary digit.
+    |f_n(x) - c_n| <= boundary_tol is classified as the boundary digit.
     """
 
-    def __init__(self, cuts: Sequence[Cut], exact_oracle: Callable = None,
-                 boundary_tol: float = None):
+    def __init__(self, cuts: Sequence[Cut], boundary_tol: float = BOUNDARY_TOL):
         self.cuts = list(cuts)
-        self.exact_oracle = exact_oracle
-        if boundary_tol is None:
-            boundary_tol = 0.0 if exact_oracle is not None else 1e-9
         self.boundary_tol = boundary_tol
 
     def __len__(self) -> int:
@@ -65,12 +84,10 @@ class FunctionalSubbase(DyadicSubbase):
 
     @property
     def classifies_boundary(self) -> bool:
-        return self.exact_oracle is not None or self.boundary_tol > 0
+        return self.boundary_tol > 0
 
     def digit(self, n: int, x) -> str:
         self._check_index(n)
-        if self.exact_oracle is not None:
-            return self.exact_oracle(n, x)
         cut = self.cuts[n]
         v = cut.f(x) - cut.c
         if v < -self.boundary_tol:
@@ -80,8 +97,55 @@ class FunctionalSubbase(DyadicSubbase):
         return BD
 
 
+@dataclass(frozen=True)
+class DistanceCut:
+    """One pair of a distance subbase: the open ball and the exterior of the
+    closed ball of radius c around the sample with index center_index."""
+
+    center_index: int
+    c: Fraction
+
+
+class DistanceSubbase(DyadicSubbase):
+    """Subbase of distance cuts to samples of a space model:
+    S_n^0 = {d(p_n, x) < c_n}, S_n^1 = {d(p_n, x) > c_n}.
+
+    Distances within BOUNDARY_TOL of c_n are classified as the boundary
+    digit.  On its own space the rows come from the model's distance rows.
+    """
+
+    classifies_boundary = True
+
+    def __init__(self, space, cuts: Sequence[DistanceCut]):
+        for cut in cuts:
+            if not 0 <= cut.center_index < len(space.sample_points):
+                raise ValueError("center_index %d out of range for the %s space "
+                                 "of %d samples" % (cut.center_index, space.name,
+                                                    len(space.sample_points)))
+        self.space = space
+        self.cuts = list(cuts)
+
+    def __len__(self) -> int:
+        return len(self.cuts)
+
+    def digit(self, n: int, x) -> str:
+        self._check_index(n)
+        cut = self.cuts[n]
+        center = self.space.sample_points[cut.center_index]
+        return CODE_DIGIT[classify(float(self.space.metric(center, x)), cut.c)]
+
+    def digit_row(self, n: int, M) -> np.ndarray:
+        if M is not self.space:
+            return super().digit_row(n, M)
+        self._check_index(n)
+        cut = self.cuts[n]
+        return classify(M.distance_row(cut.center_index), cut.c)
+
+
 class OracleSubbase(DyadicSubbase):
-    """Subbase given directly by a digit table/oracle, e.g. counterexample models."""
+    """Subbase given directly by a digit oracle, e.g. Gray or counterexample models."""
+
+    classifies_boundary = True
 
     def __init__(self, length: int, digit_fn: Callable):
         self._length = length
@@ -89,10 +153,6 @@ class OracleSubbase(DyadicSubbase):
 
     def __len__(self) -> int:
         return self._length
-
-    @property
-    def classifies_boundary(self) -> bool:
-        return True
 
     def digit(self, n: int, x) -> str:
         self._check_index(n)
@@ -119,6 +179,10 @@ class ReindexedSubbase(DyadicSubbase):
     def digit(self, n: int, x) -> str:
         self._check_index(n)
         return self.base.digit(self.index_map[n], x)
+
+    def digit_row(self, n: int, M) -> np.ndarray:
+        self._check_index(n)
+        return self.base.digit_row(self.index_map[n], M)
 
 
 def permute(S: DyadicSubbase, pi: Sequence[int]) -> DyadicSubbase:
@@ -170,6 +234,24 @@ def member_closed(S: DyadicSubbase, sigma: BottomedSeq, x) -> bool:
     return True
 
 
+# -- the digit table -----------------------------------------------------
+
+
+def digit_table(S: DyadicSubbase, M, depth: int) -> np.ndarray:
+    """depth x n_samples int8 table of digit codes (0, 1, 2=boundary)."""
+    table = np.empty((depth, len(M.sample_points)), dtype=np.int8)
+    for k in range(depth):
+        table[k] = S.digit_row(k, M)
+    return table
+
+
+def table_codes(table: np.ndarray) -> List[BottomedSeq]:
+    """The distinct codes among the table's columns, boundary read as bottom."""
+    return [BottomedSeq({k: CODE_DIGIT[c] for k, c in enumerate(column.tolist())
+                         if c != 2})
+            for column in np.unique(table, axis=1).T]
+
+
 # -- K slices ------------------------------------------------------------
 
 
@@ -196,11 +278,8 @@ def enumerate_K(S: DyadicSubbase, M, depth: int) -> KSlice:
     """All restrictions of sampled codes: {phi(x)|_m : x in samples, m <= depth}."""
     if depth > len(S):
         raise IndexError("depth %d exceeds number of cuts %d" % (depth, len(S)))
-    elems = set()
-    for x in M.sample_points:
-        code = phi(S, x, depth)
-        for m in range(depth + 1):
-            elems.add(code.restrict(m))
+    elems = {code.restrict(m) for code in table_codes(digit_table(S, M, depth))
+             for m in range(depth + 1)}
     return KSlice(depth=depth, elements=frozenset(elems),
                   resolution=getattr(M, "resolution", None))
 

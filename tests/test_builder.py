@@ -9,8 +9,10 @@ from subbases.builder import (AvoidSet, BuilderParams, Exhaustion,
                               base_interval, build, candidate, choose_cut,
                               collect_avoid, positive_rational,
                               separation_fraction, unpair)
-from subbases.checker import check_proper, check_strong_proper, digit_table
+from subbases.checker import check_proper, check_strong_proper
+from subbases.seq import ONE, ZERO
 from subbases.space import builtin_space
+from subbases.subbase import DistanceCut, DistanceSubbase
 
 
 def test_unpair_convention():
@@ -41,18 +43,22 @@ def test_base_intervals_positive():
 
 def test_candidate_distance_function():
     M = builtin_space("interval", Fraction(1, 16))
-    cut, interval = candidate(M, 0)
-    center = M.sample_points[cut.center_index]
-    assert cut.f(center) == 0
-    for x in M.sample_points:
-        assert cut.f(x) == M.metric(center, x)
+    center_index, interval = candidate(M, 0)
+    assert center_index == M.dense_index(0)
     assert interval == base_interval(0)
+    # the candidate's cut function is the distance to its centre
+    c = Fraction(5, 16) + Fraction(1, 1000)
+    S = DistanceSubbase(M, [DistanceCut(center_index, c)])
+    center = M.sample_points[center_index]
+    assert S.digit(0, center) == ZERO
+    for x in M.sample_points:
+        assert S.digit(0, x) == (ZERO if M.metric(center, x) < c else ONE)
 
 
 def test_candidate_uses_unpairing():
     M = builtin_space("interval", Fraction(1, 16))
-    cut2, _ = candidate(M, 2)  # unpair(2) = (1, 0): second dense point
-    assert cut2.center_index == M.dense_index(1)
+    center_index, _ = candidate(M, 2)  # unpair(2) = (1, 0): second dense point
+    assert center_index == M.dense_index(1)
 
 
 def test_choose_cut_contract():
@@ -84,8 +90,8 @@ def test_choose_cut_exhaustion():
 
 def test_collect_avoid_distance_endpoints():
     M = builtin_space("interval", Fraction(1, 16))
-    cut, _ = candidate(M, 0)
-    f_vals = M.distance_row(cut.center_index)
+    center_index, _ = candidate(M, 0)
+    f_vals = M.distance_row(center_index)
     table = np.empty((0, len(M.sample_points)), dtype=np.int8)
     params = BuilderParams(count=1)
     avoid = collect_avoid(M, table, f_vals, 0, False, params,

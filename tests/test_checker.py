@@ -8,7 +8,7 @@ from subbases.checker import (CheckerError, check_exterior_pair, check_proper,
 from subbases.seq import EMPTY, parse, render
 from subbases.space import (POINT_AT_INFINITY, builtin_space,
                             compactified_example, gray_subbase)
-from subbases.subbase import (FunctionalSubbase, duplicated_subbase,
+from subbases.subbase import (Cut, FunctionalSubbase, duplicated_subbase,
                               member_closed, member_open, permute)
 
 
@@ -76,7 +76,9 @@ def test_compactified_proper_but_not_strong():
 
 
 def test_strong_needs_boundary_classification(grid256):
-    S = FunctionalSubbase(gray_subbase(4).cuts, boundary_tol=0.0)
+    cuts = [Cut(f=lambda x: float(x[0]), c=0.5),
+            Cut(f=lambda x: abs(float(x[0]) - 0.5), c=0.25)]
+    S = FunctionalSubbase(cuts, boundary_tol=0.0)
     with pytest.raises(CheckerError):
         check_strong_proper(S, grid256, 2, Fraction(1, 32))
 

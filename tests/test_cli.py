@@ -6,6 +6,7 @@ import pytest
 from subbases.cli import run
 from subbases.files import (gray_to_json, load_subbase, parse_point,
                             parse_rational, save_subbase)
+from subbases.space import builtin_space
 
 
 @pytest.fixture()
@@ -124,3 +125,55 @@ def test_usage_errors(tmp_path, capsys):
     bad.write_text(json.dumps({"kind": "nonsense"}))
     assert run(["encode", "--subbase", str(bad), "--point", "1/2",
                 "--depth", "2"]) == 2
+
+
+@pytest.fixture(scope="module")
+def square_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("square") / "square.json"
+    assert run(["build", "--space", "square", "--resolution", "1/16",
+                "--pairs", "8", "--seed", "0", "--out", str(path)]) == 0
+    return str(path)
+
+
+def _encode(square_file, capsys, *space):
+    code = run(["encode", "--subbase", square_file, "--point", "1/4,1/2",
+                "--depth", "8"] + list(space))
+    out, err = capsys.readouterr()
+    return code, out.splitlines()[-1] if code == 0 else err
+
+
+@pytest.mark.parametrize("space, named", [
+    (["--space", "square"], "the square space at resolution 1/256"),
+    (["--resolution", "1/32"], "resolution 1/32"),
+    (["--space", "interval"], "the interval space at resolution 1/256"),
+    (["--space", "square", "--resolution", "1/32"],
+     "the square space at resolution 1/32"),
+])
+def test_space_conflicting_with_the_file_exits_2(square_file, capsys, space,
+                                                 named):
+    code, err = _encode(square_file, capsys, *space)
+    assert code == 2
+    assert "embeds the square space at resolution 1/16" in err
+    assert "command line names %s" % named in err
+
+
+@pytest.mark.parametrize("space", [
+    ["--space", "square", "--resolution", "1/16"],
+    ["--resolution", "1/16"],
+])
+def test_space_matching_the_file_keeps_the_code(square_file, capsys, space):
+    plain = _encode(square_file, capsys)
+    assert plain[0] == 0
+    assert _encode(square_file, capsys, *space) == plain
+
+
+def test_center_index_out_of_range(tmp_path, capsys):
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"kind": "distance", "cuts": [
+        {"center_index": 3, "cut": "1/2"}, {"center_index": 17, "cut": "1/4"}]}))
+    with pytest.raises(ValueError, match="center_index 17"):
+        load_subbase(str(path), builtin_space("interval", Fraction(1, 8)))
+    assert run(["encode", "--subbase", str(path), "--point", "1/2",
+                "--depth", "2", "--space", "interval",
+                "--resolution", "1/8"]) == 2
+    assert "center_index 17" in capsys.readouterr().err

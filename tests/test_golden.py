@@ -1,0 +1,57 @@
+"""Golden outputs: SHA-256 digests of the CLI's stdout and written files.
+
+The digests were recorded once and are pinned by hand; the test never
+rewrites them.  A change that alters any byte of these outputs (a cut
+value, a code, a report line, a DOT node) fails here.  The sequence runs
+in a temporary directory with relative file names, because headers print
+the paths they were given.
+"""
+
+import hashlib
+
+from subbases.cli import run
+
+SEQUENCE = (
+    ("build", ["build", "--space", "square", "--resolution", "1/16",
+               "--pairs", "8", "--strong", "--seed", "3",
+               "--out", "built.json"], ["built.json"]),
+    ("check-strong", ["check-strong", "--subbase", "built.json",
+                      "--depth", "6", "--delta", "1/8",
+                      "--json", "report.json"], ["report.json"]),
+    ("kslice", ["kslice", "--subbase", "built.json", "--depth", "6",
+                "--dot", "k.dot"], ["k.dot"]),
+    ("check-cusl", ["check-cusl", "--subbase", "built.json", "--depth", "6",
+                    "--permutations", "3", "--seed", "1"], []),
+    ("encode", ["encode", "--subbase", "built.json", "--point", "1/4,1/2",
+                "--depth", "8"], []),
+    ("demo-duplication", ["demo", "duplication"], []),
+    ("demo-compactification", ["demo", "compactification"], []),
+)
+
+GOLDEN = {
+    "build": (0, "c6c7fd3b2a586c024ec756f5d71c638d113b4ccd58d1a77aa05f9c1764c67e6d",
+              {"built.json": "a69427b7144d5f9a15ba905a33b30069a455b61e0904da43c73c850e42c0e62f"}),
+    "check-strong": (0, "95596dd92ff2c0fdbb4d53a7206568e175f35b3555f42005bd7fad2c6219f41d",
+                     {"report.json": "e5449267925a3b1950692865ccbc889565d73c60ee872a083bcdeb26df992328"}),
+    "kslice": (0, "53276d9120bde48301b8fdcd29d5e94cb81137ab92c4d646d26fad333c8c9909",
+               {"k.dot": "28e3f9311d2f06bb5efdc415a49ec3fecea3cb7651a4ea9fb8a5f0639d6f8ed2"}),
+    "check-cusl": (0, "87c1309eb225f822e315c95d3d5bbed81967404a07d1de00437a0503afb16931", {}),
+    "encode": (0, "6ddb51c31c62367956a68751bff12e19758aa1057f5af5d692a5a6a55e7919f5", {}),
+    "demo-duplication": (1, "1f6859a7e23dfd4fd9236663cfc565dbd91d2113658dd543ba13c74a3edeef10", {}),
+    "demo-compactification": (1, "e20d2191670296557c768ab6a38ce06674ae8088f9b7254dbdb34cee453e8e73", {}),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_golden_outputs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    observed = {}
+    for name, argv, files in SEQUENCE:
+        code = run(argv)
+        stdout = _sha(capsys.readouterr().out.encode())
+        observed[name] = (code, stdout, {f: _sha((tmp_path / f).read_bytes())
+                                         for f in files})
+    assert observed == GOLDEN

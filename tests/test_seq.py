@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from subbases.seq import (ALPHABET, BD, BOT, DIGITS, EMPTY, ONE, ZERO,
                           BottomedSeq, Incompatible, enumerate_sequences,
-                          parse, render, seq)
+                          parse, render)
 
 
 def test_update():
