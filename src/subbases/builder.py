@@ -15,7 +15,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -93,8 +93,8 @@ class AvoidSet:
 
     values: List[Tuple[float, str]] = field(default_factory=list)
 
-    def add(self, value: float, tag: str):
-        self.values.append((float(value), tag))
+    def extend(self, values: np.ndarray, tag: str):
+        self.values.extend((v, tag) for v in np.asarray(values, float).tolist())
 
     def clipped(self, lo: Fraction, hi: Fraction, margin) -> List[float]:
         m = float(margin)
@@ -112,26 +112,26 @@ def candidate(M: SpaceModel, n: int) -> Tuple[int, Tuple[Fraction, Fraction]]:
     return M.dense_index(n0), base_interval(n1)
 
 
+def _extremal(v: np.ndarray, nb_vals: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per row: v is maximal or minimal (within slack) among the masked
+    neighbour values; a row with none masked counts as both."""
+    hi = nb_vals.max(axis=1, where=mask, initial=-np.inf)
+    lo = nb_vals.min(axis=1, where=mask, initial=np.inf)
+    return (v >= hi - _EPS) | (v <= lo + _EPS)
+
+
 def _local_extrema(f_vals: np.ndarray, region: np.ndarray,
-                   neighbors: List[np.ndarray]) -> List[float]:
+                   nbr: np.ndarray) -> np.ndarray:
     """Values of f at samples extremal among region neighbors.
 
     A sample is a local extremum of f restricted to the region when its
     value is maximal or minimal (within slack) among the region samples
-    in its neighborhood; isolated region samples count as both.
+    in its neighborhood; isolated region samples count as both.  `nbr` is
+    the padded neighbour array of `SpaceModel.neighbor_lists`.
     """
-    out = []
-    for i in np.nonzero(region)[0]:
-        nb = neighbors[i]
-        nb = nb[region[nb]]
-        v = f_vals[i]
-        if nb.size == 0:
-            out.append(float(v))
-            continue
-        vals = f_vals[nb]
-        if v >= vals.max() - _EPS or v <= vals.min() + _EPS:
-            out.append(float(v))
-    return out
+    nb = nbr[region]
+    v = f_vals[region]
+    return v[_extremal(v, np.append(f_vals, 0.0)[nb], np.append(region, False)[nb])]
 
 
 def _small_support(n: int, digits, support: int):
@@ -145,7 +145,7 @@ def _small_support(n: int, digits, support: int):
 
 def collect_avoid(M: SpaceModel, table: np.ndarray, f_vals: np.ndarray,
                   n: int, strong: bool, params: BuilderParams,
-                  neighbors: List[np.ndarray],
+                  nbr: np.ndarray,
                   chosen: Sequence[float] = (),
                   cut_vals: Sequence[np.ndarray] = ()) -> AvoidSet:
     """Sampled avoid set for cut n given the digit table of cuts 0..n-1.
@@ -155,20 +155,19 @@ def collect_avoid(M: SpaceModel, table: np.ndarray, f_vals: np.ndarray,
     when strong, additionally the sampled boundary regions and the cut
     values of earlier pairs that interact with level sets of f_n.
     """
-    npts = len(M.sample_points)
     avoid = AvoidSet()
 
     for sigma in _small_support(n, BINARY_DIGITS, params.region_support):
         _, mask = _masks(table, sigma)
         if mask.any():
-            for v in _local_extrema(f_vals, mask, neighbors):
-                avoid.add(v, "extremum|closed[%s]" % render(sigma))
+            avoid.extend(_local_extrema(f_vals, mask, nbr),
+                         "extremum|closed[%s]" % render(sigma))
 
     # regions realized by sampled codes: the closed set of phi(x)|_n
     for code in table_codes(table):
         _, mask = _masks(table, code)
-        for v in _local_extrema(f_vals, mask, neighbors):
-            avoid.add(v, "extremum|code[%s]" % render(code, width=n))
+        avoid.extend(_local_extrema(f_vals, mask, nbr),
+                     "extremum|code[%s]" % render(code, width=n))
 
     if strong:
         # sampled boundary regions S(tau), tau over {bd, bot}; the closed
@@ -176,23 +175,16 @@ def collect_avoid(M: SpaceModel, table: np.ndarray, f_vals: np.ndarray,
         for tau in _small_support(n, (BD,), params.region_support):
             _, mask = _masks(table, tau)
             if not tau.is_empty() and mask.any():
-                for v in _local_extrema(f_vals, mask, neighbors):
-                    avoid.add(v, "extremum|boundary[%s]" % render(tau))
+                avoid.extend(_local_extrema(f_vals, mask, nbr),
+                             "extremum|boundary[%s]" % render(tau))
         # earlier cut values with a sampled critical interaction:
         # x extremal for f_k among neighbors on its own f_n level band
         band = 2 * float(M.resolution)
+        level = np.abs(np.append(f_vals, np.inf)[nbr] - f_vals[:, None]) <= band
         for k, (c_k, g_vals) in enumerate(zip(chosen, cut_vals)):
-            for i in range(npts):
-                nb = neighbors[i]
-                if nb.size == 0:
-                    continue
-                level = nb[np.abs(f_vals[nb] - f_vals[i]) <= band]
-                if level.size == 0:
-                    continue
-                g = g_vals[i]
-                if g >= g_vals[level].max() - _EPS or g <= g_vals[level].min() + _EPS:
-                    if abs(g - c_k) <= band:
-                        avoid.add(f_vals[i], "interaction|cut%d" % k)
+            hit = (level.any(axis=1) & (np.abs(g_vals - c_k) <= band)
+                   & _extremal(g_vals, np.append(g_vals, 0.0)[nbr], level))
+            avoid.extend(f_vals[hit], "interaction|cut%d" % k)
     return avoid
 
 
@@ -270,7 +262,7 @@ def build(M: SpaceModel, params: BuilderParams) -> BuildResult:
     """
     rng = random.Random(params.rng_seed)
     npts = len(M.sample_points)
-    neighbors = M.neighbor_lists(2 * M.resolution)
+    nbr = M.neighbor_lists(2 * M.resolution)
     table = np.empty((0, npts), dtype=np.int8)
     cuts: List[DistanceCut] = []
     chosen: List[float] = []
@@ -281,7 +273,7 @@ def build(M: SpaceModel, params: BuilderParams) -> BuildResult:
         center_index, interval = candidate(M, n)
         f_vals = M.distance_row(center_index)
         avoid = collect_avoid(M, table, f_vals, n, params.strong, params,
-                              neighbors, chosen, cut_fvals)
+                              nbr, chosen, cut_fvals)
         n1 = unpair(n)[1]
         retries = 0
         c = None

@@ -29,14 +29,28 @@ def parse_point(text: str):
     return tuple(parse_rational(part) for part in text.split(","))
 
 
+def space_digest(M: SpaceModel) -> str:
+    """SHA-256 of a space's points and exact metric matrix, in sample order."""
+    import hashlib  # loads OpenSSL, about 3.5 MB of RSS: only finite spaces pay
+    pts = M.sample_points
+    data = {"points": [[str(c) for c in p] for p in pts],
+            "metric": [[str(M.metric(a, b)) for b in pts] for a in pts]}
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
 def subbase_to_json(S: DyadicSubbase) -> dict:
+    """A distance subbase with its space: name and resolution, plus the
+    digest of a finite space, whose file the name does not identify."""
     if not isinstance(S, DistanceSubbase):
         raise ValueError("unsupported subbase type for serialization")
+    space = {"name": S.space.name, "resolution": str(S.space.resolution)}
+    if S.space.name == "finite":
+        space["digest"] = space_digest(S.space)
     return {
         "kind": "distance",
         "cuts": [{"center_index": c.center_index, "cut": str(c.c)}
                  for c in S.cuts],
-        "space": {"name": S.space.name, "resolution": str(S.space.resolution)},
+        "space": space,
     }
 
 
@@ -55,7 +69,8 @@ def load_subbase(path: str, M: SpaceModel = None,
     """Load a subbase JSON file.
 
     A distance subbase's embedded space wins: a space M named besides it
-    must have the same name and resolution, or the load fails.
+    must have the same name and resolution, and a finite space the same
+    digest, or the load fails.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -73,6 +88,12 @@ def load_subbase(path: str, M: SpaceModel = None,
                                  "the command line names the %s space at "
                                  "resolution %s" % (path, name, resolution,
                                                     M.name, M.resolution))
+            embedded = data["space"].get("digest")
+            if name == "finite" and embedded != space_digest(M):
+                raise ValueError("%s embeds the finite space with digest %s, but "
+                                 "%s has digest %s"
+                                 % (path, embedded, space_file or "the given space",
+                                    space_digest(M)))
         elif M is None:
             raise ValueError("distance subbase needs a space "
                              "(embedded or via --space)")

@@ -59,26 +59,33 @@ class SpaceModel:
     def __len__(self) -> int:
         return len(self.sample_points)
 
+    def _row(self, i: int) -> np.ndarray:
+        """Distances from sample i to every sample, as floats; uncached."""
+        if self._row_fn is not None:
+            return np.asarray(self._row_fn(i), dtype=float)
+        x = self.sample_points[i]
+        return np.array([float(self.metric(x, y)) for y in self.sample_points])
+
     def distance_row(self, i: int) -> np.ndarray:
         """Distances from sample i to every sample, as floats; cached."""
         row = self._row_cache.get(i)
         if row is None:
-            if self._row_fn is not None:
-                row = np.asarray(self._row_fn(i), dtype=float)
-            else:
-                x = self.sample_points[i]
-                row = np.array([float(self.metric(x, y)) for y in self.sample_points])
-            self._row_cache[i] = row
+            row = self._row_cache[i] = self._row(i)
         return row
 
-    def neighbor_lists(self, radius) -> List[np.ndarray]:
-        """Indices of samples within radius of each sample (excluding itself)."""
+    def neighbor_lists(self, radius) -> np.ndarray:
+        """Indices of the samples within radius of each sample (excluding
+        itself) as a (samples, width) intp array: row i lists them ascending,
+        padded on the right with len(self) up to the widest neighbourhood.
+        Distance rows are computed uncached, so memory is linear in the
+        sample count."""
         r = float(radius) + 1e-9
-        out = []
-        for i in range(len(self.sample_points)):
-            row = self.distance_row(i)
-            nb = np.nonzero(row <= r)[0]
-            out.append(nb[nb != i])
+        n = len(self.sample_points)
+        rows = [np.flatnonzero(self._row(i) <= r) for i in range(n)]
+        rows = [nb[nb != i] for i, nb in enumerate(rows)]
+        out = np.full((n, max(map(len, rows), default=0)), n, dtype=np.intp)
+        for i, nb in enumerate(rows):
+            out[i, :len(nb)] = nb
         return out
 
     # -- dense enumeration: greedy farthest-point order over the samples --

@@ -1,18 +1,20 @@
+import collections
 import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from subbases.builder import (AvoidSet, BuilderParams, Exhaustion,
-                              base_interval, build, candidate, choose_cut,
-                              collect_avoid, positive_rational,
-                              separation_fraction, unpair)
-from subbases.checker import check_proper, check_strong_proper
-from subbases.seq import ONE, ZERO
-from subbases.space import builtin_space
-from subbases.subbase import DistanceCut, DistanceSubbase
+from subbases.builder import (_EPS, AvoidSet, BuilderParams, Exhaustion,
+                              _local_extrema, _small_support, base_interval,
+                              build, candidate, choose_cut, collect_avoid,
+                              positive_rational, separation_fraction, unpair)
+from subbases.checker import _masks, check_proper, check_strong_proper
+from subbases.seq import BD, BINARY_DIGITS, ONE, ZERO, render
+from subbases.space import SpaceModel, builtin_space
+from subbases.subbase import DistanceCut, DistanceSubbase, table_codes
 
 
 def test_unpair_convention():
@@ -94,11 +96,210 @@ def test_collect_avoid_distance_endpoints():
     f_vals = M.distance_row(center_index)
     table = np.empty((0, len(M.sample_points)), dtype=np.int8)
     params = BuilderParams(count=1)
-    avoid = collect_avoid(M, table, f_vals, 0, False, params,
-                          M.neighbor_lists(2 * M.resolution))
-    vals = {v for v, _ in avoid.values}
-    assert 0.0 in vals          # the minimum at the center itself
-    assert float(f_vals.max()) in vals
+    nbr = M.neighbor_lists(2 * M.resolution)
+    assert nbr.shape == (17, 4) and nbr.dtype == np.intp
+    avoid = collect_avoid(M, table, f_vals, 0, False, params, nbr)
+    # the minimum 0 at the center and the maximum 1 at the far endpoint,
+    # once for the empty pattern's closed set and once for its code
+    assert avoid.values == [(0.0, "extremum|closed[]"), (1.0, "extremum|closed[]"),
+                            (0.0, "extremum|code[]"), (1.0, "extremum|code[]")]
+
+
+def test_avoid_set_extend_shares_one_tag():
+    avoid = AvoidSet([(0.5, "t")])
+    avoid.extend(np.array([0.25, 0.75]), "u")
+    avoid.extend(np.array([]), "v")
+    assert avoid.values == [(0.5, "t"), (0.25, "u"), (0.75, "u")]
+    assert all(type(v) is float for v, _ in avoid.values)
+
+
+# -- the vectorised avoid set against the per-sample loops ----------------
+
+
+def _reference_neighbors(M, radius):
+    """Neighbour index lists from full distance rows, one array per sample."""
+    r = float(radius) + 1e-9
+    return [np.array([j for j, d in enumerate(M.distance_row(i))
+                      if d <= r and j != i], dtype=np.intp)
+            for i in range(len(M))]
+
+
+def _reference_extrema(f_vals, region, neighbors):
+    """The per-sample local extrema loop."""
+    out = []
+    for i in np.nonzero(region)[0]:
+        nb = neighbors[i]
+        nb = nb[region[nb]]
+        v = f_vals[i]
+        if nb.size == 0:
+            out.append(float(v))
+            continue
+        vals = f_vals[nb]
+        if v >= vals.max() - _EPS or v <= vals.min() + _EPS:
+            out.append(float(v))
+    return out
+
+
+def _reference_avoid(M, table, f_vals, n, strong, params, neighbors,
+                     chosen, cut_vals):
+    """collect_avoid with the per-sample loops and a tag rendered per value."""
+    out = []
+    for sigma in _small_support(n, BINARY_DIGITS, params.region_support):
+        _, mask = _masks(table, sigma)
+        if mask.any():
+            for v in _reference_extrema(f_vals, mask, neighbors):
+                out.append((v, "extremum|closed[%s]" % render(sigma)))
+    for code in table_codes(table):
+        _, mask = _masks(table, code)
+        for v in _reference_extrema(f_vals, mask, neighbors):
+            out.append((v, "extremum|code[%s]" % render(code, width=n)))
+    if strong:
+        for tau in _small_support(n, (BD,), params.region_support):
+            _, mask = _masks(table, tau)
+            if not tau.is_empty() and mask.any():
+                for v in _reference_extrema(f_vals, mask, neighbors):
+                    out.append((v, "extremum|boundary[%s]" % render(tau)))
+        band = 2 * float(M.resolution)
+        for k, (c_k, g_vals) in enumerate(zip(chosen, cut_vals)):
+            for i in range(len(M)):
+                nb = neighbors[i]
+                if nb.size == 0:
+                    continue
+                level = nb[np.abs(f_vals[nb] - f_vals[i]) <= band]
+                if level.size == 0:
+                    continue
+                g = g_vals[i]
+                if g >= g_vals[level].max() - _EPS or g <= g_vals[level].min() + _EPS:
+                    if abs(g - c_k) <= band:
+                        out.append((float(f_vals[i]), "interaction|cut%d" % k))
+    return out
+
+
+def _finite_space(coords, resolution):
+    """Points of the plane with integer coordinates under the L1 metric,
+    without a row function, so rows come from the metric itself."""
+    pts = [tuple(Fraction(c) for c in p) for p in coords]
+
+    def metric(a, b):
+        return abs(a[0] - b[0]) + abs(a[1] - b[1])
+
+    return SpaceModel("finite", pts, metric, resolution)
+
+
+@st.composite
+def spaces(draw):
+    kind = draw(st.sampled_from(("interval", "square", "finite")))
+    if kind == "interval":
+        return builtin_space("interval", Fraction(1, draw(st.integers(2, 24))))
+    if kind == "square":
+        return builtin_space("square", Fraction(1, draw(st.integers(2, 8))))
+    coords = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                           min_size=1, max_size=20, unique=True))
+    # 1/4 leaves every sample isolated: a neighbour array of width 0
+    return _finite_space(coords, draw(st.sampled_from(
+        (Fraction(1, 4), Fraction(1, 2), Fraction(1)))))
+
+
+@st.composite
+def avoid_cases(draw):
+    """A space, a random digit table, a cut row and earlier cuts whose
+    values sit on a sample's distance on purpose, so interactions occur."""
+    M = draw(spaces())
+    npts = len(M)
+    n = draw(st.integers(0, 4))
+    table = np.array(draw(st.lists(st.lists(st.integers(0, 2), min_size=npts,
+                                            max_size=npts),
+                                   min_size=n, max_size=n)),
+                     dtype=np.int8).reshape(n, npts)
+    f_vals = M.distance_row(draw(st.integers(0, npts - 1)))
+    cut_vals = [M.distance_row(draw(st.integers(0, npts - 1))) for _ in range(n)]
+    chosen = [float(g[draw(st.integers(0, npts - 1))])
+              + draw(st.sampled_from((0.0, 1e-12, float(M.resolution))))
+              for g in cut_vals]
+    return M, table, f_vals, n, chosen, cut_vals
+
+
+@settings(max_examples=60, deadline=None)
+@given(spaces(), st.data())
+def test_local_extrema_matches_per_sample_loop(M, data):
+    npts = len(M)
+    f_vals = M.distance_row(data.draw(st.integers(0, npts - 1)))
+    region = np.array(data.draw(st.lists(st.booleans(), min_size=npts,
+                                         max_size=npts)))
+    nbr = M.neighbor_lists(2 * M.resolution)
+    neighbors = _reference_neighbors(M, 2 * M.resolution)
+    assert [list(row[row < npts]) for row in nbr] == [list(nb) for nb in neighbors]
+    assert _local_extrema(f_vals, region, nbr).tolist() == \
+        _reference_extrema(f_vals, region, neighbors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(avoid_cases(), st.booleans())
+def test_collect_avoid_matches_per_sample_loops(case, strong):
+    M, table, f_vals, n, chosen, cut_vals = case
+    params = BuilderParams(count=n + 1, strong=strong)
+    avoid = collect_avoid(M, table, f_vals, n, strong, params,
+                          M.neighbor_lists(2 * M.resolution), chosen, cut_vals)
+    reference = _reference_avoid(M, table, f_vals, n, strong, params,
+                                 _reference_neighbors(M, 2 * M.resolution),
+                                 chosen, cut_vals)
+    assert collections.Counter(avoid.values) == collections.Counter(reference)
+
+
+def test_local_extrema_empty_and_isolated_regions():
+    M = builtin_space("interval", Fraction(1, 16))
+    f_vals = M.distance_row(3)
+    nbr = M.neighbor_lists(2 * M.resolution)
+    assert _local_extrema(f_vals, np.zeros(17, dtype=bool), nbr).size == 0
+    # samples 0 and 8 have no region neighbour within 2/16: both extremal
+    region = np.zeros(17, dtype=bool)
+    region[[0, 8, 12, 13, 14]] = True
+    assert _local_extrema(f_vals, region, nbr).tolist() == \
+        [f_vals[0], f_vals[8], f_vals[12], f_vals[14]]
+
+
+@pytest.mark.parametrize("M, f_centre, g_centre, c, hit", [
+    # the earlier cut is the distance to the square's centre (sample 40)
+    # with the value 1/8, within the band 2/8 of its minimum 0 at the
+    # centre; the new cut is the distance to the corner (sample 0)
+    (builtin_space("square", Fraction(1, 8)), 0, 40, 0.125, 40),
+    # no sample has a neighbour within the band 1/2: no interaction, even
+    # where the earlier cut's value sits on a sample's distance
+    (_finite_space([(0, 0), (0, 2), (3, 1)], Fraction(1, 4)), 0, 1, 2.0, None),
+])
+def test_collect_avoid_interaction_hits(M, f_centre, g_centre, c, hit):
+    f_vals, g_vals = M.distance_row(f_centre), M.distance_row(g_centre)
+    table = np.zeros((1, len(M)), dtype=np.int8)
+    params = BuilderParams(count=2, strong=True)
+    avoid = collect_avoid(M, table, f_vals, 1, True, params,
+                          M.neighbor_lists(2 * M.resolution), [c], [g_vals])
+    hits = [(v, t) for v, t in avoid.values if t == "interaction|cut0"]
+    assert hits == ([] if hit is None else [(float(f_vals[hit]), "interaction|cut0")])
+    reference = _reference_avoid(M, table, f_vals, 1, True, params,
+                                 _reference_neighbors(M, 2 * M.resolution),
+                                 [c], [g_vals])
+    assert collections.Counter(avoid.values) == collections.Counter(reference)
+
+
+# -- bounded memory -------------------------------------------------------
+
+
+def test_neighbor_lists_padded_and_uncached():
+    M = builtin_space("square", Fraction(1, 4))
+    nbr = M.neighbor_lists(2 * M.resolution)
+    assert nbr.dtype == np.intp and nbr.shape[0] == 25
+    assert M._row_cache == {}
+    corner = nbr[0]
+    assert corner[corner < 25].tolist() == [1, 2, 5, 6, 10]
+    assert (corner[5:] == 25).all()
+    assert M.neighbor_lists(Fraction(1, 8)).shape == (25, 0)
+
+
+def test_build_caches_only_centre_and_dense_order_rows():
+    M = builtin_space("square", Fraction(1, 64))
+    assert len(M) == 4225
+    build(M, BuilderParams(count=4, strong=True, rng_seed=0))
+    assert 0 < len(M._row_cache) <= 10
 
 
 def test_build_empty():

@@ -177,3 +177,26 @@ def test_center_index_out_of_range(tmp_path, capsys):
                 "--depth", "2", "--space", "interval",
                 "--resolution", "1/8"]) == 2
     assert "center_index 17" in capsys.readouterr().err
+
+
+def test_finite_space_file_mismatch_exits_2(tmp_path, capsys):
+    # a 4-point path metric and a 4-point uniform metric on the same points
+    points = [[0], [1], [2], [3]]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"points": points, "metric": [
+        [abs(i - j) for j in range(4)] for i in range(4)]}))
+    b.write_text(json.dumps({"points": points, "metric": [
+        [int(i != j) for j in range(4)] for i in range(4)]}))
+    built = tmp_path / "s.json"
+    assert run(["build", "--space-file", str(a), "--resolution", "1",
+                "--pairs", "3", "--seed", "0", "--out", str(built)]) == 0
+    digest = json.loads(built.read_text())["space"]["digest"]
+    encode = ["encode", "--subbase", str(built), "--point", "1", "--depth", "3",
+              "--resolution", "1", "--space-file"]
+    capsys.readouterr()
+    assert run(encode + [str(a)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "011"
+    assert run(encode + [str(b)]) == 2
+    err = capsys.readouterr().err
+    assert "embeds the finite space with digest %s" % digest in err
+    assert "%s has digest " % b in err and err.count("digest") == 2

@@ -26,6 +26,9 @@ SEQUENCE = (
                 "--depth", "8"], []),
     ("demo-duplication", ["demo", "duplication"], []),
     ("demo-compactification", ["demo", "compactification"], []),
+    ("build-criterion-6", ["build", "--space", "square", "--resolution", "1/32",
+                           "--pairs", "12", "--strong", "--seed", "42",
+                           "--out", "built42.json"], ["built42.json"]),
 )
 
 GOLDEN = {
@@ -39,6 +42,8 @@ GOLDEN = {
     "encode": (0, "6ddb51c31c62367956a68751bff12e19758aa1057f5af5d692a5a6a55e7919f5", {}),
     "demo-duplication": (1, "1f6859a7e23dfd4fd9236663cfc565dbd91d2113658dd543ba13c74a3edeef10", {}),
     "demo-compactification": (1, "e20d2191670296557c768ab6a38ce06674ae8088f9b7254dbdb34cee453e8e73", {}),
+    "build-criterion-6": (0, "19398c6ecebb63db7674bcbecd431dd4e1323012f4e0b487d5f0eb5b21ef0871",
+                          {"built42.json": "f0acb593f7c60b19f1db269f3d310665b810b9dfb19b070a03cd457c7bfcffd2"}),
 }
 
 
