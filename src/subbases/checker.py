@@ -7,7 +7,11 @@ certifies the absence of violations at resolution delta only; a failure
 carries self-verifying witnesses.
 
 The checks read the digit code of every sample from `subbase.digit_table`
-(re-exported here), the one place where classification is decided.
+(re-exported here), the one place where classification is decided.  The
+closure checks work over code classes, the distinct columns of the table,
+and extend patterns depth-first, cutting every branch whose closed set is
+already empty; only the candidate classes of a complete pattern are
+expanded to samples for the nearest scan.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .seq import (BD, BINARY_DIGITS, DIGITS, ONE, ZERO, BottomedSeq,
-                  enumerate_sequences, render)
+from .seq import (BD, BINARY_DIGITS, BOT, DIGITS, ONE, ZERO, BottomedSeq,
+                  render)
 from .space import SpaceModel
 from .subbase import DIGIT_CODE, DyadicSubbase, digit_table  # noqa: F401  (re-export)
 
@@ -57,6 +61,9 @@ class CheckReport:
     resolution: Fraction
     violations: List[Violation] = field(default_factory=list)
     truncated: bool = False
+    # work counts of the run, up to where a truncated run stopped; not part
+    # of to_json() or to_text()
+    stats: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -114,15 +121,21 @@ def _point_json(p):
     return str(p)
 
 
+def _letter_masks(row: np.ndarray, a: str):
+    """Where a row of digit codes puts the open set of digit a, and where
+    its closed set (digit a or, for a binary digit, the boundary)."""
+    hit = row == DIGIT_CODE[a]
+    return hit, hit if a == BD else hit | (row == DIGIT_CODE[BD])
+
+
 def _masks(table: np.ndarray, sigma: BottomedSeq):
     """Sampled membership of S(sigma) and S-bar(sigma) as boolean arrays."""
     open_mask = np.ones(table.shape[1], dtype=bool)
     closed_mask = np.ones(table.shape[1], dtype=bool)
     for k, a in sigma.items():
-        row = table[k]
-        hit = row == DIGIT_CODE[a]
+        hit, near = _letter_masks(table[k], a)
         open_mask &= hit
-        closed_mask &= hit if a == BD else hit | (row == DIGIT_CODE[BD])
+        closed_mask &= near
     return open_mask, closed_mask
 
 
@@ -146,20 +159,71 @@ def _far_samples(M: SpaceModel, samples: np.ndarray, target: np.ndarray, delta):
         yield int(i), nearest
 
 
+def _bits(mask: np.ndarray) -> int:
+    """A boolean array as an int bitset: bit j is mask[j]."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _unbits(bits: int, n: int) -> np.ndarray:
+    """The first n bits of an int bitset as a boolean array."""
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").astype(bool)
+
+
 def _run_check(S: DyadicSubbase, M: SpaceModel, depth: int, delta,
                alphabet, kind: str) -> CheckReport:
+    """Every pattern over alphabet + bottom, in itertools.product order
+    (position 0 slowest), with the first far candidate sample of each
+    recorded.  Branches with an empty closed set are cut, since no
+    extension of them has a candidate."""
     _check_delta(M, delta)
-    if depth > len(S):
-        raise IndexError("depth %d exceeds number of cuts %d" % (depth, len(S)))
     table = digit_table(S, M, depth)
+    codes, inverse = np.unique(table, axis=1, return_inverse=True)
+    n_classes = codes.shape[1]
+    everything = (1 << n_classes) - 1
+    # per position: (letter, open bitset, closed bitset) over code classes
+    steps = [[(a, *map(_bits, _letter_masks(row, a))) for a in alphabet]
+             + [(BOT, everything, everything)] for row in codes]
     report = CheckReport("pass", kind, depth, delta, M.resolution)
-    for sigma in enumerate_sequences(depth, alphabet):
-        open_mask, closed_mask = _masks(table, sigma)
-        candidates = np.nonzero(closed_mask & ~open_mask)[0]
-        for i, nearest in _far_samples(M, candidates, open_mask, delta):
-            if not report.add(Violation(sigma, M.sample_points[i], nearest)):
-                return report
-            break  # first violation per sigma only
+    stats = report.stats
+    stats.update(patterns_examined=0, patterns_pruned=0,
+                 patterns_with_candidates=0, code_classes=n_classes,
+                 candidates_scanned=0)
+    word = [BOT] * depth
+
+    def complete(open_bits: int, closed_bits: int) -> bool:
+        stats["patterns_examined"] += 1
+        candidate_bits = closed_bits & ~open_bits
+        if not candidate_bits:
+            return True
+        stats["patterns_with_candidates"] += 1
+        candidates = np.flatnonzero(_unbits(candidate_bits, n_classes)[inverse])
+        target = _unbits(open_bits, n_classes)[inverse]
+        # first violation per sigma only
+        far = next(_far_samples(M, candidates, target, delta), None)
+        if far is None:
+            stats["candidates_scanned"] += len(candidates)
+            return True
+        i, nearest = far
+        stats["candidates_scanned"] += int(np.searchsorted(candidates, i)) + 1
+        sigma = BottomedSeq({k: a for k, a in enumerate(word) if a != BOT})
+        return report.add(Violation(sigma, M.sample_points[i], nearest))
+
+    def extend(k: int, open_bits: int, closed_bits: int) -> bool:
+        """False once the report is full."""
+        if k == depth:
+            return complete(open_bits, closed_bits)
+        for a, open_k, closed_k in steps[k]:
+            closed = closed_bits & closed_k
+            if not closed:
+                stats["patterns_pruned"] += (len(alphabet) + 1) ** (depth - k - 1)
+                continue
+            word[k] = a
+            if not extend(k + 1, open_bits & open_k, closed):
+                return False
+        return True
+
+    extend(0, everything, everything)
     return report
 
 

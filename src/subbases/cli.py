@@ -17,7 +17,8 @@ from .builder import BuilderParams, build
 from .seq import render
 from .space import (POINT_AT_INFINITY, SpaceModel, builtin_space,
                     compactified_example, duplicated_subbase, gray_subbase)
-from .subbase import enumerate_K, is_cusl, kslice_to_dot, permute, phi
+from .subbase import (digit_table, enumerate_K, is_cusl, kslice_to_dot, phi,
+                      table_kslice)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -131,11 +132,10 @@ def cmd_check_cusl(args) -> int:
         pi = list(range(args.depth))
         rng.shuffle(pi)
         perms.append(pi)
+    table = digit_table(S, M, args.depth)
     failures = 0
     for pi in perms:
-        full = pi + list(range(args.depth, len(S)))
-        K = enumerate_K(permute(S, full), M, args.depth)
-        rep = is_cusl(K)
+        rep = is_cusl(table_kslice(table[pi], M.resolution))
         if not rep.ok:
             failures += 1
             print("cusl FAIL under permutation %s: pair (%s, %s), minimal "

@@ -239,6 +239,8 @@ def member_closed(S: DyadicSubbase, sigma: BottomedSeq, x) -> bool:
 
 def digit_table(S: DyadicSubbase, M, depth: int) -> np.ndarray:
     """depth x n_samples int8 table of digit codes (0, 1, 2=boundary)."""
+    if depth > len(S):
+        raise IndexError("depth %d exceeds number of cuts %d" % (depth, len(S)))
     table = np.empty((depth, len(M.sample_points)), dtype=np.int8)
     for k in range(depth):
         table[k] = S.digit_row(k, M)
@@ -276,12 +278,18 @@ class KSlice:
 
 def enumerate_K(S: DyadicSubbase, M, depth: int) -> KSlice:
     """All restrictions of sampled codes: {phi(x)|_m : x in samples, m <= depth}."""
-    if depth > len(S):
-        raise IndexError("depth %d exceeds number of cuts %d" % (depth, len(S)))
-    elems = {code.restrict(m) for code in table_codes(digit_table(S, M, depth))
+    return table_kslice(digit_table(S, M, depth),
+                        resolution=getattr(M, "resolution", None))
+
+
+def table_kslice(table: np.ndarray, resolution: Optional[Fraction] = None) -> KSlice:
+    """The K slice of a digit table: every prefix of its codes.  Row k of
+    the table of a permuted subbase is row pi[k] of the original's, so
+    one table serves every permutation."""
+    depth = table.shape[0]
+    elems = {code.restrict(m) for code in table_codes(table)
              for m in range(depth + 1)}
-    return KSlice(depth=depth, elements=frozenset(elems),
-                  resolution=getattr(M, "resolution", None))
+    return KSlice(depth=depth, elements=frozenset(elems), resolution=resolution)
 
 
 @dataclass(frozen=True)

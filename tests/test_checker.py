@@ -1,14 +1,22 @@
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from subbases.checker import (CheckerError, check_exterior_pair, check_proper,
-                              check_strong_proper, report_to_json_file)
-from subbases.seq import EMPTY, parse, render
-from subbases.space import (POINT_AT_INFINITY, builtin_space,
+from subbases.checker import (CheckerError, CheckReport, Violation,
+                              check_exterior_pair, check_proper,
+                              check_strong_proper, digit_table,
+                              report_to_json_file)
+from subbases.seq import (BD, BINARY_DIGITS, DIGITS, EMPTY, enumerate_sequences,
+                          parse, render)
+from subbases.space import (POINT_AT_INFINITY, SpaceModel, builtin_space,
                             compactified_example, gray_subbase)
-from subbases.subbase import (Cut, FunctionalSubbase, duplicated_subbase,
+from subbases.subbase import (CODE_DIGIT, DIGIT_CODE, Cut, DistanceCut,
+                              DistanceSubbase, FunctionalSubbase, OracleSubbase,
+                              ReindexedSubbase, duplicated_subbase,
                               member_closed, member_open, permute)
 
 
@@ -137,3 +145,147 @@ def test_report_json(tmp_path, grid256):
     assert data["violations"]
     first = data["violations"][0]
     assert set(first) == {"sigma", "point", "nearest"}
+
+
+# -- the pruned pattern search against the flat 4^depth loop ---------------
+
+
+def reference_check(S, M, depth, delta, alphabet, kind):
+    """The closure check without pruning: every pattern in
+    enumerate_sequences order, masked over every sample, with the first
+    candidate sample that has no open sample within delta recorded."""
+    table = digit_table(S, M, depth)
+    report = CheckReport("pass", kind, depth, delta, M.resolution)
+    for sigma in enumerate_sequences(depth, alphabet):
+        open_mask = np.ones(len(M), dtype=bool)
+        closed_mask = np.ones(len(M), dtype=bool)
+        for k, a in sigma.items():
+            open_mask &= table[k] == DIGIT_CODE[a]
+            closed_mask &= (table[k] == DIGIT_CODE[a]) | (
+                (table[k] == DIGIT_CODE[BD]) & (a != BD))
+        for i in np.nonzero(closed_mask & ~open_mask)[0]:
+            nearest = None
+            if open_mask.any():
+                nearest = float(M.distance_row(int(i))[open_mask].min())
+                if nearest <= float(delta) + 1e-9:
+                    continue
+            if not report.add(Violation(sigma, M.sample_points[i], nearest)):
+                return report
+            break
+    return report
+
+
+def both_checks(S, M, depth, delta):
+    return ((check_proper(S, M, depth, delta),
+             reference_check(S, M, depth, delta, BINARY_DIGITS, "proper")),
+            (check_strong_proper(S, M, depth, delta),
+             reference_check(S, M, depth, delta, DIGITS, "strong-proper")))
+
+
+def table_subbase(M, rows):
+    """An oracle subbase whose digits at the samples of M are the rows."""
+    index = {x: i for i, x in enumerate(M.sample_points)}
+    return OracleSubbase(len(rows),
+                         lambda n, x: CODE_DIGIT[rows[n][index[x]]])
+
+
+def grid_space(points):
+    """A finite space of integer plane points at scale 1/8, in the given
+    order, with the Euclidean metric."""
+    pts = [(Fraction(a, 8), Fraction(b, 8)) for a, b in points]
+    coords = np.array([[float(a), float(b)] for a, b in pts])
+
+    def metric(p, q):
+        return math.hypot(float(p[0]) - float(q[0]), float(p[1]) - float(q[1]))
+
+    def row(i):
+        return np.sqrt(((coords - coords[i]) ** 2).sum(axis=1))
+
+    return SpaceModel("finite", pts, metric, Fraction(1, 16), row_fn=row)
+
+
+@st.composite
+def distance_cases(draw):
+    """Integer plane points, distance cuts at radii that put samples on
+    the boundary, a depth and a delta."""
+    points = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                           min_size=1, max_size=24, unique=True))
+    cuts = draw(st.lists(st.tuples(st.integers(0, len(points) - 1),
+                                   st.integers(1, 12)),
+                         min_size=1, max_size=5))
+    depth = draw(st.integers(0, len(cuts)))
+    delta = draw(st.sampled_from((Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))))
+    return points, [DistanceCut(i, Fraction(r, 8)) for i, r in cuts], depth, delta
+
+
+@st.composite
+def check_cases(draw):
+    """(S, M, depth, delta): random digit tables, Gray views (duplicated
+    pairs fail) and distance subbases on finite spaces."""
+    kind = draw(st.sampled_from(("table", "gray", "distance")))
+    if kind == "table":
+        M = builtin_space("interval", Fraction(1, draw(st.integers(4, 20))))
+        depth = draw(st.integers(0, 5))
+        rows = draw(st.lists(st.lists(st.integers(0, 2), min_size=len(M),
+                                      max_size=len(M)),
+                             min_size=depth, max_size=depth))
+        delta = 2 * M.resolution * draw(st.integers(1, 4))
+        return table_subbase(M, rows), M, depth, delta
+    if kind == "gray":
+        M = builtin_space("interval", Fraction(1, 64))
+        index_map = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))
+        S = ReindexedSubbase(gray_subbase(5), index_map)
+        return (S, M, draw(st.integers(0, len(S))),
+                draw(st.sampled_from((Fraction(1, 32), Fraction(1, 8)))))
+    points, cuts, depth, delta = draw(distance_cases())
+    M = grid_space(points)
+    return DistanceSubbase(M, cuts), M, depth, delta
+
+
+@settings(max_examples=80, deadline=None)
+@given(check_cases())
+def test_checks_match_flat_reference(case):
+    S, M, depth, delta = case
+    for report, reference in both_checks(S, M, depth, delta):
+        assert report.to_json() == reference.to_json()
+        assert report.to_text() == reference.to_text()
+
+
+def test_truncation_matches_flat_reference(grid256):
+    S = ReindexedSubbase(gray_subbase(8), [0, 0, 1, 1, 2, 2, 3, 3])
+    for report, reference in both_checks(S, grid256, 8, Fraction(1, 64)):
+        assert report.truncated and len(report.violations) == 100
+        assert report.to_json() == reference.to_json()
+
+
+def test_stats_count_every_pattern(grid256):
+    report = check_strong_proper(gray_subbase(8), grid256, 5, Fraction(1, 32))
+    stats = report.stats
+    assert stats["patterns_examined"] + stats["patterns_pruned"] == 4 ** 5
+    assert stats["patterns_pruned"] > 0
+    assert 0 < stats["patterns_with_candidates"] <= stats["patterns_examined"]
+    assert stats["code_classes"] == 63
+    assert stats["candidates_scanned"] >= stats["patterns_with_candidates"]
+    assert "stats" not in report.to_json()
+    proper = check_proper(duplicated_subbase(gray_subbase(4), 0), grid256, 5,
+                          Fraction(1, 64))
+    assert (proper.stats["patterns_examined"] + proper.stats["patterns_pruned"]
+            == 3 ** 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(distance_cases(), st.data())
+def test_verdicts_invariant_under_sample_order(case, data):
+    points, cuts, depth, delta = case
+    order = data.draw(st.permutations(range(len(points))))
+    M = grid_space(points)
+    shuffled = grid_space([points[i] for i in order])
+    new_index = {old: new for new, old in enumerate(order)}
+    S = DistanceSubbase(M, cuts)
+    T = DistanceSubbase(shuffled, [DistanceCut(new_index[c.center_index], c.c)
+                                   for c in cuts])
+    for check in (check_proper, check_strong_proper):
+        a, b = check(S, M, depth, delta), check(T, shuffled, depth, delta)
+        assert a.verdict == b.verdict
+        assert ({render(v.sigma) for v in a.violations}
+                == {render(v.sigma) for v in b.violations})

@@ -16,7 +16,7 @@ from subbases.builder import BuilderParams, build
 from subbases.files import load_subbase, save_subbase, subbase_to_json
 from subbases.space import builtin_space, compactified_example, gray_subbase
 from subbases.subbase import (DIGIT_CODE, digit_table, duplicated_subbase,
-                              enumerate_K, permute, phi)
+                              enumerate_K, permute, phi, table_kslice)
 
 SPACES = (("interval", Fraction(1, 32)), ("square", Fraction(1, 16)))
 
@@ -74,6 +74,17 @@ def test_enumerate_K_matches_restricted_codes(case):
     reference = {phi(S, x, depth).restrict(m)
                  for x in M.sample_points for m in range(depth + 1)}
     assert enumerate_K(S, M, depth).elements == reference
+
+
+@settings(max_examples=40, deadline=None)
+@given(subbases(), st.data())
+def test_permuted_table_rows_give_permuted_kslice(case, data):
+    S, M, depth = case
+    pi = data.draw(st.permutations(range(depth)))
+    full = list(pi) + list(range(depth, len(S)))
+    reference = enumerate_K(permute(S, full), M, depth)
+    K = table_kslice(digit_table(S, M, depth)[list(pi)], M.resolution)
+    assert K == reference
 
 
 @settings(max_examples=12, deadline=None)

@@ -29,6 +29,9 @@ SEQUENCE = (
     ("build-criterion-6", ["build", "--space", "square", "--resolution", "1/32",
                            "--pairs", "12", "--strong", "--seed", "42",
                            "--out", "built42.json"], ["built42.json"]),
+    ("check-strong-depth-10", ["check-strong", "--subbase", "built42.json",
+                               "--depth", "10", "--delta", "1/16",
+                               "--json", "r10.json"], ["r10.json"]),
 )
 
 GOLDEN = {
@@ -44,6 +47,8 @@ GOLDEN = {
     "demo-compactification": (1, "e20d2191670296557c768ab6a38ce06674ae8088f9b7254dbdb34cee453e8e73", {}),
     "build-criterion-6": (0, "19398c6ecebb63db7674bcbecd431dd4e1323012f4e0b487d5f0eb5b21ef0871",
                           {"built42.json": "f0acb593f7c60b19f1db269f3d310665b810b9dfb19b070a03cd457c7bfcffd2"}),
+    "check-strong-depth-10": (0, "7ad599a835f0cf6a2fb56eb8b0eff7e75a51e21225f6a7fb0dc722a1967edc48",
+                              {"r10.json": "6d70d5f21d7f612faec6627c14a8432aaa72864831874befe86e447fe02d7722"}),
 }
 
 
