@@ -123,6 +123,9 @@ def cmd_check_strong(args) -> int:
 
 
 def cmd_check_cusl(args) -> int:
+    if args.permutations < 0:
+        raise SystemExit2("--permutations must be non-negative, got %d"
+                          % args.permutations)
     S, M = _load_subbase(args, need_space=True)
     _header(command="check-cusl", space=M.name, resolution=M.resolution,
             depth=args.depth, permutations=args.permutations, seed=args.seed)

@@ -138,15 +138,14 @@ def validate_metric(points: Sequence, metric: Callable, limit: int = 200):
 
 
 def gray_digit(x: Fraction, n: int) -> str:
-    """Exact digit of the n-th Gray pair at a rational x in [0, 1].
+    """Exact digit of the n-th Gray pair at a rational x in [0, 1] (or a
+    point holding x alone).
 
     Computed arithmetically from t = (2^n x) mod 2, which carries the
     sign of -cos(2^n pi x): the digit is '0' on [0,1/2) u (3/2,2),
     '1' on (1/2,3/2) and the boundary digit at t in {1/2, 3/2}.
     """
-    x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise ValueError("x must lie in [0, 1]: %s" % x)
+    x = _unit_scalar(x)
     t = (Fraction(2) ** n * x) % 2
     if t == Fraction(1, 2) or t == Fraction(3, 2):
         return BD
@@ -163,12 +162,56 @@ def _as_scalar(x) -> Fraction:
         if len(x) != 1:
             raise ValueError("expected a scalar point, got %r" % (x,))
         x = x[0]
-    return Fraction(x)
+    return x if type(x) is Fraction else Fraction(x)
 
 
-def gray_subbase(pairs: int = 8) -> OracleSubbase:
+def _unit_scalar(p) -> Fraction:
+    """The coordinate of a scalar point p, which must lie in [0, 1]."""
+    x = _as_scalar(p)
+    if not 0 <= x.numerator <= x.denominator:
+        raise ValueError("x must lie in [0, 1]: %s" % x)
+    return x
+
+
+def _unit_grid(points):
+    """The coordinates of scalar points in [0, 1] as numerators k over their
+    common denominator Q: (k, Q), k an int64 array, or an object array of
+    ints when 2 Q^2 does not fit in int64."""
+    xs = [_unit_scalar(p) for p in points]
+    nums = [x.numerator for x in xs]
+    dens = [x.denominator for x in xs]
+    Q = math.lcm(*dens)
+    dtype = np.int64 if 2 * Q * Q <= np.iinfo(np.int64).max else object
+    return np.array(nums, dtype=dtype) * (Q // np.array(dens, dtype=dtype)), Q
+
+
+class GraySubbase(OracleSubbase):
+    """The Gray subbase of [0, 1]: `digit` is the exact `gray_digit`, and
+    `digit_row` the same rule in integer arithmetic over a whole model.
+
+    With x = k/Q, u = 2^n k mod 2Q equals t Q for t = 2^n x mod 2, so the
+    digit is the boundary at 2u in {Q, 3Q}, 1 for Q < 2u < 3Q and 0
+    otherwise.  The coordinates of the last model read are kept.
+    """
+
+    def __init__(self, pairs: int):
+        super().__init__(pairs, lambda n, x: gray_digit(x, n))
+        self._grid = (None, None, None)   # (model, k, Q) of the last model read
+
+    def digit_row(self, n: int, M) -> np.ndarray:
+        self._check_index(n)
+        if self._grid[0] is not M:
+            self._grid = (M, *_unit_grid(M.sample_points))
+        _, k, Q = self._grid
+        twice_u = 2 * ((pow(2, n, 2 * Q) * k) % (2 * Q))
+        boundary = (twice_u == Q) | (twice_u == 3 * Q)
+        one = (twice_u > Q) & (twice_u < 3 * Q)
+        return np.where(boundary, 2, one).astype(np.int8)
+
+
+def gray_subbase(pairs: int = 8) -> GraySubbase:
     """The Gray subbase of [0, 1] with the exact digit oracle."""
-    return OracleSubbase(pairs, lambda n, x: gray_digit(_as_scalar(x), n))
+    return GraySubbase(pairs)
 
 
 # -- built-in space models ----------------------------------------------

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .seq import BD, ONE, ZERO, BottomedSeq, render, sort_key
+from .seq import BD, DIGITS, ONE, ZERO, BottomedSeq, render, sort_key
 
 BOUNDARY_TOL = 1e-9
 DIGIT_CODE = {ZERO: 0, ONE: 1, BD: 2}
@@ -239,6 +239,8 @@ def member_closed(S: DyadicSubbase, sigma: BottomedSeq, x) -> bool:
 
 def digit_table(S: DyadicSubbase, M, depth: int) -> np.ndarray:
     """depth x n_samples int8 table of digit codes (0, 1, 2=boundary)."""
+    if depth < 0:
+        raise ValueError("depth must be non-negative, got %d" % depth)
     if depth > len(S):
         raise IndexError("depth %d exceeds number of cuts %d" % (depth, len(S)))
     table = np.empty((depth, len(M.sample_points)), dtype=np.int8)
@@ -305,20 +307,42 @@ class CuslReport:
         return self.ok
 
 
+def _kslice_bits(elems: Sequence[BottomedSeq]):
+    """Per element, int bitsets over positions: defined, one and boundary
+    digits, plus their concatenation as a key.  The join of a compatible
+    pair has the OR of their keys as its key.  The arrays are uint64 while
+    a key fits, and hold Python ints otherwise."""
+    width = max((e.length for e in elems), default=0)
+    dtype = np.uint64 if 3 * width <= 64 else object
+    defined, one, bd = (
+        np.array([sum(1 << k for k, a in e.items() if a in digits)
+                  for e in elems], dtype=dtype)
+        for digits in (DIGITS, (ONE,), (BD,)))
+    return defined, one, bd, defined | (one << width) | (bd << (2 * width))
+
+
 def is_cusl(K: KSlice) -> CuslReport:
     """Every bounded pair must have a least upper bound within the slice.
 
     On failure reports the first offending pair (in (length, rendering)
-    order) together with its minimal upper bounds.
+    order) together with its minimal upper bounds.  For each sigma one
+    bitset row over the tau at or after it finds the compatible pairs
+    whose pointwise join is not in the slice; only those are searched for
+    upper bounds.
     """
     elems = K.sorted_elements()
+    defined, one, bd, key = _kslice_bits(elems)
+    keys = np.sort(key)
     for i, sigma in enumerate(elems):
-        for tau in elems[i:]:
-            j = sigma.try_join(tau)
-            if j is None:
-                continue  # no upper bound anywhere
-            if j in K.elements:
-                continue  # pointwise join is the least upper bound
+        clash = (((one[i:] ^ one[i]) | (bd[i:] ^ bd[i]))
+                 & defined[i:] & defined[i])
+        join_key = key[i:] | key[i]
+        # a sorted lookup: np.isin re-sorts the slice's keys on every row
+        slot = np.minimum(np.searchsorted(keys, join_key), len(keys) - 1)
+        outside = (clash == 0) & (keys[slot] != join_key)
+        for h in np.flatnonzero(outside):
+            tau = elems[i + h]
+            j = sigma.join(tau)  # compatible, and not the least upper bound
             ubs = [u for u in elems if j.leq(u)]
             if not ubs:
                 continue  # unbounded within the slice

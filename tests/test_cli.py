@@ -200,3 +200,41 @@ def test_finite_space_file_mismatch_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "embeds the finite space with digest %s" % digest in err
     assert "%s has digest " % b in err and err.count("digest") == 2
+
+
+def test_check_cusl_rejects_negative_permutations(gray_file, capsys):
+    assert run(["check-cusl", "--subbase", gray_file, "--space", "interval",
+                "--resolution", "1/64", "--depth", "3",
+                "--permutations", "-2"]) == 2
+    out, err = capsys.readouterr()
+    assert "cusl PASS" not in out
+    assert "--permutations must be non-negative, got -2" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["check-strong", "--delta", "1/32"], ["check-proper", "--delta", "1/32"],
+    ["kslice"], ["check-cusl"],
+])
+def test_negative_depth_exits_2_naming_it(gray_file, capsys, command):
+    assert run(command + ["--subbase", gray_file, "--space", "interval",
+                          "--resolution", "1/64", "--depth", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: depth must be non-negative, got -3\n"
+
+
+def test_gray_subbase_on_the_square_exits_2(gray_file, capsys):
+    assert run(["check-strong", "--subbase", gray_file, "--space", "square",
+                "--resolution", "1/4", "--depth", "2", "--delta", "1/2"]) == 2
+    assert capsys.readouterr().err == ("error: expected a scalar point, got "
+                                       "(Fraction(0, 1), Fraction(0, 1))\n")
+
+
+def test_gray_subbase_on_a_point_outside_the_unit_interval_exits_2(
+        gray_file, tmp_path, capsys):
+    space = tmp_path / "far.json"
+    space.write_text(json.dumps({"points": [[0], [1], [2]], "metric": [
+        [abs(i - j) for j in range(3)] for i in range(3)]}))
+    assert run(["check-strong", "--subbase", gray_file, "--space-file",
+                str(space), "--resolution", "1", "--depth", "2",
+                "--delta", "2"]) == 2
+    assert capsys.readouterr().err == "error: x must lie in [0, 1]: 2\n"

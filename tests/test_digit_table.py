@@ -10,13 +10,16 @@ import tempfile
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from subbases.builder import BuilderParams, build
 from subbases.files import load_subbase, save_subbase, subbase_to_json
-from subbases.space import builtin_space, compactified_example, gray_subbase
-from subbases.subbase import (DIGIT_CODE, digit_table, duplicated_subbase,
-                              enumerate_K, permute, phi, table_kslice)
+from subbases.space import (SpaceModel, _unit_grid, builtin_space,
+                            compactified_example, gray_digit, gray_subbase)
+from subbases.subbase import (DIGIT_CODE, ReindexedSubbase, digit_table,
+                              duplicated_subbase, enumerate_K, permute, phi,
+                              table_kslice)
 
 SPACES = (("interval", Fraction(1, 32)), ("square", Fraction(1, 16)))
 
@@ -95,3 +98,85 @@ def test_builder_table_matches_saved_subbase(space, seed, strong):
     assert np.array_equal(result.table,
                           digit_table(result.subbase, result.subbase.space,
                                       len(S)))
+
+
+# -- the integer Gray rows against the per-sample Fraction loop ----------
+
+
+def gray_reference_row(n, points):
+    """Pair n's codes at every point through the exact `gray_digit`."""
+    return np.array([DIGIT_CODE[gray_digit(x, n)] for x in points],
+                    dtype=np.int8)
+
+
+RESOLUTIONS = st.one_of(
+    st.sampled_from((Fraction(1, 3), Fraction(3, 7), Fraction(1, 1000),
+                     Fraction(1, 1024), Fraction(1, 4096))),
+    st.builds(lambda q, p: Fraction(min(p, q), q),
+              st.integers(1, 600), st.integers(1, 600)),
+    st.integers(0, 12).map(lambda m: Fraction(1, 2 ** m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("interval", "circle")), RESOLUTIONS,
+       st.lists(st.integers(0, 69), min_size=1, max_size=6))
+def test_gray_digit_row_matches_gray_digit(space, resolution, rows):
+    G = gray_subbase(70)
+    M = builtin_space(space, resolution)
+    for n in rows:
+        assert np.array_equal(G.digit_row(n, M),
+                              gray_reference_row(n, M.sample_points))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.integers(2 ** 31 - 2, 2 ** 31 + 1), st.integers(1, 2 ** 70)),
+       st.data())
+def test_gray_digit_row_on_large_denominators(Q, data):
+    # from Q = 2^31 on, 2 Q^2 overflows int64 and the rows use Python ints
+    ks = data.draw(st.lists(st.integers(0, Q), max_size=40))
+    ks += [0, 1, Q, Q // 2, Q // 4, 3 * Q // 4]
+    points = [(Fraction(k, Q),) for k in ks]
+    k, common = _unit_grid(points)
+    assert common == Q
+    assert k.dtype == (object if Q >= 2 ** 31 else np.int64)
+    M = SpaceModel("points", points, None, Fraction(1, Q))
+    G = gray_subbase(80)
+    for n in data.draw(st.lists(st.integers(0, 79), min_size=1, max_size=6)):
+        assert np.array_equal(G.digit_row(n, M), gray_reference_row(n, points))
+
+
+@settings(max_examples=30, deadline=None)
+@given(RESOLUTIONS, st.lists(st.integers(0, 9), min_size=1, max_size=12),
+       st.integers(0, 9))
+def test_gray_rows_through_reindexed_views(resolution, index_map, pair):
+    M = builtin_space("interval", resolution)
+    for S in (ReindexedSubbase(gray_subbase(10), index_map),
+              duplicated_subbase(gray_subbase(10), pair)):
+        reference = np.array([gray_reference_row(m, M.sample_points)
+                              for m in S.index_map])
+        table = digit_table(S, M, len(S))
+        assert np.array_equal(table, reference.reshape(table.shape))
+
+
+def test_gray_rows_equal_on_a_fresh_model_and_a_cached_one():
+    G = gray_subbase(12)
+    fine, coarse = (builtin_space("interval", Fraction(1, q)) for q in (4096, 3))
+    for M in (fine, coarse, fine):
+        assert np.array_equal(digit_table(G, M, 12), np.array(
+            [gray_reference_row(n, M.sample_points) for n in range(12)]))
+
+
+@pytest.mark.parametrize("points, message", [
+    ([(Fraction(0), Fraction(0))],
+     "expected a scalar point, got (Fraction(0, 1), Fraction(0, 1))"),
+    ([(Fraction(1, 2),), (Fraction(2),), (Fraction(1, 2), Fraction(0))],
+     "x must lie in [0, 1]: 2"),
+    ([(Fraction(-1, 3),)], "x must lie in [0, 1]: -1/3"),
+])
+def test_gray_digit_row_errors_match_the_loop(points, message):
+    M = SpaceModel("points", points, None, Fraction(1))
+    with pytest.raises(ValueError) as loop:
+        gray_reference_row(0, points)
+    with pytest.raises(ValueError) as row:
+        gray_subbase(4).digit_row(0, M)
+    assert str(row.value) == str(loop.value) == message
