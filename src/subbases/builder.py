@@ -120,18 +120,19 @@ def _extremal(v: np.ndarray, nb_vals: np.ndarray, mask: np.ndarray) -> np.ndarra
     return (v >= hi - _EPS) | (v <= lo + _EPS)
 
 
-def _local_extrema(f_vals: np.ndarray, region: np.ndarray,
+def _local_extrema(f_pad: np.ndarray, region: np.ndarray,
                    nbr: np.ndarray) -> np.ndarray:
     """Values of f at samples extremal among region neighbors.
 
     A sample is a local extremum of f restricted to the region when its
     value is maximal or minimal (within slack) among the region samples
     in its neighborhood; isolated region samples count as both.  `nbr` is
-    the padded neighbour array of `SpaceModel.neighbor_lists`.
+    the padded neighbour array of `SpaceModel.neighbor_lists`, and `f_pad`
+    holds f at every sample followed by one value read at the pad index.
     """
     nb = nbr[region]
-    v = f_vals[region]
-    return v[_extremal(v, np.append(f_vals, 0.0)[nb], np.append(region, False)[nb])]
+    v = f_pad[:-1][region]
+    return v[_extremal(v, f_pad[nb], np.append(region, False)[nb])]
 
 
 def _small_support(n: int, digits, support: int):
@@ -156,17 +157,18 @@ def collect_avoid(M: SpaceModel, table: np.ndarray, f_vals: np.ndarray,
     values of earlier pairs that interact with level sets of f_n.
     """
     avoid = AvoidSet()
+    f_pad = np.append(f_vals, 0.0)
 
     for sigma in _small_support(n, BINARY_DIGITS, params.region_support):
         _, mask = _masks(table, sigma)
         if mask.any():
-            avoid.extend(_local_extrema(f_vals, mask, nbr),
+            avoid.extend(_local_extrema(f_pad, mask, nbr),
                          "extremum|closed[%s]" % render(sigma))
 
     # regions realized by sampled codes: the closed set of phi(x)|_n
     for code in table_codes(table):
         _, mask = _masks(table, code)
-        avoid.extend(_local_extrema(f_vals, mask, nbr),
+        avoid.extend(_local_extrema(f_pad, mask, nbr),
                      "extremum|code[%s]" % render(code, width=n))
 
     if strong:
@@ -175,7 +177,7 @@ def collect_avoid(M: SpaceModel, table: np.ndarray, f_vals: np.ndarray,
         for tau in _small_support(n, (BD,), params.region_support):
             _, mask = _masks(table, tau)
             if not tau.is_empty() and mask.any():
-                avoid.extend(_local_extrema(f_vals, mask, nbr),
+                avoid.extend(_local_extrema(f_pad, mask, nbr),
                              "extremum|boundary[%s]" % render(tau))
         # earlier cut values with a sampled critical interaction:
         # x extremal for f_k among neighbors on its own f_n level band

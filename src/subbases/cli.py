@@ -16,9 +16,9 @@ from . import files
 from .builder import BuilderParams, build
 from .seq import render
 from .space import (POINT_AT_INFINITY, SpaceModel, builtin_space,
-                    compactified_example, duplicated_subbase, gray_subbase)
-from .subbase import (digit_table, enumerate_K, is_cusl, kslice_to_dot, phi,
-                      table_kslice)
+                    compactified_example, gray_subbase)
+from .subbase import (digit_table, duplicated_subbase, enumerate_K, is_cusl,
+                      kslice_to_dot, phi, table_kslice)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -77,10 +77,10 @@ def cmd_build(args) -> int:
 
 def cmd_encode(args) -> int:
     S, _ = _load_subbase(args)
-    x = files.parse_point(args.point)
+    code = phi(S, files.parse_point(args.point), args.depth)
     _header(command="encode", subbase=args.subbase, point=args.point,
             depth=args.depth)
-    print(render(phi(S, x, args.depth), width=args.depth))
+    print(render(code, width=args.depth))
     return EXIT_PASS
 
 

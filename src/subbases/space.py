@@ -9,16 +9,16 @@ the boundary-duplication remark and the one-point compactification.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .seq import BD, ONE, ZERO
 from .subbase import OracleSubbase
-from .subbase import duplicated_subbase  # noqa: F401  (re-export: counterexample helper)
 
 
 class MetricError(ValueError):
@@ -42,16 +42,76 @@ class InfinityPoint:
 POINT_AT_INFINITY = InfinityPoint()
 
 
+class Lattice:
+    """The index grid of a lattice model.
+
+    Sample i sits at position `np.unravel_index(i, shape)`; axes flagged in
+    `wrap` are periodic.  `dist(a, b)` is the model's one float distance
+    expression, elementwise over coordinate arrays (`coords[i]` is sample
+    i's), so a distance row and a stencil test compute every pair alike.
+    """
+
+    def __init__(self, shape: Tuple[int, ...], wrap: Tuple[bool, ...],
+                 coords: np.ndarray,
+                 dist: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        self.shape, self.wrap, self.coords, self.dist = shape, wrap, coords, dist
+
+    def row(self, i: int) -> np.ndarray:
+        return self.dist(self.coords, self.coords[i])
+
+    def neighbor_lists(self, steps: int, r: float) -> np.ndarray:
+        """The padded neighbour array of `SpaceModel.neighbor_lists` for
+        distance <= r, from the offsets of at most `steps` grid steps per
+        axis, one offset at a time: temporaries are O(samples) and the
+        result O(samples x width)."""
+        n = len(self.coords)
+        pos = np.unravel_index(np.arange(n), self.shape)
+        # an open axis needs no offset past its length; on a periodic axis
+        # too short for the whole stencil every residue is taken once, so
+        # no two offsets name the same sample and only (0, ..., 0) is itself
+        spans = [range(-min(steps, size - 1), min(steps, size - 1) + 1)
+                 if not wrap or 2 * steps + 1 < size else range(size)
+                 for size, wrap in zip(self.shape, self.wrap)]
+        offsets = [o for o in itertools.product(*spans) if any(o)]
+        out = np.full((n, min(len(offsets), 16)), n, dtype=np.intp)
+        count = np.zeros(n, dtype=np.intp)
+        for off in offsets:
+            inside = np.ones(n, dtype=bool)
+            axes = []
+            for p, d, size, wrap in zip(pos, off, self.shape, self.wrap):
+                q = p + d
+                if wrap:
+                    q %= size
+                else:
+                    inside &= (q >= 0) & (q < size)
+                axes.append(q)
+            src = np.flatnonzero(inside)
+            cand = np.ravel_multi_index([q[src] for q in axes], self.shape)
+            keep = self.dist(self.coords[cand], self.coords[src]) <= r
+            src, cand = src[keep], cand[keep]
+            if src.size and count[src].max() == out.shape[1]:
+                out = np.concatenate([out, np.full_like(out, n)], axis=1)
+            out[src, count[src]] = cand
+            count[src] += 1
+        return np.sort(out[:, :int(count.max(initial=0))], axis=1)
+
+
 class SpaceModel:
-    """Dense sample points + metric + dense enumeration at a stated resolution."""
+    """Dense sample points + metric + dense enumeration at a stated resolution.
+
+    Distance rows come from the `lattice` of a grid model, else from
+    `row_fn`, else from the exact metric.
+    """
 
     def __init__(self, name: str, sample_points: Sequence, metric: Callable,
-                 resolution: Fraction, row_fn: Callable = None):
+                 resolution: Fraction, row_fn: Callable = None,
+                 lattice: Lattice = None):
         self.name = name
         self.sample_points = list(sample_points)
         self.metric = metric
         self.resolution = Fraction(resolution)
         self._row_fn = row_fn
+        self.lattice = lattice
         self._row_cache = {}
         self._dense_order: List[int] = []
         self._dense_mindist = None
@@ -61,6 +121,8 @@ class SpaceModel:
 
     def _row(self, i: int) -> np.ndarray:
         """Distances from sample i to every sample, as floats; uncached."""
+        if self.lattice is not None:
+            return self.lattice.row(i)
         if self._row_fn is not None:
             return np.asarray(self._row_fn(i), dtype=float)
         x = self.sample_points[i]
@@ -77,9 +139,15 @@ class SpaceModel:
         """Indices of the samples within radius of each sample (excluding
         itself) as a (samples, width) intp array: row i lists them ascending,
         padded on the right with len(self) up to the widest neighbourhood.
-        Distance rows are computed uncached, so memory is linear in the
-        sample count."""
+
+        A lattice model tests only the offsets of at most radius/resolution
+        + 1 steps per axis (the extra step covers a periodic seam shorter
+        than one step); other models scan one uncached distance row per
+        sample.  Either way memory is linear in the sample count."""
         r = float(radius) + 1e-9
+        if self.lattice is not None:
+            return self.lattice.neighbor_lists(
+                math.floor(Fraction(radius) / self.resolution) + 1, r)
         n = len(self.sample_points)
         rows = [np.flatnonzero(self._row(i) <= r) for i in range(n)]
         rows = [nb[nb != i] for i, nb in enumerate(rows)]
@@ -106,9 +174,6 @@ class SpaceModel:
         n = len(self.sample_points)
         self._extend_dense_order(min(i, n - 1))
         return self._dense_order[i % n]
-
-    def dense_seq(self, i: int):
-        return self.sample_points[self.dense_index(i)]
 
 
 def validate_metric(points: Sequence, metric: Callable, limit: int = 200):
@@ -229,30 +294,44 @@ def _grid(resolution: Fraction, half_open: bool = False) -> List[Fraction]:
     return pts
 
 
+def _line(a, b):
+    return np.abs(a - b)
+
+
+def _ring(a, b):
+    d = np.abs(a - b)
+    return np.minimum(d, 1 - d)
+
+
+def _plane(a, b):
+    return np.sqrt(((a - b) ** 2).sum(axis=-1))
+
+
+def _flat_torus(a, b):
+    return np.sqrt((_ring(a, b) ** 2).sum(axis=-1))
+
+
 def interval_space(resolution: Fraction) -> SpaceModel:
-    pts = [(x,) for x in _grid(resolution)]
-    xs = np.array([float(p[0]) for p in pts])
+    g = _grid(resolution)
+    xs = np.array([float(x) for x in g])
 
     def metric(a, b):
         return abs(_as_scalar(a) - _as_scalar(b))
 
-    return SpaceModel("interval", pts, metric, resolution,
-                      row_fn=lambda i: np.abs(xs - xs[i]))
+    return SpaceModel("interval", [(x,) for x in g], metric, resolution,
+                      lattice=Lattice((len(g),), (False,), xs, _line))
 
 
 def circle_space(resolution: Fraction) -> SpaceModel:
-    pts = [(x,) for x in _grid(resolution, half_open=True)]
-    xs = np.array([float(p[0]) for p in pts])
+    g = _grid(resolution, half_open=True)
+    xs = np.array([float(x) for x in g])
 
     def metric(a, b):
         d = abs(_as_scalar(a) - _as_scalar(b))
         return min(d, 1 - d)
 
-    def row(i):
-        d = np.abs(xs - xs[i])
-        return np.minimum(d, 1 - d)
-
-    return SpaceModel("circle", pts, metric, resolution, row_fn=row)
+    return SpaceModel("circle", [(x,) for x in g], metric, resolution,
+                      lattice=Lattice((len(g),), (True,), xs, _ring))
 
 
 def square_space(resolution: Fraction) -> SpaceModel:
@@ -263,10 +342,9 @@ def square_space(resolution: Fraction) -> SpaceModel:
     def metric(a, b):
         return math.hypot(float(a[0]) - float(b[0]), float(a[1]) - float(b[1]))
 
-    def row(i):
-        return np.sqrt(((coords - coords[i]) ** 2).sum(axis=1))
-
-    return SpaceModel("square", pts, metric, resolution, row_fn=row)
+    return SpaceModel("square", pts, metric, resolution,
+                      lattice=Lattice((len(g), len(g)), (False, False),
+                                      coords, _plane))
 
 
 def torus_space(resolution: Fraction) -> SpaceModel:
@@ -274,19 +352,14 @@ def torus_space(resolution: Fraction) -> SpaceModel:
     pts = [(x, y) for x in g for y in g]
     coords = np.array([[float(a), float(b)] for a, b in pts])
 
-    def wrap(d):
-        return np.minimum(d, 1 - d)
-
     def metric(a, b):
         dx = abs(float(a[0]) - float(b[0]))
         dy = abs(float(a[1]) - float(b[1]))
         return math.hypot(min(dx, 1 - dx), min(dy, 1 - dy))
 
-    def row(i):
-        d = np.abs(coords - coords[i])
-        return np.sqrt((wrap(d) ** 2).sum(axis=1))
-
-    return SpaceModel("torus", pts, metric, resolution, row_fn=row)
+    return SpaceModel("torus", pts, metric, resolution,
+                      lattice=Lattice((len(g), len(g)), (True, True),
+                                      coords, _flat_torus))
 
 
 def load_finite_space(path: str, resolution: Fraction = Fraction(1)) -> SpaceModel:

@@ -208,6 +208,8 @@ def digit(S: DyadicSubbase, n: int, x) -> str:
 
 def phi(S: DyadicSubbase, x, depth: int) -> BottomedSeq:
     """Length-depth prefix of the code of x; boundary digits become bottom."""
+    if depth < 0:
+        raise ValueError("depth must be non-negative, got %d" % depth)
     if depth > len(S):
         raise IndexError("depth %d exceeds number of cuts %d" % (depth, len(S)))
     entries = {}

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subbases.builder import (_EPS, AvoidSet, BuilderParams, Exhaustion,
                               _local_extrema, _small_support, base_interval,
@@ -13,7 +13,7 @@ from subbases.builder import (_EPS, AvoidSet, BuilderParams, Exhaustion,
                               positive_rational, separation_fraction, unpair)
 from subbases.checker import _masks, check_proper, check_strong_proper
 from subbases.seq import BD, BINARY_DIGITS, ONE, ZERO, render
-from subbases.space import SpaceModel, builtin_space
+from subbases.space import SpaceModel, builtin_space, compactified_example
 from subbases.subbase import DistanceCut, DistanceSubbase, table_codes
 
 
@@ -116,12 +116,22 @@ def test_avoid_set_extend_shares_one_tag():
 # -- the vectorised avoid set against the per-sample loops ----------------
 
 
+def reference_neighbor_lists(M, radius):
+    """The padded neighbour array from one full distance row per sample:
+    the only path of models without a lattice."""
+    r = float(radius) + 1e-9
+    n = len(M.sample_points)
+    rows = [np.flatnonzero(M._row(i) <= r) for i in range(n)]
+    rows = [nb[nb != i] for i, nb in enumerate(rows)]
+    out = np.full((n, max(map(len, rows), default=0)), n, dtype=np.intp)
+    for i, nb in enumerate(rows):
+        out[i, :len(nb)] = nb
+    return out
+
+
 def _reference_neighbors(M, radius):
     """Neighbour index lists from full distance rows, one array per sample."""
-    r = float(radius) + 1e-9
-    return [np.array([j for j, d in enumerate(M.distance_row(i))
-                      if d <= r and j != i], dtype=np.intp)
-            for i in range(len(M))]
+    return [row[row < len(M)] for row in reference_neighbor_lists(M, radius)]
 
 
 def _reference_extrema(f_vals, region, neighbors):
@@ -229,7 +239,7 @@ def test_local_extrema_matches_per_sample_loop(M, data):
     nbr = M.neighbor_lists(2 * M.resolution)
     neighbors = _reference_neighbors(M, 2 * M.resolution)
     assert [list(row[row < npts]) for row in nbr] == [list(nb) for nb in neighbors]
-    assert _local_extrema(f_vals, region, nbr).tolist() == \
+    assert _local_extrema(np.append(f_vals, 0.0), region, nbr).tolist() == \
         _reference_extrema(f_vals, region, neighbors)
 
 
@@ -250,11 +260,12 @@ def test_local_extrema_empty_and_isolated_regions():
     M = builtin_space("interval", Fraction(1, 16))
     f_vals = M.distance_row(3)
     nbr = M.neighbor_lists(2 * M.resolution)
-    assert _local_extrema(f_vals, np.zeros(17, dtype=bool), nbr).size == 0
+    assert _local_extrema(np.append(f_vals, 0.0), np.zeros(17, dtype=bool),
+                          nbr).size == 0
     # samples 0 and 8 have no region neighbour within 2/16: both extremal
     region = np.zeros(17, dtype=bool)
     region[[0, 8, 12, 13, 14]] = True
-    assert _local_extrema(f_vals, region, nbr).tolist() == \
+    assert _local_extrema(np.append(f_vals, 0.0), region, nbr).tolist() == \
         [f_vals[0], f_vals[8], f_vals[12], f_vals[14]]
 
 
@@ -293,6 +304,61 @@ def test_neighbor_lists_padded_and_uncached():
     assert corner[corner < 25].tolist() == [1, 2, 5, 6, 10]
     assert (corner[5:] == 25).all()
     assert M.neighbor_lists(Fraction(1, 8)).shape == (25, 0)
+
+
+def _assert_same_array(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(("interval", "circle", "square", "torus")),
+       st.integers(1, 24).flatmap(lambda q: st.fractions(
+           Fraction(1, q), 1, max_denominator=q)),
+       st.one_of(st.integers(0, 4).map(Fraction),
+                 st.fractions(0, 4, max_denominator=12)))
+@example("torus", Fraction(3, 7), Fraction(1))
+@example("circle", Fraction(2, 7), Fraction(1, 2))
+@example("torus", Fraction(2, 7), Fraction(3, 2))
+@example("square", Fraction(2, 5), Fraction(5, 2))
+@example("circle", Fraction(1, 2), Fraction(4))
+@example("torus", Fraction(1, 3), Fraction(0))
+def test_lattice_neighbor_lists_match_the_row_scan(name, res, steps):
+    # a non-dividing resolution leaves a periodic seam shorter than a step:
+    # at 2/7 the circle's samples 6/7 and 0 lie 1/7 apart
+    M = builtin_space(name, res)
+    _assert_same_array(M.neighbor_lists(steps * res),
+                       reference_neighbor_lists(M, steps * res))
+
+
+def _count_rows(M):
+    calls = []
+    row = M._row
+    M._row = lambda i: calls.append(i) or row(i)
+    return calls
+
+
+def test_lattice_neighbor_lists_read_no_distance_row():
+    M = builtin_space("square", Fraction(1, 128))
+    calls = _count_rows(M)
+    nbr = M.neighbor_lists(2 * M.resolution)
+    assert calls == [] and nbr.shape == (16641, 12)
+    assert nbr[0].tolist() == [1, 2, 129, 130, 258] + [16641] * 7
+
+
+def test_models_without_a_lattice_keep_the_row_scan(tmp_path):
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"points": [[i] for i in range(6)], "metric": [
+        [abs(i - j) for j in range(6)] for i in range(6)]}))
+    finite = builtin_space("finite", Fraction(1), file=str(path))
+    compactified, _ = compactified_example(Fraction(1, 16))
+    for M, radius in ((finite, Fraction(2)), (compactified, Fraction(1, 8)),
+                      (_finite_space([(0, 0), (1, 2), (3, 1)], 1), Fraction(3))):
+        assert M.lattice is None
+        calls = _count_rows(M)
+        nbr = M.neighbor_lists(radius)
+        assert sorted(calls) == list(range(len(M)))
+        _assert_same_array(nbr, reference_neighbor_lists(M, radius))
 
 
 def test_build_caches_only_centre_and_dense_order_rows():

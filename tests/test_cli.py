@@ -238,3 +238,13 @@ def test_gray_subbase_on_a_point_outside_the_unit_interval_exits_2(
                 str(space), "--resolution", "1", "--depth", "2",
                 "--delta", "2"]) == 2
     assert capsys.readouterr().err == "error: x must lie in [0, 1]: 2\n"
+
+
+def test_encode_negative_depth_exits_2(tmp_path, capsys):
+    path = tmp_path / "gray10.json"
+    save_subbase(str(path), gray_to_json(10))
+    assert run(["encode", "--subbase", str(path), "--space", "interval",
+                "--resolution", "1/16", "--point", "1/4", "--depth", "-2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: depth must be non-negative, got -2\n"

@@ -32,6 +32,9 @@ SEQUENCE = (
     ("check-strong-depth-10", ["check-strong", "--subbase", "built42.json",
                                "--depth", "10", "--delta", "1/16",
                                "--json", "r10.json"], ["r10.json"]),
+    ("build-1-128", ["build", "--space", "square", "--resolution", "1/128",
+                     "--pairs", "4", "--strong", "--seed", "0",
+                     "--out", "b128.json"], ["b128.json"]),
 )
 
 GOLDEN = {
@@ -49,6 +52,8 @@ GOLDEN = {
                           {"built42.json": "f0acb593f7c60b19f1db269f3d310665b810b9dfb19b070a03cd457c7bfcffd2"}),
     "check-strong-depth-10": (0, "7ad599a835f0cf6a2fb56eb8b0eff7e75a51e21225f6a7fb0dc722a1967edc48",
                               {"r10.json": "6d70d5f21d7f612faec6627c14a8432aaa72864831874befe86e447fe02d7722"}),
+    "build-1-128": (0, "b5e8476665e9960c7cbc0b002547f68d00dca2cd4e52ad1520f2105fe4d40311",
+                    {"b128.json": "0d3d061e7d1991008681575ebbf6cecb1e4bafb2698aadbb617a74961dcef6b7"}),
 }
 
 
