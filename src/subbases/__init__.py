@@ -5,10 +5,10 @@ from .seq import (BD, BOT, EMPTY, ONE, ZERO, BottomedSeq, Incompatible,
                   parse, render)
 from .space import (POINT_AT_INFINITY, SpaceModel, builtin_space,
                     compactified_example, gray_digit, gray_subbase)
-from .subbase import (Cut, DistanceCut, DistanceSubbase, DyadicSubbase,
-                      FunctionalSubbase, KSlice, OracleSubbase, digit_table,
-                      duplicated_subbase, enumerate_K, is_cusl, kslice_to_dot,
-                      member_closed, member_open, permute, phi)
+from .subbase import (DistanceCut, DistanceSubbase, DyadicSubbase, KSlice,
+                      OracleSubbase, digit_table, duplicated_subbase,
+                      enumerate_K, is_cusl, kslice_to_dot, member_closed,
+                      member_open, permute, phi)
 from .checker import (CheckReport, check_exterior_pair, check_proper,
                       check_strong_proper)
 from .builder import BuilderParams, build, unpair
@@ -18,10 +18,10 @@ __all__ = [
     "parse", "render",
     "POINT_AT_INFINITY", "SpaceModel", "builtin_space",
     "compactified_example", "gray_digit", "gray_subbase",
-    "Cut", "DistanceCut", "DistanceSubbase", "DyadicSubbase",
-    "FunctionalSubbase", "KSlice", "OracleSubbase", "digit_table",
-    "duplicated_subbase", "enumerate_K", "is_cusl", "kslice_to_dot",
-    "member_closed", "member_open", "permute", "phi",
+    "DistanceCut", "DistanceSubbase", "DyadicSubbase", "KSlice",
+    "OracleSubbase", "digit_table", "duplicated_subbase", "enumerate_K",
+    "is_cusl", "kslice_to_dot", "member_closed", "member_open", "permute",
+    "phi",
     "CheckReport", "check_exterior_pair", "check_proper",
     "check_strong_proper",
     "BuilderParams", "build", "unpair",

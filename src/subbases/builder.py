@@ -19,12 +19,13 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .checker import _masks
 from .seq import BD, BINARY_DIGITS, BottomedSeq, render
 from .space import SpaceModel
-from .subbase import DistanceCut, DistanceSubbase, classify, table_codes
+from .subbase import (DistanceCut, DistanceSubbase, classify, code_classes,
+                      pattern_masks, table_codes)
 
 _EPS = 1e-9
+REGION_SUPPORT = 2  # max #fixed digits in enumerated avoid regions
 
 
 class Exhaustion(RuntimeError):
@@ -76,7 +77,6 @@ class BuilderParams:
     avoid_margin: Fraction = Fraction(1, 1000)
     max_retries: int = 64
     rng_seed: int = 0
-    region_support: int = 2  # max #fixed digits in enumerated avoid regions
 
     def __post_init__(self):
         if self.count < 0:
@@ -145,13 +145,12 @@ def _small_support(n: int, digits, support: int):
 
 
 def collect_avoid(M: SpaceModel, table: np.ndarray, f_vals: np.ndarray,
-                  n: int, strong: bool, params: BuilderParams,
-                  nbr: np.ndarray,
+                  n: int, strong: bool, nbr: np.ndarray,
                   chosen: Sequence[float] = (),
                   cut_vals: Sequence[np.ndarray] = ()) -> AvoidSet:
     """Sampled avoid set for cut n given the digit table of cuts 0..n-1.
 
-    Regions are the closed sets of sigma with at most region_support
+    Regions are the closed sets of sigma with at most REGION_SUPPORT
     fixed binary digits, plus every region realized by a sampled code;
     when strong, additionally the sampled boundary regions and the cut
     values of earlier pairs that interact with level sets of f_n.
@@ -159,23 +158,23 @@ def collect_avoid(M: SpaceModel, table: np.ndarray, f_vals: np.ndarray,
     avoid = AvoidSet()
     f_pad = np.append(f_vals, 0.0)
 
-    for sigma in _small_support(n, BINARY_DIGITS, params.region_support):
-        _, mask = _masks(table, sigma)
+    for sigma in _small_support(n, BINARY_DIGITS, REGION_SUPPORT):
+        _, mask = pattern_masks(table, sigma)
         if mask.any():
             avoid.extend(_local_extrema(f_pad, mask, nbr),
                          "extremum|closed[%s]" % render(sigma))
 
     # regions realized by sampled codes: the closed set of phi(x)|_n
     for code in table_codes(table):
-        _, mask = _masks(table, code)
+        _, mask = pattern_masks(table, code)
         avoid.extend(_local_extrema(f_pad, mask, nbr),
                      "extremum|code[%s]" % render(code, width=n))
 
     if strong:
         # sampled boundary regions S(tau), tau over {bd, bot}; the closed
         # and the open set of tau coincide
-        for tau in _small_support(n, (BD,), params.region_support):
-            _, mask = _masks(table, tau)
+        for tau in _small_support(n, (BD,), REGION_SUPPORT):
+            _, mask = pattern_masks(table, tau)
             if not tau.is_empty() and mask.any():
                 avoid.extend(_local_extrema(f_pad, mask, nbr),
                              "extremum|boundary[%s]" % render(tau))
@@ -249,7 +248,7 @@ def separation_fraction(table: np.ndarray) -> float:
     npts = table.shape[1]
     if npts < 2:
         return 1.0
-    _, groups = np.unique(table, axis=1, return_counts=True)
+    groups = np.bincount(code_classes(table)[1])
     same = sum(int(g) * (int(g) - 1) // 2 for g in groups)
     total = npts * (npts - 1) // 2
     return 1.0 - same / total
@@ -274,8 +273,8 @@ def build(M: SpaceModel, params: BuilderParams) -> BuildResult:
     for n in range(params.count):
         center_index, interval = candidate(M, n)
         f_vals = M.distance_row(center_index)
-        avoid = collect_avoid(M, table, f_vals, n, params.strong, params,
-                              nbr, chosen, cut_fvals)
+        avoid = collect_avoid(M, table, f_vals, n, params.strong, nbr,
+                              chosen, cut_fvals)
         n1 = unpair(n)[1]
         retries = 0
         c = None

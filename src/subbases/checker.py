@@ -19,14 +19,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from .seq import (BD, BINARY_DIGITS, BOT, DIGITS, ONE, ZERO, BottomedSeq,
-                  render)
+from .seq import BINARY_DIGITS, BOT, DIGITS, ONE, ZERO, BottomedSeq, render
 from .space import SpaceModel
-from .subbase import DIGIT_CODE, DyadicSubbase, digit_table  # noqa: F401  (re-export)
+from .subbase import (DIGIT_CODE, DyadicSubbase, code_classes, digit_table,
+                      letter_masks, pattern_masks)
 
 _SLACK = 1e-9
 _MAX_VIOLATIONS = 100
@@ -121,24 +121,6 @@ def _point_json(p):
     return str(p)
 
 
-def _letter_masks(row: np.ndarray, a: str):
-    """Where a row of digit codes puts the open set of digit a, and where
-    its closed set (digit a or, for a binary digit, the boundary)."""
-    hit = row == DIGIT_CODE[a]
-    return hit, hit if a == BD else hit | (row == DIGIT_CODE[BD])
-
-
-def _masks(table: np.ndarray, sigma: BottomedSeq):
-    """Sampled membership of S(sigma) and S-bar(sigma) as boolean arrays."""
-    open_mask = np.ones(table.shape[1], dtype=bool)
-    closed_mask = np.ones(table.shape[1], dtype=bool)
-    for k, a in sigma.items():
-        hit, near = _letter_masks(table[k], a)
-        open_mask &= hit
-        closed_mask &= near
-    return open_mask, closed_mask
-
-
 def _check_delta(M: SpaceModel, delta):
     if Fraction(delta) < 2 * M.resolution:
         raise CheckerError("delta %s is below twice the grid resolution %s"
@@ -178,11 +160,11 @@ def _run_check(S: DyadicSubbase, M: SpaceModel, depth: int, delta,
     extension of them has a candidate."""
     _check_delta(M, delta)
     table = digit_table(S, M, depth)
-    codes, inverse = np.unique(table, axis=1, return_inverse=True)
+    codes, inverse = code_classes(table)
     n_classes = codes.shape[1]
     everything = (1 << n_classes) - 1
     # per position: (letter, open bitset, closed bitset) over code classes
-    steps = [[(a, *map(_bits, _letter_masks(row, a))) for a in alphabet]
+    steps = [[(a, *map(_bits, letter_masks(row, a))) for a in alphabet]
              + [(BOT, everything, everything)] for row in codes]
     report = CheckReport("pass", kind, depth, delta, M.resolution)
     stats = report.stats
@@ -235,9 +217,6 @@ def check_proper(S: DyadicSubbase, M: SpaceModel, depth: int, delta) -> CheckRep
 def check_strong_proper(S: DyadicSubbase, M: SpaceModel, depth: int,
                         delta) -> CheckReport:
     """Closure identity over sigma allowing boundary digits."""
-    if not S.classifies_boundary:
-        raise CheckerError("subbase has no boundary classification "
-                           "(exact oracle or boundary_tol > 0 required)")
     return _run_check(S, M, depth, delta, DIGITS, "strong-proper")
 
 
@@ -254,7 +233,7 @@ def check_exterior_pair(S: DyadicSubbase, M: SpaceModel, sigma: BottomedSeq,
     _check_delta(M, delta)
     depth = sigma.length
     table = digit_table(S, M, depth)
-    open_mask, _closed = _masks(table, sigma)
+    open_mask, _closed = pattern_masks(table, sigma)
     opposite = np.zeros(table.shape[1], dtype=bool)
     for k, a in sigma.items():
         opposite |= table[k] == DIGIT_CODE[ONE if a == ZERO else ZERO]

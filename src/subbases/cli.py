@@ -138,7 +138,7 @@ def cmd_check_cusl(args) -> int:
     table = digit_table(S, M, args.depth)
     failures = 0
     for pi in perms:
-        rep = is_cusl(table_kslice(table[pi], M.resolution))
+        rep = is_cusl(table_kslice(table[pi]))
         if not rep.ok:
             failures += 1
             print("cusl FAIL under permutation %s: pair (%s, %s), minimal "

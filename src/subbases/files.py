@@ -64,6 +64,23 @@ def save_subbase(path: str, data: dict):
         fh.write("\n")
 
 
+def _count(rec: dict, field: str, default=None) -> int:
+    """A non-negative JSON integer field (a bool is not one)."""
+    value = rec.get(field, default)
+    if type(value) is not int or value < 0:
+        raise ValueError("%s must be a non-negative integer, got %s"
+                         % (field, json.dumps(value)))
+    return value
+
+
+def _cut_value(rec: dict) -> Fraction:
+    value = rec.get("cut")
+    if not isinstance(value, str):
+        raise ValueError("cut must be a string such as \"1/3\", got %s"
+                         % json.dumps(value))
+    return parse_rational(value)
+
+
 def load_subbase(path: str, M: SpaceModel = None,
                  space_file: str = None) -> Tuple[DyadicSubbase, Optional[SpaceModel]]:
     """Load a subbase JSON file.
@@ -76,7 +93,7 @@ def load_subbase(path: str, M: SpaceModel = None,
         data = json.load(fh)
     kind = data.get("kind")
     if kind == "gray":
-        return gray_subbase(int(data.get("pairs", 8))), M
+        return gray_subbase(_count(data, "pairs", 8)), M
     if kind == "distance":
         if "space" in data:
             name = data["space"]["name"]
@@ -97,7 +114,7 @@ def load_subbase(path: str, M: SpaceModel = None,
         elif M is None:
             raise ValueError("distance subbase needs a space "
                              "(embedded or via --space)")
-        cuts = [DistanceCut(int(rec["center_index"]), parse_rational(rec["cut"]))
+        cuts = [DistanceCut(_count(rec, "center_index"), _cut_value(rec))
                 for rec in data["cuts"]]
         return DistanceSubbase(M, cuts), M
     raise ValueError("unknown subbase kind %r" % kind)

@@ -176,9 +176,9 @@ class SpaceModel:
         return self._dense_order[i % n]
 
 
-def validate_metric(points: Sequence, metric: Callable, limit: int = 200):
+def validate_metric(points: Sequence, metric: Callable):
     """Check symmetry, identity of indiscernibles and triangle inequality."""
-    pts = list(points)[:limit]
+    pts = list(points)
     n = len(pts)
     d = [[metric(a, b) for b in pts] for a in pts]
     for i in range(n):
@@ -384,7 +384,7 @@ def load_finite_space(path: str, resolution: Fraction = Fraction(1)) -> SpaceMod
     def metric(a, b):
         return mat[index[a]][index[b]]
 
-    validate_metric(pts, metric, limit=max(n, 1))
+    validate_metric(pts, metric)
     return SpaceModel("finite", pts, metric, resolution,
                       row_fn=lambda i: np.array([float(v) for v in mat[i]]))
 

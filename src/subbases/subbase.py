@@ -9,6 +9,10 @@ The digit code of a sample (int8 0, 1, 2 = boundary) is decided here
 alone: `digit_row` classifies every sample of a space model at once, and
 `digit_table`, which stacks the rows, is read by the checker, the K slices
 and the builder.  Distance cuts classify with `classify`.
+
+A K slice is read through one bitset key per element (`_kslice_keys`):
+the order, the cusl check and the Hasse diagram work on the keys, and
+`BottomedSeq`s are only rendered for output.
 """
 
 from __future__ import annotations
@@ -51,50 +55,9 @@ class DyadicSubbase:
         return np.array([DIGIT_CODE[self.digit(n, x)] for x in M.sample_points],
                         dtype=np.int8)
 
-    @property
-    def classifies_boundary(self) -> bool:
-        """True when BD classifications are observable (exact or tolerance band)."""
-        raise NotImplementedError
-
     def _check_index(self, n: int):
         if not 0 <= n < len(self):
             raise IndexError("cut index %d out of range [0, %d)" % (n, len(self)))
-
-
-@dataclass(frozen=True)
-class Cut:
-    """One pair: the sublevel/superlevel sets of f at value c."""
-
-    f: Callable
-    c: object
-
-
-class FunctionalSubbase(DyadicSubbase):
-    """Subbase cut from functions: S_n^0 = {f_n < c_n}, S_n^1 = {f_n > c_n}.
-
-    |f_n(x) - c_n| <= boundary_tol is classified as the boundary digit.
-    """
-
-    def __init__(self, cuts: Sequence[Cut], boundary_tol: float = BOUNDARY_TOL):
-        self.cuts = list(cuts)
-        self.boundary_tol = boundary_tol
-
-    def __len__(self) -> int:
-        return len(self.cuts)
-
-    @property
-    def classifies_boundary(self) -> bool:
-        return self.boundary_tol > 0
-
-    def digit(self, n: int, x) -> str:
-        self._check_index(n)
-        cut = self.cuts[n]
-        v = cut.f(x) - cut.c
-        if v < -self.boundary_tol:
-            return ZERO
-        if v > self.boundary_tol:
-            return ONE
-        return BD
 
 
 @dataclass(frozen=True)
@@ -113,8 +76,6 @@ class DistanceSubbase(DyadicSubbase):
     Distances within BOUNDARY_TOL of c_n are classified as the boundary
     digit.  On its own space the rows come from the model's distance rows.
     """
-
-    classifies_boundary = True
 
     def __init__(self, space, cuts: Sequence[DistanceCut]):
         for cut in cuts:
@@ -145,8 +106,6 @@ class DistanceSubbase(DyadicSubbase):
 class OracleSubbase(DyadicSubbase):
     """Subbase given directly by a digit oracle, e.g. Gray or counterexample models."""
 
-    classifies_boundary = True
-
     def __init__(self, length: int, digit_fn: Callable):
         self._length = length
         self._digit_fn = digit_fn
@@ -172,10 +131,6 @@ class ReindexedSubbase(DyadicSubbase):
     def __len__(self) -> int:
         return len(self.index_map)
 
-    @property
-    def classifies_boundary(self) -> bool:
-        return self.base.classifies_boundary
-
     def digit(self, n: int, x) -> str:
         self._check_index(n)
         return self.base.digit(self.index_map[n], x)
@@ -200,10 +155,6 @@ def duplicated_subbase(S: DyadicSubbase, n: int) -> DyadicSubbase:
 
 
 # -- coding map and membership ------------------------------------------
-
-
-def digit(S: DyadicSubbase, n: int, x) -> str:
-    return S.digit(n, x)
 
 
 def phi(S: DyadicSubbase, x, depth: int) -> BottomedSeq:
@@ -251,11 +202,35 @@ def digit_table(S: DyadicSubbase, M, depth: int) -> np.ndarray:
     return table
 
 
+def code_classes(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of a digit table (sorted) and, per sample, the
+    index of its column among them."""
+    return np.unique(table, axis=1, return_inverse=True)
+
+
 def table_codes(table: np.ndarray) -> List[BottomedSeq]:
     """The distinct codes among the table's columns, boundary read as bottom."""
     return [BottomedSeq({k: CODE_DIGIT[c] for k, c in enumerate(column.tolist())
                          if c != 2})
-            for column in np.unique(table, axis=1).T]
+            for column in code_classes(table)[0].T]
+
+
+def letter_masks(row: np.ndarray, a: str):
+    """Where a row of digit codes puts the open set of digit a, and where
+    its closed set (digit a or, for a binary digit, the boundary)."""
+    hit = row == DIGIT_CODE[a]
+    return hit, hit if a == BD else hit | (row == DIGIT_CODE[BD])
+
+
+def pattern_masks(table: np.ndarray, sigma: BottomedSeq):
+    """Sampled membership of S(sigma) and S-bar(sigma) as boolean arrays."""
+    open_mask = np.ones(table.shape[1], dtype=bool)
+    closed_mask = np.ones(table.shape[1], dtype=bool)
+    for k, a in sigma.items():
+        hit, near = letter_masks(table[k], a)
+        open_mask &= hit
+        closed_mask &= near
+    return open_mask, closed_mask
 
 
 # -- K slices ------------------------------------------------------------
@@ -267,7 +242,6 @@ class KSlice:
 
     depth: int
     elements: frozenset
-    resolution: Optional[Fraction] = None
 
     def sorted_elements(self) -> List[BottomedSeq]:
         return sorted(self.elements, key=sort_key)
@@ -282,18 +256,17 @@ class KSlice:
 
 def enumerate_K(S: DyadicSubbase, M, depth: int) -> KSlice:
     """All restrictions of sampled codes: {phi(x)|_m : x in samples, m <= depth}."""
-    return table_kslice(digit_table(S, M, depth),
-                        resolution=getattr(M, "resolution", None))
+    return table_kslice(digit_table(S, M, depth))
 
 
-def table_kslice(table: np.ndarray, resolution: Optional[Fraction] = None) -> KSlice:
+def table_kslice(table: np.ndarray) -> KSlice:
     """The K slice of a digit table: every prefix of its codes.  Row k of
     the table of a permuted subbase is row pi[k] of the original's, so
     one table serves every permutation."""
     depth = table.shape[0]
     elems = {code.restrict(m) for code in table_codes(table)
              for m in range(depth + 1)}
-    return KSlice(depth=depth, elements=frozenset(elems), resolution=resolution)
+    return KSlice(depth=depth, elements=frozenset(elems))
 
 
 @dataclass(frozen=True)
@@ -309,18 +282,45 @@ class CuslReport:
         return self.ok
 
 
-def _kslice_bits(elems: Sequence[BottomedSeq]):
-    """Per element, int bitsets over positions: defined, one and boundary
-    digits, plus their concatenation as a key.  The join of a compatible
-    pair has the OR of their keys as its key.  The arrays are uint64 while
-    a key fits, and hold Python ints otherwise."""
+def _kslice_keys(elems: Sequence[BottomedSeq]):
+    """One int key per element over the slice's width w: bit k, w+k or
+    2w+k is set when the element has digit 0, 1 or b at position k.
+    u <= v iff key(u) is a subset of key(v), and a pair whose OR puts no
+    two digits at one position is compatible, with the OR as the key of
+    its join.  Returns the keys (uint64 while a key fits, Python ints
+    otherwise), the defined-entry counts and w."""
     width = max((e.length for e in elems), default=0)
     dtype = np.uint64 if 3 * width <= 64 else object
-    defined, one, bd = (
-        np.array([sum(1 << k for k, a in e.items() if a in digits)
-                  for e in elems], dtype=dtype)
-        for digits in (DIGITS, (ONE,), (BD,)))
-    return defined, one, bd, defined | (one << width) | (bd << (2 * width))
+    shift = {a: DIGIT_CODE[a] * width for a in DIGITS}
+    key = np.array([sum(1 << (shift[a] + k) for k, a in e.items())
+                    for e in elems], dtype=dtype)
+    count = np.array([len(e.dom) for e in elems], dtype=np.intp)
+    return key, count, width
+
+
+def _clash_bits(k, width: int):
+    """The key bits that clash with key k: at each position k defines, the
+    bits of the other two digits."""
+    low = (1 << width) - 1
+    defined = (k | k >> width | k >> (2 * width)) & low
+    return (defined | defined << width | defined << (2 * width)) ^ k
+
+
+def _minimal(key: np.ndarray, count: np.ndarray,
+             members: np.ndarray) -> List[int]:
+    """The minimal elements among the member indices, ascending.  Taken a
+    defined-entry count at a time, from the fewest up: elements of one
+    count are incomparable, and each taken one removes its up-set from
+    the rest."""
+    keys, counts = key[members], count[members]
+    left = np.ones(len(members), dtype=bool)
+    minimal = []
+    while left.any():
+        level = np.flatnonzero(left & (counts == counts[left].min()))
+        for m in level:
+            left &= (keys & keys[m]) != keys[m]
+        minimal.extend(members[level].tolist())
+    return sorted(minimal)
 
 
 def is_cusl(K: KSlice) -> CuslReport:
@@ -328,31 +328,28 @@ def is_cusl(K: KSlice) -> CuslReport:
 
     On failure reports the first offending pair (in (length, rendering)
     order) together with its minimal upper bounds.  For each sigma one
-    bitset row over the tau at or after it finds the compatible pairs
-    whose pointwise join is not in the slice; only those are searched for
-    upper bounds.
+    row of joined keys over the tau at or after it finds the compatible
+    pairs whose join is not in the slice; only those are searched for
+    upper bounds, all on the keys.
     """
     elems = K.sorted_elements()
-    defined, one, bd, key = _kslice_bits(elems)
+    key, count, width = _kslice_keys(elems)
     keys = np.sort(key)
     for i, sigma in enumerate(elems):
-        clash = (((one[i:] ^ one[i]) | (bd[i:] ^ bd[i]))
-                 & defined[i:] & defined[i])
         join_key = key[i:] | key[i]
         # a sorted lookup: np.isin re-sorts the slice's keys on every row
         slot = np.minimum(np.searchsorted(keys, join_key), len(keys) - 1)
-        outside = (clash == 0) & (keys[slot] != join_key)
+        compatible = (key[i:] & _clash_bits(key[i], width)) == 0
+        outside = compatible & (keys[slot] != join_key)
         for h in np.flatnonzero(outside):
-            tau = elems[i + h]
-            j = sigma.join(tau)  # compatible, and not the least upper bound
-            ubs = [u for u in elems if j.leq(u)]
-            if not ubs:
+            j = join_key[h]  # a compatible pair's join, missing from the slice
+            ubs = np.flatnonzero((key & j) == j)
+            if not len(ubs):
                 continue  # unbounded within the slice
-            minimal = [u for u in ubs
-                       if not any(v is not u and v.leq(u) for v in ubs)]
+            minimal = _minimal(key, count, ubs)
             if len(minimal) >= 2:
-                return CuslReport(False, sigma, tau,
-                                  tuple(sorted(minimal, key=sort_key)))
+                return CuslReport(False, sigma, elems[i + h],
+                                  tuple(elems[m] for m in minimal))
             # unique minimal element of a finite set of upper bounds is least
     return CuslReport(True)
 
@@ -361,19 +358,17 @@ def is_cusl(K: KSlice) -> CuslReport:
 
 
 def kslice_to_dot(K: KSlice, name: str = "kslice") -> str:
-    """DOT digraph of the covering relation, nodes sorted by (length, label)."""
+    """DOT digraph of the covering relation, nodes sorted by (length, label).
+    The covers of u are the minimal elements of its strict up-set."""
     elems = K.sorted_elements()
-    index = {e: i for i, e in enumerate(elems)}
+    key, count, _width = _kslice_keys(elems)
     lines = ["digraph %s {" % name, '  rankdir="BT";']
-    for e in elems:
-        lines.append('  n%d [label="%s"];' % (index[e], render(e)))
-    for u in elems:
-        for v in elems:
-            if u is v or not u.leq(v):
-                continue
-            covers = not any(w is not u and w is not v
-                             and u.leq(w) and w.leq(v) for w in elems)
-            if covers:
-                lines.append("  n%d -> n%d;" % (index[u], index[v]))
+    lines.extend('  n%d [label="%s"];' % (i, render(e))
+                 for i, e in enumerate(elems))
+    for u in range(len(elems)):
+        up = (key & key[u]) == key[u]
+        up[u] = False
+        lines.extend("  n%d -> n%d;" % (u, v)
+                     for v in _minimal(key, count, np.flatnonzero(up)))
     lines.append("}")
     return "\n".join(lines) + "\n"

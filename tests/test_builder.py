@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from subbases.builder import (_EPS, AvoidSet, BuilderParams, Exhaustion,
-                              _local_extrema, _small_support, base_interval,
-                              build, candidate, choose_cut, collect_avoid,
-                              positive_rational, separation_fraction, unpair)
-from subbases.checker import _masks, check_proper, check_strong_proper
+from subbases.builder import (_EPS, REGION_SUPPORT, AvoidSet, BuilderParams,
+                              Exhaustion, _local_extrema, _small_support,
+                              base_interval, build, candidate, choose_cut,
+                              collect_avoid, positive_rational,
+                              separation_fraction, unpair)
+from subbases.checker import check_proper, check_strong_proper
 from subbases.seq import BD, BINARY_DIGITS, ONE, ZERO, render
 from subbases.space import SpaceModel, builtin_space, compactified_example
-from subbases.subbase import DistanceCut, DistanceSubbase, table_codes
+from subbases.subbase import (DistanceCut, DistanceSubbase, pattern_masks,
+                              table_codes)
 
 
 def test_unpair_convention():
@@ -95,10 +97,9 @@ def test_collect_avoid_distance_endpoints():
     center_index, _ = candidate(M, 0)
     f_vals = M.distance_row(center_index)
     table = np.empty((0, len(M.sample_points)), dtype=np.int8)
-    params = BuilderParams(count=1)
     nbr = M.neighbor_lists(2 * M.resolution)
     assert nbr.shape == (17, 4) and nbr.dtype == np.intp
-    avoid = collect_avoid(M, table, f_vals, 0, False, params, nbr)
+    avoid = collect_avoid(M, table, f_vals, 0, False, nbr)
     # the minimum 0 at the center and the maximum 1 at the far endpoint,
     # once for the empty pattern's closed set and once for its code
     assert avoid.values == [(0.0, "extremum|closed[]"), (1.0, "extremum|closed[]"),
@@ -150,22 +151,21 @@ def _reference_extrema(f_vals, region, neighbors):
     return out
 
 
-def _reference_avoid(M, table, f_vals, n, strong, params, neighbors,
-                     chosen, cut_vals):
+def _reference_avoid(M, table, f_vals, n, strong, neighbors, chosen, cut_vals):
     """collect_avoid with the per-sample loops and a tag rendered per value."""
     out = []
-    for sigma in _small_support(n, BINARY_DIGITS, params.region_support):
-        _, mask = _masks(table, sigma)
+    for sigma in _small_support(n, BINARY_DIGITS, REGION_SUPPORT):
+        _, mask = pattern_masks(table, sigma)
         if mask.any():
             for v in _reference_extrema(f_vals, mask, neighbors):
                 out.append((v, "extremum|closed[%s]" % render(sigma)))
     for code in table_codes(table):
-        _, mask = _masks(table, code)
+        _, mask = pattern_masks(table, code)
         for v in _reference_extrema(f_vals, mask, neighbors):
             out.append((v, "extremum|code[%s]" % render(code, width=n)))
     if strong:
-        for tau in _small_support(n, (BD,), params.region_support):
-            _, mask = _masks(table, tau)
+        for tau in _small_support(n, (BD,), REGION_SUPPORT):
+            _, mask = pattern_masks(table, tau)
             if not tau.is_empty() and mask.any():
                 for v in _reference_extrema(f_vals, mask, neighbors):
                     out.append((v, "extremum|boundary[%s]" % render(tau)))
@@ -247,10 +247,9 @@ def test_local_extrema_matches_per_sample_loop(M, data):
 @given(avoid_cases(), st.booleans())
 def test_collect_avoid_matches_per_sample_loops(case, strong):
     M, table, f_vals, n, chosen, cut_vals = case
-    params = BuilderParams(count=n + 1, strong=strong)
-    avoid = collect_avoid(M, table, f_vals, n, strong, params,
+    avoid = collect_avoid(M, table, f_vals, n, strong,
                           M.neighbor_lists(2 * M.resolution), chosen, cut_vals)
-    reference = _reference_avoid(M, table, f_vals, n, strong, params,
+    reference = _reference_avoid(M, table, f_vals, n, strong,
                                  _reference_neighbors(M, 2 * M.resolution),
                                  chosen, cut_vals)
     assert collections.Counter(avoid.values) == collections.Counter(reference)
@@ -281,12 +280,11 @@ def test_local_extrema_empty_and_isolated_regions():
 def test_collect_avoid_interaction_hits(M, f_centre, g_centre, c, hit):
     f_vals, g_vals = M.distance_row(f_centre), M.distance_row(g_centre)
     table = np.zeros((1, len(M)), dtype=np.int8)
-    params = BuilderParams(count=2, strong=True)
-    avoid = collect_avoid(M, table, f_vals, 1, True, params,
+    avoid = collect_avoid(M, table, f_vals, 1, True,
                           M.neighbor_lists(2 * M.resolution), [c], [g_vals])
     hits = [(v, t) for v, t in avoid.values if t == "interaction|cut0"]
     assert hits == ([] if hit is None else [(float(f_vals[hit]), "interaction|cut0")])
-    reference = _reference_avoid(M, table, f_vals, 1, True, params,
+    reference = _reference_avoid(M, table, f_vals, 1, True,
                                  _reference_neighbors(M, 2 * M.resolution),
                                  [c], [g_vals])
     assert collections.Counter(avoid.values) == collections.Counter(reference)

@@ -14,10 +14,10 @@ from subbases.seq import (BD, BINARY_DIGITS, DIGITS, EMPTY, enumerate_sequences,
                           parse, render)
 from subbases.space import (POINT_AT_INFINITY, SpaceModel, builtin_space,
                             compactified_example, gray_subbase)
-from subbases.subbase import (CODE_DIGIT, DIGIT_CODE, Cut, DistanceCut,
-                              DistanceSubbase, FunctionalSubbase, OracleSubbase,
-                              ReindexedSubbase, duplicated_subbase,
-                              member_closed, member_open, permute)
+from subbases.subbase import (CODE_DIGIT, DIGIT_CODE, DistanceCut,
+                              DistanceSubbase, OracleSubbase, ReindexedSubbase,
+                              duplicated_subbase, member_closed, member_open,
+                              permute)
 
 
 @pytest.fixture(scope="module")
@@ -81,14 +81,6 @@ def test_compactified_proper_but_not_strong():
             if v.sigma[0] == "b" and v.sigma[1] == "0"
             and v.point is POINT_AT_INFINITY]
     assert hits
-
-
-def test_strong_needs_boundary_classification(grid256):
-    cuts = [Cut(f=lambda x: float(x[0]), c=0.5),
-            Cut(f=lambda x: abs(float(x[0]) - 0.5), c=0.25)]
-    S = FunctionalSubbase(cuts, boundary_tol=0.0)
-    with pytest.raises(CheckerError):
-        check_strong_proper(S, grid256, 2, Fraction(1, 32))
 
 
 def test_monotone_in_delta(grid256):

@@ -248,3 +248,32 @@ def test_encode_negative_depth_exits_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: depth must be non-negative, got -2\n"
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"kind": "gray", "pairs": 2.7},
+     "pairs must be a non-negative integer, got 2.7"),
+    ({"kind": "gray", "pairs": -3},
+     "pairs must be a non-negative integer, got -3"),
+    ({"kind": "gray", "pairs": True},
+     "pairs must be a non-negative integer, got true"),
+    ({"kind": "gray", "pairs": "4"},
+     'pairs must be a non-negative integer, got "4"'),
+    ({"kind": "distance", "cuts": [{"center_index": 5.9, "cut": "1/2"}]},
+     "center_index must be a non-negative integer, got 5.9"),
+    ({"kind": "distance", "cuts": [{"center_index": False, "cut": "1/2"}]},
+     "center_index must be a non-negative integer, got false"),
+    ({"kind": "distance", "cuts": [{"cut": "1/2"}]},
+     "center_index must be a non-negative integer, got null"),
+    ({"kind": "distance", "cuts": [{"center_index": 5, "cut": 0.5}]},
+     'cut must be a string such as "1/3", got 0.5'),
+])
+def test_malformed_subbase_fields_exit_2_naming_the_field(tmp_path, capsys,
+                                                          data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(["encode", "--subbase", str(path), "--space", "interval",
+                "--resolution", "1/8", "--point", "1/2", "--depth", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: %s\n" % message

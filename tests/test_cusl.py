@@ -1,14 +1,17 @@
-"""The bitset `is_cusl` against the pairwise reference it replaced."""
+"""The keyed `is_cusl` and `kslice_to_dot` against the pairwise references
+they replaced."""
 
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from subbases.seq import BD, BOT, ONE, ZERO, BottomedSeq, parse, render
-from subbases.subbase import (CuslReport, KSlice, is_cusl, sort_key,
-                              table_kslice)
+from subbases.space import builtin_space, gray_subbase
+from subbases.subbase import (CuslReport, KSlice, enumerate_K, is_cusl,
+                              kslice_to_dot, sort_key, table_kslice)
 
 
 def reference_is_cusl(K: KSlice) -> CuslReport:
@@ -30,6 +33,25 @@ def reference_is_cusl(K: KSlice) -> CuslReport:
                 return CuslReport(False, sigma, tau,
                                   tuple(sorted(minimal, key=sort_key)))
     return CuslReport(True)
+
+
+def reference_kslice_to_dot(K: KSlice, name: str = "kslice") -> str:
+    """Every cover through `leq`: u < v with no w strictly between."""
+    elems = K.sorted_elements()
+    index = {e: i for i, e in enumerate(elems)}
+    lines = ["digraph %s {" % name, '  rankdir="BT";']
+    for e in elems:
+        lines.append('  n%d [label="%s"];' % (index[e], render(e)))
+    for u in elems:
+        for v in elems:
+            if u is v or not u.leq(v):
+                continue
+            covers = not any(w is not u and w is not v
+                             and u.leq(w) and w.leq(v) for w in elems)
+            if covers:
+                lines.append("  n%d -> n%d;" % (index[u], index[v]))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 @st.composite
@@ -72,6 +94,7 @@ def kslices(draw):
 @given(kslices())
 def test_is_cusl_matches_pairwise_reference(K):
     assert is_cusl(K) == reference_is_cusl(K)
+    assert kslice_to_dot(K) == reference_kslice_to_dot(K)
 
 
 def test_kslices_cover_failing_and_boundary_cases():
@@ -93,6 +116,27 @@ def test_kslices_cover_failing_and_boundary_cases():
 def _slice(*texts):
     elems = frozenset(parse(t) for t in texts)
     return KSlice(depth=max(e.length for e in elems), elements=elems)
+
+
+def test_keyed_slice_makes_no_leq_or_join_call(monkeypatch):
+    gray = enumerate_K(gray_subbase(8),
+                       builtin_space("interval", Fraction(1, 4096)), 8)
+    # missing joins "00": bounded by "000" alone, then by "000" and "001"
+    least = _slice("", "0", "_0", "000")
+    failing = _slice("", "0", "_0", "000", "001")
+    calls = Counter()
+    for name in ("leq", "join"):
+        original = getattr(BottomedSeq, name)
+        monkeypatch.setattr(BottomedSeq, name,
+                            lambda self, other, _f=original, _n=name:
+                            calls.update([_n]) or _f(self, other))
+    reports = [is_cusl(K) for K in (gray, least, failing)]
+    dots = [kslice_to_dot(K) for K in (gray, least, failing)]
+    assert calls == Counter()
+    monkeypatch.undo()
+    assert [r.ok for r in reports] == [True, True, False]
+    assert reports == [reference_is_cusl(K) for K in (gray, least, failing)]
+    assert dots == [reference_kslice_to_dot(K) for K in (gray, least, failing)]
 
 
 @pytest.mark.parametrize("K, sigma, tau, bounds", [

@@ -86,7 +86,7 @@ def test_permuted_table_rows_give_permuted_kslice(case, data):
     pi = data.draw(st.permutations(range(depth)))
     full = list(pi) + list(range(depth, len(S)))
     reference = enumerate_K(permute(S, full), M, depth)
-    K = table_kslice(digit_table(S, M, depth)[list(pi)], M.resolution)
+    K = table_kslice(digit_table(S, M, depth)[list(pi)])
     assert K == reference
 
 

@@ -4,7 +4,7 @@ The digests were recorded once and are pinned by hand; the test never
 rewrites them.  A change that alters any byte of these outputs (a cut
 value, a code, a report line, a DOT node) fails here.  The sequence runs
 in a temporary directory with relative file names, because headers print
-the paths they were given.
+the paths they were given; the Gray subbase file is written there first.
 """
 
 import hashlib
@@ -35,6 +35,9 @@ SEQUENCE = (
     ("build-1-128", ["build", "--space", "square", "--resolution", "1/128",
                      "--pairs", "4", "--strong", "--seed", "0",
                      "--out", "b128.json"], ["b128.json"]),
+    ("kslice-gray-9", ["kslice", "--subbase", "gray10.json", "--space",
+                       "interval", "--resolution", "1/4096", "--depth", "9",
+                       "--dot", "k9.dot"], ["k9.dot"]),
 )
 
 GOLDEN = {
@@ -54,6 +57,8 @@ GOLDEN = {
                               {"r10.json": "6d70d5f21d7f612faec6627c14a8432aaa72864831874befe86e447fe02d7722"}),
     "build-1-128": (0, "b5e8476665e9960c7cbc0b002547f68d00dca2cd4e52ad1520f2105fe4d40311",
                     {"b128.json": "0d3d061e7d1991008681575ebbf6cecb1e4bafb2698aadbb617a74961dcef6b7"}),
+    "kslice-gray-9": (0, "027445a39ed7e441fee23ff758717d515d5036729a28cb4bdca36d5a2eeb44d8",
+                      {"k9.dot": "0bbb54c08b9b3be8f2b49ae7a3050f92f928dc9b26a7c939ee165435e3803c72"}),
 }
 
 
@@ -63,6 +68,7 @@ def _sha(data: bytes) -> str:
 
 def test_golden_outputs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "gray10.json").write_text('{"kind": "gray", "pairs": 10}\n')
     observed = {}
     for name, argv, files in SEQUENCE:
         code = run(argv)

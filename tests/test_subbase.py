@@ -6,9 +6,8 @@ import pytest
 from subbases.seq import BD, EMPTY, ONE, ZERO, BottomedSeq, parse, render
 from subbases.space import (POINT_AT_INFINITY, builtin_space,
                             compactified_example, gray_subbase)
-from subbases.subbase import (KSlice, digit, enumerate_K, is_cusl,
-                              kslice_to_dot, member_closed, member_open,
-                              permute, phi)
+from subbases.subbase import (KSlice, enumerate_K, is_cusl, kslice_to_dot,
+                              member_closed, member_open, permute, phi)
 
 
 @pytest.fixture(scope="module")
@@ -22,10 +21,10 @@ def interval16():
 
 
 def test_digit_examples(gray):
-    assert digit(gray, 0, (Fraction(3, 4),)) == ONE
-    assert digit(gray, 1, (Fraction(3, 4),)) == BD
+    assert gray.digit(0, (Fraction(3, 4),)) == ONE
+    assert gray.digit(1, (Fraction(3, 4),)) == BD
     with pytest.raises(IndexError):
-        digit(gray, 8, (Fraction(1, 2),))
+        gray.digit(8, (Fraction(1, 2),))
 
 
 def test_phi_examples(gray):
