@@ -266,15 +266,17 @@ def build(M: SpaceModel, params: BuilderParams) -> BuildResult:
     nbr = M.neighbor_lists(2 * M.resolution)
     table = np.empty((0, npts), dtype=np.int8)
     cuts: List[DistanceCut] = []
-    chosen: List[float] = []
-    cut_fvals: List[np.ndarray] = []
+    rows = {}  # centre -> distance row: a centre recurs, its row is read once
     log: List[BuildLogRecord] = []
 
     for n in range(params.count):
         center_index, interval = candidate(M, n)
-        f_vals = M.distance_row(center_index)
+        if center_index not in rows:
+            rows[center_index] = M.distance_row(center_index)
+        f_vals = rows[center_index]
         avoid = collect_avoid(M, table, f_vals, n, params.strong, nbr,
-                              chosen, cut_fvals)
+                              [float(cut.c) for cut in cuts],
+                              [rows[cut.center_index] for cut in cuts])
         n1 = unpair(n)[1]
         retries = 0
         c = None
@@ -288,8 +290,6 @@ def build(M: SpaceModel, params: BuilderParams) -> BuildResult:
                 n1 += 1
                 interval = base_interval(n1)
         cuts.append(DistanceCut(center_index, c))
-        chosen.append(float(c))
-        cut_fvals.append(f_vals)
         table = np.vstack([table, classify(f_vals, c)])
         log.append(BuildLogRecord(n, unpair(n)[0], interval, len(avoid),
                                   c, retries))

@@ -11,7 +11,7 @@ The checks read the digit code of every sample from `subbase.digit_table`
 closure checks work over code classes, the distinct columns of the table,
 and extend patterns depth-first, cutting every branch whose closed set is
 already empty; only the candidate classes of a complete pattern are
-expanded to samples for the nearest scan.
+expanded to samples, and tested against their delta-neighbour rows.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from .seq import BINARY_DIGITS, BOT, DIGITS, ONE, ZERO, BottomedSeq, render
+from .seq import (BD, BINARY_DIGITS, BOT, DIGITS, ONE, ZERO, BottomedSeq,
+                  render)
 from .space import SpaceModel
 from .subbase import (DIGIT_CODE, DyadicSubbase, code_classes, digit_table,
                       letter_masks, pattern_masks)
 
-_SLACK = 1e-9
 _MAX_VIOLATIONS = 100
 
 
@@ -127,18 +127,15 @@ def _check_delta(M: SpaceModel, delta):
                            % (delta, M.resolution))
 
 
-def _far_samples(M: SpaceModel, samples: np.ndarray, target: np.ndarray, delta):
-    """(index, nearest) for each sample with no target sample within delta;
-    nearest is the distance to the nearest target sample, None if none."""
-    has_target = bool(target.any())
-    limit = float(delta) + _SLACK
-    for i in samples:
-        nearest = None
-        if has_target:
-            nearest = float(M.distance_row(int(i))[target].min())
-            if nearest <= limit:
-                continue
-        yield int(i), nearest
+def _far_samples(M: SpaceModel, near, samples, target):
+    """(index, nearest) for each sample outside target with no target sample
+    among its padded neighbours near[k]; nearest, the one distance row read,
+    is the distance to the nearest target sample, None if none."""
+    padded = np.append(target, False)
+    close = target[samples] | padded[near].any(axis=1)
+    for i in samples[~close]:
+        yield int(i), (float(M.distance_row(int(i))[target].min())
+                       if target.any() else None)
 
 
 def _bits(mask: np.ndarray) -> int:
@@ -172,6 +169,9 @@ def _run_check(S: DyadicSubbase, M: SpaceModel, depth: int, delta,
                  patterns_with_candidates=0, code_classes=n_classes,
                  candidates_scanned=0)
     word = [BOT] * depth
+    # candidates need a boundary digit: elsewhere open and closed masks agree
+    boundary = np.flatnonzero((table == DIGIT_CODE[BD]).any(axis=0))
+    near = M.neighbor_lists(delta, rows=boundary)
 
     def complete(open_bits: int, closed_bits: int) -> bool:
         stats["patterns_examined"] += 1
@@ -182,7 +182,8 @@ def _run_check(S: DyadicSubbase, M: SpaceModel, depth: int, delta,
         candidates = np.flatnonzero(_unbits(candidate_bits, n_classes)[inverse])
         target = _unbits(open_bits, n_classes)[inverse]
         # first violation per sigma only
-        far = next(_far_samples(M, candidates, target, delta), None)
+        far = next(_far_samples(M, near[np.searchsorted(boundary, candidates)],
+                                candidates, target), None)
         if far is None:
             stats["candidates_scanned"] += len(candidates)
             return True
@@ -240,7 +241,9 @@ def check_exterior_pair(S: DyadicSubbase, M: SpaceModel, sigma: BottomedSeq,
     report = CheckReport("pass", "exterior", depth, delta, M.resolution)
     # x outside S(sigma) must be close to the opposite union, and vice versa
     for outside, target in ((~open_mask, opposite), (~opposite, open_mask)):
-        for i, nearest in _far_samples(M, np.nonzero(outside)[0], target, delta):
+        samples = np.flatnonzero(outside)
+        near = M.neighbor_lists(delta, rows=samples)
+        for i, nearest in _far_samples(M, near, samples, target):
             if not report.add(Violation(sigma, M.sample_points[i], nearest)):
                 return report
     return report

@@ -73,12 +73,11 @@ def _count(rec: dict, field: str, default=None) -> int:
     return value
 
 
-def _cut_value(rec: dict) -> Fraction:
-    value = rec.get("cut")
-    if not isinstance(value, str):
-        raise ValueError("cut must be a string such as \"1/3\", got %s"
-                         % json.dumps(value))
-    return parse_rational(value)
+def _typed(value, name: str, kind: type, what: str):
+    """value if it is a `kind`, else a ValueError naming it."""
+    if not isinstance(value, kind):
+        raise ValueError("%s must be %s, got %s" % (name, what, json.dumps(value)))
+    return value
 
 
 def load_subbase(path: str, M: SpaceModel = None,
@@ -90,14 +89,16 @@ def load_subbase(path: str, M: SpaceModel = None,
     digest, or the load fails.
     """
     with open(path) as fh:
-        data = json.load(fh)
+        data = _typed(json.load(fh), "a subbase file", dict, "a JSON object")
     kind = data.get("kind")
     if kind == "gray":
         return gray_subbase(_count(data, "pairs", 8)), M
     if kind == "distance":
         if "space" in data:
-            name = data["space"]["name"]
-            resolution = parse_rational(data["space"]["resolution"])
+            space = _typed(data["space"], "space", dict, "an object")
+            name = _typed(space.get("name"), "space.name", str, "a string")
+            resolution = parse_rational(_typed(space.get("resolution"),
+                                               "space.resolution", str, "a string"))
             if M is None:
                 M = builtin_space(name, resolution, file=space_file)
             elif (M.name, M.resolution) != (name, resolution):
@@ -105,7 +106,7 @@ def load_subbase(path: str, M: SpaceModel = None,
                                  "the command line names the %s space at "
                                  "resolution %s" % (path, name, resolution,
                                                     M.name, M.resolution))
-            embedded = data["space"].get("digest")
+            embedded = space.get("digest")
             if name == "finite" and embedded != space_digest(M):
                 raise ValueError("%s embeds the finite space with digest %s, but "
                                  "%s has digest %s"
@@ -114,7 +115,10 @@ def load_subbase(path: str, M: SpaceModel = None,
         elif M is None:
             raise ValueError("distance subbase needs a space "
                              "(embedded or via --space)")
-        cuts = [DistanceCut(_count(rec, "center_index"), _cut_value(rec))
-                for rec in data["cuts"]]
+        cuts = []
+        for k, rec in enumerate(_typed(data.get("cuts"), "cuts", list, "a list")):
+            rec = _typed(rec, "cuts[%d]" % k, dict, "an object")
+            cuts.append(DistanceCut(_count(rec, "center_index"), parse_rational(
+                _typed(rec.get("cut"), "cut", str, 'a string such as "1/3"'))))
         return DistanceSubbase(M, cuts), M
     raise ValueError("unknown subbase kind %r" % kind)

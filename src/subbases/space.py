@@ -59,13 +59,13 @@ class Lattice:
     def row(self, i: int) -> np.ndarray:
         return self.dist(self.coords, self.coords[i])
 
-    def neighbor_lists(self, steps: int, r: float) -> np.ndarray:
+    def neighbor_lists(self, steps: int, r: float, rows: np.ndarray) -> np.ndarray:
         """The padded neighbour array of `SpaceModel.neighbor_lists` for
         distance <= r, from the offsets of at most `steps` grid steps per
-        axis, one offset at a time: temporaries are O(samples) and the
-        result O(samples x width)."""
+        axis, one offset at a time: temporaries are O(rows) and the result
+        O(rows x width)."""
         n = len(self.coords)
-        pos = np.unravel_index(np.arange(n), self.shape)
+        pos = np.unravel_index(rows, self.shape)
         # an open axis needs no offset past its length; on a periodic axis
         # too short for the whole stencil every residue is taken once, so
         # no two offsets name the same sample and only (0, ..., 0) is itself
@@ -73,10 +73,10 @@ class Lattice:
                  if not wrap or 2 * steps + 1 < size else range(size)
                  for size, wrap in zip(self.shape, self.wrap)]
         offsets = [o for o in itertools.product(*spans) if any(o)]
-        out = np.full((n, min(len(offsets), 16)), n, dtype=np.intp)
-        count = np.zeros(n, dtype=np.intp)
+        out = np.full((len(rows), min(len(offsets), 16)), n, dtype=np.intp)
+        count = np.zeros(len(rows), dtype=np.intp)
         for off in offsets:
-            inside = np.ones(n, dtype=bool)
+            inside = np.ones(len(rows), dtype=bool)
             axes = []
             for p, d, size, wrap in zip(pos, off, self.shape, self.wrap):
                 q = p + d
@@ -87,7 +87,7 @@ class Lattice:
                 axes.append(q)
             src = np.flatnonzero(inside)
             cand = np.ravel_multi_index([q[src] for q in axes], self.shape)
-            keep = self.dist(self.coords[cand], self.coords[src]) <= r
+            keep = self.dist(self.coords[cand], self.coords[rows[src]]) <= r
             src, cand = src[keep], cand[keep]
             if src.size and count[src].max() == out.shape[1]:
                 out = np.concatenate([out, np.full_like(out, n)], axis=1)
@@ -112,14 +112,13 @@ class SpaceModel:
         self.resolution = Fraction(resolution)
         self._row_fn = row_fn
         self.lattice = lattice
-        self._row_cache = {}
         self._dense_order: List[int] = []
         self._dense_mindist = None
 
     def __len__(self) -> int:
         return len(self.sample_points)
 
-    def _row(self, i: int) -> np.ndarray:
+    def distance_row(self, i: int) -> np.ndarray:
         """Distances from sample i to every sample, as floats; uncached."""
         if self.lattice is not None:
             return self.lattice.row(i)
@@ -128,32 +127,26 @@ class SpaceModel:
         x = self.sample_points[i]
         return np.array([float(self.metric(x, y)) for y in self.sample_points])
 
-    def distance_row(self, i: int) -> np.ndarray:
-        """Distances from sample i to every sample, as floats; cached."""
-        row = self._row_cache.get(i)
-        if row is None:
-            row = self._row_cache[i] = self._row(i)
-        return row
-
-    def neighbor_lists(self, radius) -> np.ndarray:
-        """Indices of the samples within radius of each sample (excluding
-        itself) as a (samples, width) intp array: row i lists them ascending,
-        padded on the right with len(self) up to the widest neighbourhood.
+    def neighbor_lists(self, radius, rows=None) -> np.ndarray:
+        """Indices of the samples within radius of each sample in `rows`
+        (default: all), excluding itself, as a (len(rows), width) intp array,
+        each row ascending and padded on the right with len(self).
 
         A lattice model tests only the offsets of at most radius/resolution
         + 1 steps per axis (the extra step covers a periodic seam shorter
-        than one step); other models scan one uncached distance row per
-        sample.  Either way memory is linear in the sample count."""
+        than one step); other models scan one distance row per sample of
+        `rows`.  Either way memory is linear in the number of rows."""
         r = float(radius) + 1e-9
+        n = len(self.sample_points)
+        rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
         if self.lattice is not None:
             return self.lattice.neighbor_lists(
-                math.floor(Fraction(radius) / self.resolution) + 1, r)
-        n = len(self.sample_points)
-        rows = [np.flatnonzero(self._row(i) <= r) for i in range(n)]
-        rows = [nb[nb != i] for i, nb in enumerate(rows)]
-        out = np.full((n, max(map(len, rows), default=0)), n, dtype=np.intp)
-        for i, nb in enumerate(rows):
-            out[i, :len(nb)] = nb
+                math.floor(Fraction(radius) / self.resolution) + 1, r, rows)
+        nbs = [np.flatnonzero(self.distance_row(i) <= r) for i in rows]
+        nbs = [nb[nb != i] for i, nb in zip(rows, nbs)]
+        out = np.full((len(rows), max(map(len, nbs), default=0)), n, dtype=np.intp)
+        for k, nb in enumerate(nbs):
+            out[k, :len(nb)] = nb
         return out
 
     # -- dense enumeration: greedy farthest-point order over the samples --

@@ -122,7 +122,7 @@ def reference_neighbor_lists(M, radius):
     the only path of models without a lattice."""
     r = float(radius) + 1e-9
     n = len(M.sample_points)
-    rows = [np.flatnonzero(M._row(i) <= r) for i in range(n)]
+    rows = [np.flatnonzero(M.distance_row(i) <= r) for i in range(n)]
     rows = [nb[nb != i] for i, nb in enumerate(rows)]
     out = np.full((n, max(map(len, rows), default=0)), n, dtype=np.intp)
     for i, nb in enumerate(rows):
@@ -295,9 +295,10 @@ def test_collect_avoid_interaction_hits(M, f_centre, g_centre, c, hit):
 
 def test_neighbor_lists_padded_and_uncached():
     M = builtin_space("square", Fraction(1, 4))
+    calls = _count_rows(M)
     nbr = M.neighbor_lists(2 * M.resolution)
     assert nbr.dtype == np.intp and nbr.shape[0] == 25
-    assert M._row_cache == {}
+    assert calls == []
     corner = nbr[0]
     assert corner[corner < 25].tolist() == [1, 2, 5, 6, 10]
     assert (corner[5:] == 25).all()
@@ -314,25 +315,32 @@ def _assert_same_array(a, b):
        st.integers(1, 24).flatmap(lambda q: st.fractions(
            Fraction(1, q), 1, max_denominator=q)),
        st.one_of(st.integers(0, 4).map(Fraction),
-                 st.fractions(0, 4, max_denominator=12)))
-@example("torus", Fraction(3, 7), Fraction(1))
-@example("circle", Fraction(2, 7), Fraction(1, 2))
-@example("torus", Fraction(2, 7), Fraction(3, 2))
-@example("square", Fraction(2, 5), Fraction(5, 2))
-@example("circle", Fraction(1, 2), Fraction(4))
-@example("torus", Fraction(1, 3), Fraction(0))
-def test_lattice_neighbor_lists_match_the_row_scan(name, res, steps):
+                 st.fractions(0, 4, max_denominator=12)),
+       st.integers(1, 4))
+@example("torus", Fraction(3, 7), Fraction(1), 1)
+@example("circle", Fraction(2, 7), Fraction(1, 2), 2)
+@example("torus", Fraction(2, 7), Fraction(3, 2), 3)
+@example("square", Fraction(2, 5), Fraction(5, 2), 2)
+@example("circle", Fraction(1, 2), Fraction(4), 1)
+@example("torus", Fraction(1, 3), Fraction(0), 4)
+def test_lattice_neighbor_lists_match_the_row_scan(name, res, steps, stride):
     # a non-dividing resolution leaves a periodic seam shorter than a step:
     # at 2/7 the circle's samples 6/7 and 0 lie 1/7 apart
     M = builtin_space(name, res)
-    _assert_same_array(M.neighbor_lists(steps * res),
-                       reference_neighbor_lists(M, steps * res))
+    full = M.neighbor_lists(steps * res)
+    _assert_same_array(full, reference_neighbor_lists(M, steps * res))
+    # a subset of rows, in descending order, gives the same neighbourhoods
+    rows = np.arange(len(M) - 1, -1, -stride)
+    subset = M.neighbor_lists(steps * res, rows=rows)
+    assert subset.dtype == np.intp and len(subset) == len(rows)
+    for got, i in zip(subset, rows):
+        assert np.array_equal(got[got < len(M)], full[i][full[i] < len(M)])
 
 
 def _count_rows(M):
     calls = []
-    row = M._row
-    M._row = lambda i: calls.append(i) or row(i)
+    row = M.distance_row
+    M.distance_row = lambda i: calls.append(i) or row(i)
     return calls
 
 
@@ -359,11 +367,12 @@ def test_models_without_a_lattice_keep_the_row_scan(tmp_path):
         _assert_same_array(nbr, reference_neighbor_lists(M, radius))
 
 
-def test_build_caches_only_centre_and_dense_order_rows():
+def test_build_reads_only_centre_and_dense_order_rows():
     M = builtin_space("square", Fraction(1, 64))
     assert len(M) == 4225
+    calls = _count_rows(M)
     build(M, BuilderParams(count=4, strong=True, rng_seed=0))
-    assert 0 < len(M._row_cache) <= 10
+    assert 0 < len(set(calls)) <= 10
 
 
 def test_build_empty():

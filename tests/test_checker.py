@@ -126,6 +126,44 @@ def test_exterior_pair(gray, grid256):
         check_exterior_pair(gray, grid256, parse("b"), Fraction(1, 32))
 
 
+def test_exterior_pair_target_samples_are_never_far():
+    # 0, 1, 2 on a line: no sample has another within delta = 1/2, so each
+    # sample of S(sigma) or of the opposite union must count as its own
+    # nearest target sample, at distance 0
+    pts = [(Fraction(x),) for x in range(3)]
+    M = SpaceModel("finite", pts, lambda a, b: abs(a[0] - b[0]), Fraction(1, 4))
+    S = table_subbase(M, [[0, 1, 1]])
+    assert check_exterior_pair(S, M, parse("0"), Fraction(1, 2)).ok
+
+
+def _count_rows(M):
+    calls = []
+    row = M.distance_row
+    M.distance_row = lambda i: calls.append(i) or row(i)
+    return calls
+
+
+def test_checks_read_distance_rows_only_for_violations():
+    M = builtin_space("interval", Fraction(1, 4096))
+    calls = _count_rows(M)
+    assert check_strong_proper(gray_subbase(9), M, 9, Fraction(1, 512)).ok
+    assert calls == []
+    # the duplication demo: every violation has an empty open set
+    M = builtin_space("interval", Fraction(1, 256))
+    calls = _count_rows(M)
+    report = check_proper(duplicated_subbase(gray_subbase(4), 0), M, 5,
+                          Fraction(1, 64))
+    assert len(report.violations) == 16 and calls == []
+    # a boundary sample 12 steps from the open set of digit 0
+    M = builtin_space("interval", Fraction(1, 16))
+    calls = _count_rows(M)
+    report = check_proper(table_subbase(M, [[0] * 3 + [1] * 11 + [2, 1, 1]]),
+                          M, 1, Fraction(1, 8))
+    assert [(v.point, v.nearest) for v in report.violations] == [
+        ((Fraction(14, 16),), 0.75)]
+    assert calls == [14]
+
+
 def test_report_json(tmp_path, grid256):
     S = duplicated_subbase(gray_subbase(3), 0)
     report = check_proper(S, grid256, 4, Fraction(1, 32))

@@ -267,6 +267,15 @@ def test_encode_negative_depth_exits_2(tmp_path, capsys):
      "center_index must be a non-negative integer, got null"),
     ({"kind": "distance", "cuts": [{"center_index": 5, "cut": 0.5}]},
      'cut must be a string such as "1/3", got 0.5'),
+    ([], "a subbase file must be a JSON object, got []"),
+    ("gray", 'a subbase file must be a JSON object, got "gray"'),
+    ({"kind": "distance", "cuts": [5]}, "cuts[0] must be an object, got 5"),
+    ({"kind": "distance", "cuts": {"x": 1}},
+     'cuts must be a list, got {"x": 1}'),
+    ({"kind": "distance", "space": "square", "cuts": []},
+     'space must be an object, got "square"'),
+    ({"kind": "distance", "space": {"name": "square"}, "cuts": []},
+     "space.resolution must be a string, got null"),
 ])
 def test_malformed_subbase_fields_exit_2_naming_the_field(tmp_path, capsys,
                                                           data, message):
