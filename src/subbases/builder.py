@@ -6,6 +6,13 @@ sets of dangerous values (local extrema of the cut function restricted
 to the regions definable from earlier cuts) are replaced by finite
 sampled surrogates, and the random draw rejects values within a margin
 of them.  The checkers remain the acceptance gate for the result.
+
+The surrogate for cut n is collected per family of regions, not per
+region: whether a sample lies in a region depends only on its code
+class under the earlier cuts, so a family is a regions x classes
+membership matrix, and one bit-packed pass over the neighbour array
+decides, for a block of regions at once, which samples are local
+extrema of f_n in which region.
 """
 
 from __future__ import annotations
@@ -19,13 +26,14 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .seq import BD, BINARY_DIGITS, BottomedSeq, render
+from .seq import BD, BINARY_DIGITS, BOT, ONE, ZERO
 from .space import SpaceModel
-from .subbase import (DistanceCut, DistanceSubbase, classify, code_classes,
-                      pattern_masks, table_codes)
+from .subbase import (DIGIT_CODE, DistanceCut, DistanceSubbase, classify,
+                      code_classes, letter_masks)
 
 _EPS = 1e-9
 REGION_SUPPORT = 2  # max #fixed digits in enumerated avoid regions
+_REGION_BLOCK = 128  # regions per packed block: two 64-bit words per sample
 
 
 class Exhaustion(RuntimeError):
@@ -120,28 +128,82 @@ def _extremal(v: np.ndarray, nb_vals: np.ndarray, mask: np.ndarray) -> np.ndarra
     return (v >= hi - _EPS) | (v <= lo + _EPS)
 
 
-def _local_extrema(f_pad: np.ndarray, region: np.ndarray,
-                   nbr: np.ndarray) -> np.ndarray:
-    """Values of f at samples extremal among region neighbors.
+def _steps(f_vals: np.ndarray, nbr: np.ndarray):
+    """Two slots x samples arrays over the padded neighbour array: whether
+    the neighbour in a slot lies above the sample by more than the slack
+    (`up`), and whether below it (`down`).  They are filled one slot at a
+    time, so the float temporaries hold one value per sample: gathering
+    all slots at once adds about 10 MB to a call's peak allocation on the
+    1/256 square (66,049 samples x 12 slots)."""
+    f_pad = np.append(f_vals, 0.0)
+    up = np.empty(nbr.shape[::-1], dtype=bool)
+    down = np.empty_like(up)
+    for slot, col in enumerate(nbr.T):
+        nb_vals = f_pad[col]
+        up[slot] = f_vals < nb_vals - _EPS
+        down[slot] = f_vals > nb_vals + _EPS
+    return up, down
 
-    A sample is a local extremum of f restricted to the region when its
-    value is maximal or minimal (within slack) among the region samples
-    in its neighborhood; isolated region samples count as both.  `nbr` is
-    the padded neighbour array of `SpaceModel.neighbor_lists`, and `f_pad`
-    holds f at every sample followed by one value read at the pad index.
+
+def _region_extrema(member: np.ndarray, inverse: np.ndarray, nbr: np.ndarray,
+                    up: np.ndarray, down: np.ndarray):
+    """The samples that are local extrema of f in each of a block of
+    regions, as (region, sample) index pairs, region-major.
+
+    `member` is regions x code classes and `inverse` gives each sample's
+    class; `up` and `down` are `_steps` of f.  The regions are packed into
+    64-bit words, one row per class and a zero row for the pad of `nbr`.
+    Over the slots of `nbr` the neighbours' words are OR-ed into `above`
+    where the neighbour lies above the sample and into `below` where it
+    lies below.  A sample of a region is a local extremum there unless
+    the region holds a neighbour of each kind; isolated samples count.
+    This is `_extremal` on the region's neighbours, exactly: rounding is
+    monotone, so v >= fl(max f - eps) iff v >= fl(f - eps) for every
+    neighbour value f.
     """
-    nb = nbr[region]
-    v = f_pad[:-1][region]
-    return v[_extremal(v, f_pad[nb], np.append(region, False)[nb])]
+    regions, classes = member.shape
+    packed = np.zeros((classes + 1, 8 * -(-regions // 64)), dtype=np.uint8)
+    packed[:classes, :-(-regions // 8)] = np.packbits(member, axis=0,
+                                                      bitorder="little").T
+    words = packed.view(np.uint64)[np.append(inverse, classes)]
+    above = np.zeros_like(words[:-1])
+    below = np.zeros_like(above)
+    for col, is_up, is_down in zip(nbr.T, up, down):
+        nb = words[col]
+        np.bitwise_or(above, nb, out=above, where=is_up[:, None])
+        np.bitwise_or(below, nb, out=below, where=is_down[:, None])
+    extremal = words[:-1] & ~(above & below)
+    samples = np.flatnonzero(extremal.any(axis=1))
+    bits = np.unpackbits(extremal[samples].view(np.uint8), axis=1,
+                         bitorder="little")[:, :regions]
+    region, k = np.nonzero(bits.T)
+    return region, samples[k]
 
 
-def _small_support(n: int, digits, support: int):
-    """Patterns over indices < n fixing at most `support` digits from
-    `digits`, the empty pattern first."""
-    for size in range(support + 1):
-        for ks in itertools.combinations(range(n), size):
-            for vals in itertools.product(digits, repeat=size):
-                yield BottomedSeq(zip(ks, vals))
+def _pattern_index(n: int, d: int) -> np.ndarray:
+    """Every pattern over positions < n fixing at most REGION_SUPPORT
+    digits from an alphabet of d, as a row of letter indices d*k + digit,
+    padded with d*n: the empty pattern first, then by size, positions
+    and digits in itertools order."""
+    blocks = []
+    for size in range(REGION_SUPPORT + 1):
+        ks = list(itertools.combinations(range(n), size))
+        ds = list(itertools.product(range(d), repeat=size))
+        rows = (d * np.array(ks, dtype=np.intp).reshape(len(ks), 1, size)
+                + np.array(ds, dtype=np.intp).reshape(1, len(ds), size))
+        blocks.append(np.pad(rows.reshape(len(ks) * len(ds), size),
+                             ((0, 0), (0, REGION_SUPPORT - size)),
+                             constant_values=d * n))
+    return np.concatenate(blocks)
+
+
+def _compatible(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Codes (columns) of a x codes of b: no position holds 0 in one and 1
+    in the other, where alone two digit codes sum to 1."""
+    clash = np.zeros((a.shape[1], b.shape[1]), dtype=bool)
+    for ra, rb in zip(a, b):
+        clash |= (ra[:, None] + rb[None, :]) == 1
+    return ~clash
 
 
 def collect_avoid(M: SpaceModel, table: np.ndarray, f_vals: np.ndarray,
@@ -154,34 +216,87 @@ def collect_avoid(M: SpaceModel, table: np.ndarray, f_vals: np.ndarray,
     fixed binary digits, plus every region realized by a sampled code;
     when strong, additionally the sampled boundary regions and the cut
     values of earlier pairs that interact with level sets of f_n.
+
+    Membership in a region depends only on a sample's code class, so a
+    family of regions is a regions x classes matrix.  It is built and
+    searched _REGION_BLOCK regions at a time by `_region_extrema`, which
+    shares one comparison of f with its neighbours per call.
     """
     avoid = AvoidSet()
-    f_pad = np.append(f_vals, 0.0)
+    codes, inverse = code_classes(table)
+    up, down = _steps(f_vals, nbr)
 
-    for sigma in _small_support(n, BINARY_DIGITS, REGION_SUPPORT):
-        _, mask = pattern_masks(table, sigma)
-        if mask.any():
-            avoid.extend(_local_extrema(f_pad, mask, nbr),
-                         "extremum|closed[%s]" % render(sigma))
+    def add_extrema(kind, regions, member, pattern):
+        """Add f's local extrema in regions 0..regions-1, tagged
+        extremum|kind[pattern(r)]; member(lo, hi) holds the rows of
+        regions lo..hi-1."""
+        for lo in range(0, regions, _REGION_BLOCK):
+            block = member(lo, min(lo + _REGION_BLOCK, regions))
+            if not block.any():
+                continue
+            region, sample = _region_extrema(block, inverse, nbr, up, down)
+            vals = f_vals[sample]
+            starts = np.flatnonzero(np.diff(region, prepend=-1)).tolist()
+            for r, a, b in zip((lo + region[starts]).tolist(), starts,
+                               starts[1:] + [len(vals)]):
+                avoid.extend(vals[a:b], "extremum|%s[%s]" % (kind, pattern(r)))
 
-    # regions realized by sampled codes: the closed set of phi(x)|_n
-    for code in table_codes(table):
-        _, mask = pattern_masks(table, code)
-        avoid.extend(_local_extrema(f_pad, mask, nbr),
-                     "extremum|code[%s]" % render(code, width=n))
+    def patterns(kind, digits, skip=0):
+        """The closed sets of the patterns of `_pattern_index` over
+        `digits`, the first `skip` left out: an AND of letter rows, the
+        pad row all true."""
+        d = len(digits)
+        letters = np.ones((d * n + 1, codes.shape[1]), dtype=bool)
+        for k, row in enumerate(codes):
+            for i, a in enumerate(digits):
+                letters[d * k + i] = letter_masks(row, a)[1]
+        index = _pattern_index(n, d)[skip:]
+        rows = index.tolist()
+
+        def pattern(r):  # render() of the pattern, read off its letters
+            fixed = [i for i in rows[r] if i < d * n]
+            chars = [BOT] * (fixed[-1] // d + 1 if fixed else 0)
+            for i in fixed:
+                chars[i // d] = digits[i % d]
+            return "".join(chars)
+
+        add_extrema(kind, len(index),
+                    lambda lo, hi: letters[index[lo:hi]].all(axis=1), pattern)
+
+    patterns("closed", BINARY_DIGITS)
+
+    # regions realized by sampled codes: the closed set of phi(x)|_n.  Two
+    # codes without a boundary digit lie in each other's closed sets only
+    # when equal, so off the diagonal only the rows and the columns of
+    # the classes with a boundary digit are compared.
+    has_bd = (codes == DIGIT_CODE[BD]).any(axis=0)
+    bd = np.flatnonzero(has_bd)
+
+    def code_member(lo, hi):
+        member = np.zeros((hi - lo, codes.shape[1]), dtype=bool)
+        member[np.arange(hi - lo), np.arange(lo, hi)] = True
+        member[:, bd] |= _compatible(codes[:, lo:hi], codes[:, bd])
+        rows = np.flatnonzero(has_bd[lo:hi])
+        member[rows] |= _compatible(codes[:, lo + rows], codes)
+        return member
+
+    # a code's tag is render(phi(x)|_n, width=n): a boundary digit is a bottom
+    add_extrema("code", codes.shape[1], code_member,
+                lambda r: "".join((ZERO, ONE, BOT)[c]
+                                  for c in codes[:, r].tolist()))
 
     if strong:
-        # sampled boundary regions S(tau), tau over {bd, bot}; the closed
-        # and the open set of tau coincide
-        for tau in _small_support(n, (BD,), REGION_SUPPORT):
-            _, mask = pattern_masks(table, tau)
-            if not tau.is_empty() and mask.any():
-                avoid.extend(_local_extrema(f_pad, mask, nbr),
-                             "extremum|boundary[%s]" % render(tau))
+        # sampled boundary regions S(tau), tau over {bd, bot} and not
+        # empty; the closed and the open set of tau coincide
+        patterns("boundary", (BD,), skip=1)
         # earlier cut values with a sampled critical interaction:
         # x extremal for f_k among neighbors on its own f_n level band
         band = 2 * float(M.resolution)
-        level = np.abs(np.append(f_vals, np.inf)[nbr] - f_vals[:, None]) <= band
+        # slot by slot, as in _steps: no samples x slots float temporaries
+        f_inf = np.append(f_vals, np.inf)
+        level = np.empty(nbr.shape, dtype=bool)
+        for slot, col in enumerate(nbr.T):
+            level[:, slot] = np.abs(f_inf[col] - f_vals) <= band
         for k, (c_k, g_vals) in enumerate(zip(chosen, cut_vals)):
             hit = (level.any(axis=1) & (np.abs(g_vals - c_k) <= band)
                    & _extremal(g_vals, np.append(g_vals, 0.0)[nbr], level))

@@ -76,8 +76,11 @@ def cmd_build(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    S, _ = _load_subbase(args)
-    code = phi(S, files.parse_point(args.point), args.depth)
+    S, M = _load_subbase(args)
+    x = files.parse_point(args.point)
+    if M is not None:
+        M.check_point(x)
+    code = phi(S, x, args.depth)
     _header(command="encode", subbase=args.subbase, point=args.point,
             depth=args.depth)
     print(render(code, width=args.depth))

@@ -127,6 +127,24 @@ class SpaceModel:
         x = self.sample_points[i]
         return np.array([float(self.metric(x, y)) for y in self.sample_points])
 
+    def check_point(self, x):
+        """Raise a ValueError naming x and the space unless x is a point of
+        it: for a lattice model a tuple of one rational per axis in [0, 1],
+        or in [0, 1) on a periodic axis; for any other model a sample."""
+        text = ",".join(map(str, x)) if isinstance(x, tuple) else repr(x)
+        if self.lattice is None:
+            if x not in self.sample_points:
+                raise ValueError("point %s is not one of the %d points of the "
+                                 "%s space" % (text, len(self), self.name))
+            return
+        wrap = self.lattice.wrap
+        if not (isinstance(x, tuple) and len(x) == len(wrap)
+                and all(0 <= c < 1 if w else 0 <= c <= 1
+                        for c, w in zip(x, wrap))):
+            raise ValueError("point %s is not in the %s space %s" % (
+                text, self.name,
+                " x ".join("[0, 1)" if w else "[0, 1]" for w in wrap)))
+
     def neighbor_lists(self, radius, rows=None) -> np.ndarray:
         """Indices of the samples within radius of each sample in `rows`
         (default: all), excluding itself, as a (len(rows), width) intp array,

@@ -204,8 +204,18 @@ def digit_table(S: DyadicSubbase, M, depth: int) -> np.ndarray:
 
 def code_classes(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The distinct columns of a digit table (sorted) and, per sample, the
-    index of its column among them."""
-    return np.unique(table, axis=1, return_inverse=True)
+    index of its column among them: `np.unique(table, axis=1,
+    return_inverse=True)` by one lexicographic sort of the columns and a
+    comparison of neighbours in that order.  An all-zero key row makes
+    the sort well defined for a table of no rows."""
+    keys = np.concatenate([table[::-1], np.zeros((1, table.shape[1]), table.dtype)])
+    order = np.lexsort(keys)
+    ordered = table[:, order]
+    new = np.ones(table.shape[1], dtype=bool)
+    new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    inverse = np.empty(table.shape[1], dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[:, new], inverse
 
 
 def table_codes(table: np.ndarray) -> List[BottomedSeq]:

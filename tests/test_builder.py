@@ -1,19 +1,21 @@
 import collections
+import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from subbases.builder import (_EPS, REGION_SUPPORT, AvoidSet, BuilderParams,
-                              Exhaustion, _local_extrema, _small_support,
-                              base_interval, build, candidate, choose_cut,
-                              collect_avoid, positive_rational,
+from subbases.builder import (_EPS, _REGION_BLOCK, REGION_SUPPORT, AvoidSet,
+                              BuilderParams, Exhaustion, _region_extrema,
+                              _steps, base_interval, build, candidate,
+                              choose_cut, collect_avoid, positive_rational,
                               separation_fraction, unpair)
 from subbases.checker import check_proper, check_strong_proper
-from subbases.seq import BD, BINARY_DIGITS, ONE, ZERO, render
+from subbases.seq import BD, BINARY_DIGITS, ONE, ZERO, BottomedSeq, render
 from subbases.space import SpaceModel, builtin_space, compactified_example
 from subbases.subbase import (DistanceCut, DistanceSubbase, pattern_masks,
                               table_codes)
@@ -135,6 +137,15 @@ def _reference_neighbors(M, radius):
     return [row[row < len(M)] for row in reference_neighbor_lists(M, radius)]
 
 
+def _small_support(n, digits, support):
+    """Patterns over indices < n fixing at most `support` digits from
+    `digits`, the empty pattern first."""
+    for size in range(support + 1):
+        for ks in itertools.combinations(range(n), size):
+            for vals in itertools.product(digits, repeat=size):
+                yield BottomedSeq(zip(ks, vals))
+
+
 def _reference_extrema(f_vals, region, neighbors):
     """The per-sample local extrema loop."""
     out = []
@@ -229,18 +240,32 @@ def avoid_cases(draw):
     return M, table, f_vals, n, chosen, cut_vals
 
 
+def _extrema_by_region(f_vals, member, inverse, nbr):
+    """`_region_extrema` of f as one list of values per region."""
+    region, sample = _region_extrema(member, inverse, nbr, *_steps(f_vals, nbr))
+    assert (np.diff(region) >= 0).all()
+    return [f_vals[sample[region == r]].tolist() for r in range(len(member))]
+
+
 @settings(max_examples=60, deadline=None)
 @given(spaces(), st.data())
 def test_local_extrema_matches_per_sample_loop(M, data):
+    """A block of random regions over random code classes, more than one
+    64-bit word of them, against the per-sample loop region by region."""
     npts = len(M)
     f_vals = M.distance_row(data.draw(st.integers(0, npts - 1)))
-    region = np.array(data.draw(st.lists(st.booleans(), min_size=npts,
-                                         max_size=npts)))
+    classes = data.draw(st.integers(1, npts))
+    inverse = np.array(data.draw(st.lists(st.integers(0, classes - 1),
+                                          min_size=npts, max_size=npts)))
+    regions = data.draw(st.integers(1, 140))
+    member = np.array(data.draw(st.lists(st.booleans(), min_size=regions * classes,
+                                         max_size=regions * classes)),
+                      dtype=bool).reshape(regions, classes)
     nbr = M.neighbor_lists(2 * M.resolution)
     neighbors = _reference_neighbors(M, 2 * M.resolution)
     assert [list(row[row < npts]) for row in nbr] == [list(nb) for nb in neighbors]
-    assert _local_extrema(np.append(f_vals, 0.0), region, nbr).tolist() == \
-        _reference_extrema(f_vals, region, neighbors)
+    assert _extrema_by_region(f_vals, member, inverse, nbr) == \
+        [_reference_extrema(f_vals, row[inverse], neighbors) for row in member]
 
 
 @settings(max_examples=60, deadline=None)
@@ -259,13 +284,12 @@ def test_local_extrema_empty_and_isolated_regions():
     M = builtin_space("interval", Fraction(1, 16))
     f_vals = M.distance_row(3)
     nbr = M.neighbor_lists(2 * M.resolution)
-    assert _local_extrema(np.append(f_vals, 0.0), np.zeros(17, dtype=bool),
-                          nbr).size == 0
     # samples 0 and 8 have no region neighbour within 2/16: both extremal
     region = np.zeros(17, dtype=bool)
     region[[0, 8, 12, 13, 14]] = True
-    assert _local_extrema(np.append(f_vals, 0.0), region, nbr).tolist() == \
-        [f_vals[0], f_vals[8], f_vals[12], f_vals[14]]
+    member = np.array([np.zeros(17, dtype=bool), region])
+    assert _extrema_by_region(f_vals, member, np.arange(17), nbr) == \
+        [[], [f_vals[0], f_vals[8], f_vals[12], f_vals[14]]]
 
 
 @pytest.mark.parametrize("M, f_centre, g_centre, c, hit", [
@@ -291,6 +315,33 @@ def test_collect_avoid_interaction_hits(M, f_centre, g_centre, c, hit):
 
 
 # -- bounded memory -------------------------------------------------------
+
+
+def test_collect_avoid_working_memory_is_bounded():
+    """One strong collect_avoid call on the 1/32 square with a random
+    binary 40-row table, where every sample is its own code class: its
+    working memory (the tracemalloc peak less what the call leaves
+    allocated, which is the avoid set) stays under 2 MB.  The closed
+    family alone is 3,201 regions x 1,089 classes, 3.5 MB as one dense
+    boolean array; with _REGION_BLOCK regions at a time the whole call
+    measured 0.8 MB."""
+    M = builtin_space("square", Fraction(1, 32))
+    table = np.random.default_rng(0).integers(0, 2, (40, len(M))).astype(np.int8)
+    nbr = M.neighbor_lists(2 * M.resolution)
+    f_vals = M.distance_row(5)
+    cut_vals = [M.distance_row(i) for i in (0, 100, 500)]
+    assert len(np.unique(table, axis=1).T) == len(M)
+    assert len(list(_small_support(40, BINARY_DIGITS, REGION_SUPPORT))) == 3201
+    tracemalloc.start()
+    try:
+        avoid = collect_avoid(M, table, f_vals, 40, True, nbr,
+                              [0.3, 0.5, 0.7], cut_vals)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(avoid) > 100_000
+    assert 3201 > _REGION_BLOCK
+    assert peak - held < 2_000_000
 
 
 def test_neighbor_lists_padded_and_uncached():

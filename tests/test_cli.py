@@ -286,3 +286,62 @@ def test_malformed_subbase_fields_exit_2_naming_the_field(tmp_path, capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: %s\n" % message
+
+
+@pytest.fixture(scope="module")
+def built_files(tmp_path_factory):
+    """One small built subbase per grid space, plus one on a 3-point
+    finite space (with its space file)."""
+    root = tmp_path_factory.mktemp("spaces")
+    finite = root / "points.json"
+    finite.write_text(json.dumps({"points": [[0], [1], [3]], "metric": [
+        [0, 1, 3], [1, 0, 2], [3, 2, 0]]}))
+    files = {}
+    for name, space in (("square", ["--space", "square"]),
+                        ("circle", ["--space", "circle"]),
+                        ("torus", ["--space", "torus"]),
+                        ("finite", ["--space-file", str(finite)])):
+        files[name] = str(root / ("%s.json" % name))
+        assert run(["build"] + space + ["--resolution", "1" if name == "finite"
+                                        else "1/16", "--pairs", "2",
+                                        "--out", files[name]]) == 0
+    files["finite_space"] = ["--space-file", str(finite), "--resolution", "1"]
+    return files
+
+
+@pytest.mark.parametrize("space, point, message", [
+    ("square", "2,2", "point 2,2 is not in the square space [0, 1] x [0, 1]"),
+    ("square", "1/2,1/2,1/2",
+     "point 1/2,1/2,1/2 is not in the square space [0, 1] x [0, 1]"),
+    ("square", "1/2", "point 1/2 is not in the square space [0, 1] x [0, 1]"),
+    ("square", "1/4,-1/8",
+     "point 1/4,-1/8 is not in the square space [0, 1] x [0, 1]"),
+    ("square", "p", "point p is not in the square space [0, 1] x [0, 1]"),
+    ("circle", "5", "point 5 is not in the circle space [0, 1)"),
+    ("circle", "1", "point 1 is not in the circle space [0, 1)"),
+    ("circle", "1/2,0", "point 1/2,0 is not in the circle space [0, 1)"),
+    ("torus", "1/2,1", "point 1/2,1 is not in the torus space [0, 1) x [0, 1)"),
+    ("finite", "2", "point 2 is not one of the 3 points of the finite space"),
+    ("finite", "1/2", "point 1/2 is not one of the 3 points of the finite space"),
+])
+def test_encode_point_outside_the_space_exits_2(built_files, capsys, space,
+                                                point, message):
+    extra = built_files["finite_space"] if space == "finite" else []
+    capsys.readouterr()
+    assert run(["encode", "--subbase", built_files[space], "--point", point,
+                "--depth", "2"] + extra) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("space, point", [
+    ("square", "1,0"), ("square", "1/3,1/7"), ("circle", "0"),
+    ("circle", "99/100"), ("torus", "0,1/2"), ("finite", "3"),
+])
+def test_encode_point_of_the_space_exits_0(built_files, capsys, space, point):
+    extra = built_files["finite_space"] if space == "finite" else []
+    capsys.readouterr()
+    assert run(["encode", "--subbase", built_files[space], "--point", point,
+                "--depth", "2"] + extra) == 0
+    assert len(capsys.readouterr().out.splitlines()[-1]) == 2

@@ -17,9 +17,9 @@ from subbases.builder import BuilderParams, build
 from subbases.files import load_subbase, save_subbase, subbase_to_json
 from subbases.space import (SpaceModel, _unit_grid, builtin_space,
                             compactified_example, gray_digit, gray_subbase)
-from subbases.subbase import (DIGIT_CODE, ReindexedSubbase, digit_table,
-                              duplicated_subbase, enumerate_K, permute, phi,
-                              table_kslice)
+from subbases.subbase import (DIGIT_CODE, ReindexedSubbase, code_classes,
+                              digit_table, duplicated_subbase, enumerate_K,
+                              permute, phi, table_kslice)
 
 SPACES = (("interval", Fraction(1, 32)), ("square", Fraction(1, 16)))
 
@@ -180,3 +180,33 @@ def test_gray_digit_row_errors_match_the_loop(points, message):
     with pytest.raises(ValueError) as row:
         gray_subbase(4).digit_row(0, M)
     assert str(row.value) == str(loop.value) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 40), st.integers(1, 3), st.data())
+def test_code_classes_match_np_unique(depth, samples, letters, data):
+    """The sorted distinct columns and each sample's column index equal
+    np.unique's, at every depth including 0 rows and for one sample; few
+    letters make repeated columns common."""
+    table = np.array(data.draw(st.lists(st.integers(0, letters - 1),
+                                        min_size=depth * samples,
+                                        max_size=depth * samples)),
+                     dtype=np.int8).reshape(depth, samples)
+    codes, inverse = code_classes(table)
+    want_codes, want_inverse = np.unique(table, axis=1, return_inverse=True)
+    assert codes.dtype == np.int8 and codes.shape == want_codes.shape
+    assert np.array_equal(codes, want_codes)
+    assert np.array_equal(inverse, want_inverse.reshape(-1))
+    assert np.array_equal(codes[:, inverse], table)
+
+
+@pytest.mark.parametrize("table", [
+    np.zeros((0, 5), dtype=np.int8), np.zeros((0, 1), dtype=np.int8),
+    np.array([[2], [0], [1]], dtype=np.int8),
+    np.array([[1, 0, 1, 0], [0, 2, 0, 2]], dtype=np.int8),
+], ids=["no-rows", "no-rows-one-sample", "one-sample", "repeated-columns"])
+def test_code_classes_edge_shapes(table):
+    codes, inverse = code_classes(table)
+    want_codes, want_inverse = np.unique(table, axis=1, return_inverse=True)
+    assert codes.shape == want_codes.shape and np.array_equal(codes, want_codes)
+    assert np.array_equal(inverse, want_inverse.reshape(-1))
