@@ -120,11 +120,18 @@ def candidate(M: SpaceModel, n: int) -> Tuple[int, Tuple[Fraction, Fraction]]:
     return M.dense_index(n0), base_interval(n1)
 
 
-def _extremal(v: np.ndarray, nb_vals: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per row: v is maximal or minimal (within slack) among the masked
-    neighbour values; a row with none masked counts as both."""
-    hi = nb_vals.max(axis=1, where=mask, initial=-np.inf)
-    lo = nb_vals.min(axis=1, where=mask, initial=np.inf)
+def _extremal(v: np.ndarray, nbr: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per sample: v is maximal or minimal (within slack) among the values
+    of its neighbours in the padded array nbr that `mask` (slots x
+    samples) selects; a sample with none selected counts as both.  The
+    masked max and min are taken one slot at a time, as in `_steps`."""
+    v_pad = np.append(v, 0.0)
+    hi = np.full(len(v), -np.inf)
+    lo = np.full(len(v), np.inf)
+    for col, selected in zip(nbr.T, mask):
+        nb_vals = v_pad[col]
+        np.maximum(hi, nb_vals, out=hi, where=selected)
+        np.minimum(lo, nb_vals, out=lo, where=selected)
     return (v >= hi - _EPS) | (v <= lo + _EPS)
 
 
@@ -294,12 +301,13 @@ def collect_avoid(M: SpaceModel, table: np.ndarray, f_vals: np.ndarray,
         band = 2 * float(M.resolution)
         # slot by slot, as in _steps: no samples x slots float temporaries
         f_inf = np.append(f_vals, np.inf)
-        level = np.empty(nbr.shape, dtype=bool)
+        level = np.empty(nbr.shape[::-1], dtype=bool)
         for slot, col in enumerate(nbr.T):
-            level[:, slot] = np.abs(f_inf[col] - f_vals) <= band
+            level[slot] = np.abs(f_inf[col] - f_vals) <= band
+        on_level = level.any(axis=0)
         for k, (c_k, g_vals) in enumerate(zip(chosen, cut_vals)):
-            hit = (level.any(axis=1) & (np.abs(g_vals - c_k) <= band)
-                   & _extremal(g_vals, np.append(g_vals, 0.0)[nbr], level))
+            hit = (on_level & (np.abs(g_vals - c_k) <= band)
+                   & _extremal(g_vals, nbr, level))
             avoid.extend(f_vals[hit], "interaction|cut%d" % k)
     return avoid
 

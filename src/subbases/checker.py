@@ -10,8 +10,10 @@ The checks read the digit code of every sample from `subbase.digit_table`
 (re-exported here), the one place where classification is decided.  The
 closure checks work over code classes, the distinct columns of the table,
 and extend patterns depth-first, cutting every branch whose closed set is
-already empty; only the candidate classes of a complete pattern are
-expanded to samples, and tested against their delta-neighbour rows.
+already empty.  A complete pattern is decided per code class: each
+boundary sample carries the bitset of the classes among its
+delta-neighbours, and a candidate sample is far when that bitset misses
+the pattern's open classes.
 """
 
 from __future__ import annotations
@@ -127,15 +129,19 @@ def _check_delta(M: SpaceModel, delta):
                            % (delta, M.resolution))
 
 
+def _nearest(M: SpaceModel, i: int, target: np.ndarray) -> Optional[float]:
+    """Distance from sample i to the nearest sample of the target mask, the
+    one distance row read; None if the target is empty."""
+    return float(M.distance_row(i)[target].min()) if target.any() else None
+
+
 def _far_samples(M: SpaceModel, near, samples, target):
     """(index, nearest) for each sample outside target with no target sample
-    among its padded neighbours near[k]; nearest, the one distance row read,
-    is the distance to the nearest target sample, None if none."""
+    among its padded neighbours near[k]."""
     padded = np.append(target, False)
     close = target[samples] | padded[near].any(axis=1)
     for i in samples[~close]:
-        yield int(i), (float(M.distance_row(int(i))[target].min())
-                       if target.any() else None)
+        yield int(i), _nearest(M, int(i), target)
 
 
 def _bits(mask: np.ndarray) -> int:
@@ -146,7 +152,28 @@ def _bits(mask: np.ndarray) -> int:
 def _unbits(bits: int, n: int) -> np.ndarray:
     """The first n bits of an int bitset as a boolean array."""
     raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little").astype(bool)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
+def _class_reach(near: np.ndarray, inverse: np.ndarray, n_classes: int):
+    """Per row of a padded neighbour array, the code classes of its
+    neighbours as an int bitset shifted down by the lowest of them: two
+    lists, the shifted bitsets and the shifts.  Neighbours of one sample
+    mostly fall in a narrow range of classes, so the shifted bitsets stay
+    small however many classes there are.  Built one slot at a time; a
+    row without neighbours holds no class (at most the bit past the last
+    one, which no set of classes holds)."""
+    classes = np.append(inverse, n_classes)
+    low = np.full(len(near), n_classes)
+    for col in near.T:
+        np.minimum(low, classes[col], out=low)
+    bits = [0] * len(near)
+    for col in near.T:
+        # a pad sets the bit of its row's lowest class again
+        offsets = np.where(col < len(inverse), classes[col] - low, 0)
+        for p, r in enumerate(offsets.tolist()):
+            bits[p] |= 1 << r
+    return bits, low.tolist()
 
 
 def _run_check(S: DyadicSubbase, M: SpaceModel, depth: int, delta,
@@ -171,7 +198,10 @@ def _run_check(S: DyadicSubbase, M: SpaceModel, depth: int, delta,
     word = [BOT] * depth
     # candidates need a boundary digit: elsewhere open and closed masks agree
     boundary = np.flatnonzero((table == DIGIT_CODE[BD]).any(axis=0))
-    near = M.neighbor_lists(delta, rows=boundary)
+    # per boundary sample, the classes of its delta-neighbours
+    reach, shift = _class_reach(M.neighbor_lists(delta, rows=boundary),
+                                inverse, n_classes)
+    owner = inverse[boundary]
 
     def complete(open_bits: int, closed_bits: int) -> bool:
         stats["patterns_examined"] += 1
@@ -179,18 +209,22 @@ def _run_check(S: DyadicSubbase, M: SpaceModel, depth: int, delta,
         if not candidate_bits:
             return True
         stats["patterns_with_candidates"] += 1
-        candidates = np.flatnonzero(_unbits(candidate_bits, n_classes)[inverse])
-        target = _unbits(open_bits, n_classes)[inverse]
-        # first violation per sigma only
-        far = next(_far_samples(M, near[np.searchsorted(boundary, candidates)],
-                                candidates, target), None)
+        # the ascending positions in `boundary` of the candidate classes'
+        # samples: each of them has a boundary digit
+        rows = _unbits(candidate_bits, n_classes)[owner].nonzero()[0].tolist()
+        # first violation per sigma only: the first candidate, in sample
+        # order, with no neighbour in an open class
+        far = next((k for k, p in enumerate(rows)
+                    if not (reach[p] << shift[p]) & open_bits), None)
         if far is None:
-            stats["candidates_scanned"] += len(candidates)
+            stats["candidates_scanned"] += len(rows)
             return True
-        i, nearest = far
-        stats["candidates_scanned"] += int(np.searchsorted(candidates, i)) + 1
+        stats["candidates_scanned"] += far + 1
+        i = int(boundary[rows[far]])
+        target = _unbits(open_bits, n_classes)[inverse]
         sigma = BottomedSeq({k: a for k, a in enumerate(word) if a != BOT})
-        return report.add(Violation(sigma, M.sample_points[i], nearest))
+        return report.add(Violation(sigma, M.sample_points[i],
+                                    _nearest(M, i, target)))
 
     def extend(k: int, open_bits: int, closed_bits: int) -> bool:
         """False once the report is full."""

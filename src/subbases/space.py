@@ -187,8 +187,18 @@ class SpaceModel:
         return self._dense_order[i % n]
 
 
+_TRIANGLE_BLOCK = 1 << 18  # float64 cells per block of the triangle screen
+
+
 def validate_metric(points: Sequence, metric: Callable):
-    """Check symmetry, identity of indiscernibles and triangle inequality."""
+    """Check symmetry, identity of indiscernibles and triangle inequality.
+
+    The triangle inequality d(i, k) <= d(i, j) + d(j, k) + 1e-9 is
+    screened in float64, a block of i at a time.  Every triple the screen
+    cannot clear is rechecked on the metric's own values, in
+    lexicographic order, so the error names the first failing (i, j, k)
+    of a triple loop.
+    """
     pts = list(points)
     n = len(pts)
     d = [[metric(a, b) for b in pts] for a in pts]
@@ -202,12 +212,21 @@ def validate_metric(points: Sequence, metric: Callable):
                 raise MetricError("non-positive distance between distinct "
                                   "points %d, %d" % (i, j))
     slack = 1e-9
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if d[i][k] > d[i][j] + d[j][k] + slack:
-                    raise MetricError("triangle inequality fails at "
-                                      "(%d, %d, %d)" % (i, j, k))
+    f = np.array([[float(v) for v in row] for row in d]).reshape(n, n)
+    # the screen's rounding error, and that of the exact test's float
+    # right-hand side, stay below 16 ulps of the largest distance; an
+    # infinite distance sends every triple to the recheck
+    tol = 2.0 ** -48 * (f.max(initial=0.0) + slack)
+    step = max(1, _TRIANGLE_BLOCK // max(n * n, 1))
+    for lo in range(0, n, step):
+        # excess[i, j, k] = d(i, k) - (d(i, j) + d(j, k)), i in the block
+        excess = f[lo:lo + step, :, None] + f[None]
+        np.subtract(f[lo:lo + step, None, :], excess, out=excess)
+        for i, j, k in zip(*np.nonzero(~(excess < slack - tol))):
+            i, j, k = int(i) + lo, int(j), int(k)
+            if d[i][k] > d[i][j] + d[j][k] + slack:
+                raise MetricError("triangle inequality fails at "
+                                  "(%d, %d, %d)" % (i, j, k))
 
 
 # -- the Gray classifier of the unit interval ----------------------------
@@ -297,12 +316,9 @@ def _grid(resolution: Fraction, half_open: bool = False) -> List[Fraction]:
     res = Fraction(resolution)
     if res <= 0 or res > 1:
         raise ValueError("resolution must be in (0, 1]: %s" % res)
-    pts = []
-    x = Fraction(0)
-    while x < 1 or (not half_open and x == 1):
-        pts.append(x)
-        x += res
-    return pts
+    p, q = res.numerator, res.denominator
+    n = -(-q // p) if half_open else q // p + 1
+    return [Fraction(k * p, q) for k in range(n)]
 
 
 def _line(a, b):

@@ -270,13 +270,24 @@ def enumerate_K(S: DyadicSubbase, M, depth: int) -> KSlice:
 
 
 def table_kslice(table: np.ndarray) -> KSlice:
-    """The K slice of a digit table: every prefix of its codes.  Row k of
-    the table of a permuted subbase is row pi[k] of the original's, so
-    one table serves every permutation."""
-    depth = table.shape[0]
-    elems = {code.restrict(m) for code in table_codes(table)
-             for m in range(depth + 1)}
-    return KSlice(depth=depth, elements=frozenset(elems))
+    """The K slice of a digit table: every prefix of its codes, boundary
+    digits read as bottom.  Row k of the table of a permuted subbase is
+    row pi[k] of the original's, so one table serves every permutation.
+
+    The prefix of length m of a code class is keyed by one int, with bit
+    2k + d set for each binary digit d at a position k < m, and a
+    `BottomedSeq` is built only for each new key."""
+    elems = {0: BottomedSeq()} if table.shape[1] else {}
+    for column in code_classes(table)[0].T.tolist():
+        key, entries = 0, {}
+        for k, code in enumerate(column):
+            if code == DIGIT_CODE[BD]:
+                continue  # the same element as the prefix before it
+            key |= 1 << (2 * k + code)
+            entries[k] = CODE_DIGIT[code]
+            if key not in elems:
+                elems[key] = BottomedSeq(entries)  # copies entries
+    return KSlice(depth=table.shape[0], elements=frozenset(elems.values()))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from subbases.builder import (_EPS, _REGION_BLOCK, REGION_SUPPORT, AvoidSet,
-                              BuilderParams, Exhaustion, _region_extrema,
-                              _steps, base_interval, build, candidate,
+                              BuilderParams, Exhaustion, _extremal,
+                              _region_extrema, _steps, base_interval, build, candidate,
                               choose_cut, collect_avoid, positive_rational,
                               separation_fraction, unpair)
 from subbases.checker import check_proper, check_strong_proper
@@ -314,6 +314,29 @@ def test_collect_avoid_interaction_hits(M, f_centre, g_centre, c, hit):
     assert collections.Counter(avoid.values) == collections.Counter(reference)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 6), st.data())
+def test_extremal_matches_the_gathered_reduction(samples, width, data):
+    """The slot-by-slot masked max and min against one masked reduction
+    over the gathered samples x slots values, on random padded neighbour
+    arrays (width 0 included) and masks, with ties to the slack."""
+    v = np.array(data.draw(st.lists(st.integers(0, 4), min_size=samples,
+                                    max_size=samples)), dtype=float) / 4
+    v += data.draw(st.sampled_from((0.0, _EPS / 2)))
+    nbr = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, samples), min_size=width, max_size=width),
+        min_size=samples, max_size=samples)), dtype=np.intp).reshape(samples, width)
+    mask = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=width, max_size=width),
+        min_size=samples, max_size=samples)), dtype=bool).reshape(samples, width)
+    mask &= nbr < samples  # the pad is never selected
+    gathered = np.append(v, 0.0)[nbr]
+    hi = gathered.max(axis=1, where=mask, initial=-np.inf)
+    lo = gathered.min(axis=1, where=mask, initial=np.inf)
+    reference = (v >= hi - _EPS) | (v <= lo + _EPS)
+    assert np.array_equal(_extremal(v, nbr, mask.T), reference)
+
+
 # -- bounded memory -------------------------------------------------------
 
 
@@ -342,6 +365,28 @@ def test_collect_avoid_working_memory_is_bounded():
     assert len(avoid) > 100_000
     assert 3201 > _REGION_BLOCK
     assert peak - held < 2_000_000
+
+
+def test_interaction_test_gathers_no_samples_x_slots_floats():
+    """A strong call on the 1/128 square with three earlier cuts: the
+    interaction test takes each earlier cut's masked max and min one
+    neighbour slot at a time.  Gathering the earlier cut's values at
+    every slot at once is 1.6 MB alone (16,641 samples x 12 slots of
+    float64); the whole call measured 2.9 MB that way and 1.6 MB slot
+    by slot."""
+    M = builtin_space("square", Fraction(1, 128))
+    nbr = M.neighbor_lists(2 * M.resolution)
+    f_vals = M.distance_row(5)
+    cut_vals = [M.distance_row(i) for i in (0, 100, 500)]
+    table = np.zeros((3, len(M)), dtype=np.int8)
+    assert nbr.shape == (16641, 12)
+    tracemalloc.start()
+    try:
+        collect_avoid(M, table, f_vals, 3, True, nbr, [0.3, 0.5, 0.7], cut_vals)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 2_200_000
 
 
 def test_neighbor_lists_padded_and_uncached():

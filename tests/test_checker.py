@@ -186,6 +186,8 @@ def reference_check(S, M, depth, delta, alphabet, kind):
     candidate sample that has no open sample within delta recorded."""
     table = digit_table(S, M, depth)
     report = CheckReport("pass", kind, depth, delta, M.resolution)
+    stats = report.stats
+    stats.update(patterns_with_candidates=0, candidates_scanned=0)
     for sigma in enumerate_sequences(depth, alphabet):
         open_mask = np.ones(len(M), dtype=bool)
         closed_mask = np.ones(len(M), dtype=bool)
@@ -193,7 +195,10 @@ def reference_check(S, M, depth, delta, alphabet, kind):
             open_mask &= table[k] == DIGIT_CODE[a]
             closed_mask &= (table[k] == DIGIT_CODE[a]) | (
                 (table[k] == DIGIT_CODE[BD]) & (a != BD))
-        for i in np.nonzero(closed_mask & ~open_mask)[0]:
+        candidates = np.nonzero(closed_mask & ~open_mask)[0]
+        stats["patterns_with_candidates"] += bool(len(candidates))
+        for i in candidates:
+            stats["candidates_scanned"] += 1
             nearest = None
             if open_mask.any():
                 nearest = float(M.distance_row(int(i))[open_mask].min())
@@ -279,6 +284,8 @@ def test_checks_match_flat_reference(case):
     for report, reference in both_checks(S, M, depth, delta):
         assert report.to_json() == reference.to_json()
         assert report.to_text() == reference.to_text()
+        for key, count in reference.stats.items():
+            assert report.stats[key] == count
 
 
 def test_truncation_matches_flat_reference(grid256):
@@ -286,6 +293,8 @@ def test_truncation_matches_flat_reference(grid256):
     for report, reference in both_checks(S, grid256, 8, Fraction(1, 64)):
         assert report.truncated and len(report.violations) == 100
         assert report.to_json() == reference.to_json()
+        for key, count in reference.stats.items():
+            assert report.stats[key] == count
 
 
 def test_stats_count_every_pattern(grid256):
@@ -301,6 +310,20 @@ def test_stats_count_every_pattern(grid256):
                           Fraction(1, 64))
     assert (proper.stats["patterns_examined"] + proper.stats["patterns_pruned"]
             == 3 ** 5)
+
+
+def test_gray_depth_9_stats():
+    """Gray at 1/4096 with delta = 1/512: candidates_scanned counts every
+    candidate sample of a passing pattern, 261,632 = 19,682 patterns x
+    about 13 samples."""
+    M = builtin_space("interval", Fraction(1, 4096))
+    report = check_strong_proper(gray_subbase(12), M, 9, Fraction(1, 512))
+    assert report.verdict == "pass"
+    assert report.stats == {"patterns_examined": 38854,
+                            "patterns_pruned": 223290,
+                            "patterns_with_candidates": 19682,
+                            "code_classes": 1023,
+                            "candidates_scanned": 261632}
 
 
 @settings(max_examples=40, deadline=None)

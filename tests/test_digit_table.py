@@ -17,9 +17,10 @@ from subbases.builder import BuilderParams, build
 from subbases.files import load_subbase, save_subbase, subbase_to_json
 from subbases.space import (SpaceModel, _unit_grid, builtin_space,
                             compactified_example, gray_digit, gray_subbase)
-from subbases.subbase import (DIGIT_CODE, ReindexedSubbase, code_classes,
-                              digit_table, duplicated_subbase, enumerate_K,
-                              permute, phi, table_kslice)
+from subbases.subbase import (DIGIT_CODE, KSlice, ReindexedSubbase,
+                              code_classes, digit_table, duplicated_subbase,
+                              enumerate_K, permute, phi, table_codes,
+                              table_kslice)
 
 SPACES = (("interval", Fraction(1, 32)), ("square", Fraction(1, 16)))
 
@@ -88,6 +89,27 @@ def test_permuted_table_rows_give_permuted_kslice(case, data):
     reference = enumerate_K(permute(S, full), M, depth)
     K = table_kslice(digit_table(S, M, depth)[list(pi)])
     assert K == reference
+
+
+def reference_table_kslice(table):
+    """table_kslice by restricting every distinct code to every length."""
+    depth = table.shape[0]
+    return KSlice(depth=depth, elements=frozenset(
+        code.restrict(m) for code in table_codes(table)
+        for m in range(depth + 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(0, 6), st.integers(30, 34), st.just(40)),
+       st.integers(1, 30), st.sampled_from(((0, 1, 2), (0, 2), (2,), (0, 1))),
+       st.data())
+def test_table_kslice_matches_restricted_codes(depth, samples, digits, data):
+    """Random tables with boundary digits, from a few rows to 40, past the
+    32 rows where the prefix keys stop fitting in int64."""
+    cells = data.draw(st.lists(st.sampled_from(digits), min_size=depth * samples,
+                               max_size=depth * samples))
+    table = np.array(cells, dtype=np.int8).reshape(depth, samples)
+    assert table_kslice(table) == reference_table_kslice(table)
 
 
 @settings(max_examples=12, deadline=None)

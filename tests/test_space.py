@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subbases.seq import BD, ONE, ZERO
-from subbases.space import (MetricError, POINT_AT_INFINITY, builtin_space,
-                            compactified_example, gray_boundary_points,
+from subbases.space import (MetricError, POINT_AT_INFINITY, _grid,
+                            builtin_space, compactified_example, gray_boundary_points,
                             gray_digit, gray_subbase, load_finite_space,
                             validate_metric)
 from subbases.subbase import duplicated_subbase, phi
@@ -146,6 +147,124 @@ def test_validate_metric_axioms():
     validate_metric(pts, lambda a, b: abs(a[0] - b[0]))
     with pytest.raises(MetricError):
         validate_metric(pts, lambda a, b: a[0] - b[0])  # asymmetric
+
+
+def reference_grid(resolution, half_open=False):
+    """The grid by repeated addition of the resolution."""
+    pts = []
+    x = Fraction(0)
+    while x < 1 or (not half_open and x == 1):
+        pts.append(x)
+        x += resolution
+    return pts
+
+
+@pytest.mark.parametrize("half_open", (False, True))
+def test_grid_matches_repeated_addition(half_open):
+    for q in range(1, 61):
+        for p in range(1, q + 1):
+            res = Fraction(p, q)
+            assert _grid(res, half_open) == reference_grid(res, half_open)
+
+
+def reference_validate_metric(points, metric):
+    """validate_metric as a plain triple loop over the metric's values."""
+    pts = list(points)
+    n = len(pts)
+    d = [[metric(a, b) for b in pts] for a in pts]
+    for i in range(n):
+        if d[i][i] != 0:
+            raise MetricError("d(x,x) != 0 at point %d" % i)
+        for j in range(i + 1, n):
+            if d[i][j] != d[j][i]:
+                raise MetricError("asymmetric at (%d, %d)" % (i, j))
+            if d[i][j] <= 0:
+                raise MetricError("non-positive distance between distinct "
+                                  "points %d, %d" % (i, j))
+    slack = 1e-9
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if d[i][k] > d[i][j] + d[j][k] + slack:
+                    raise MetricError("triangle inequality fails at "
+                                      "(%d, %d, %d)" % (i, j, k))
+
+
+def _outcome(check, points, metric):
+    try:
+        check(points, metric)
+    except MetricError as exc:
+        return str(exc)
+    return None
+
+
+# offsets from the 1e-9 slack: far below it, within an ulp either way,
+# exactly the double nearest 1e-9, and past it
+_SLACK_OFFSETS = (Fraction(-1, 10 ** 6), Fraction(1, 10 ** 9) - Fraction(1, 10 ** 26),
+                  Fraction(1, 10 ** 9), Fraction(1e-9), Fraction(1e-9) + Fraction(1, 10 ** 30),
+                  Fraction(1, 10 ** 9) + Fraction(1, 10 ** 24), Fraction(3, 10 ** 9))
+
+
+@st.composite
+def metric_matrices(draw):
+    """Path metrics on random rationals, whose triangles are tight, scaled
+    up to 10^6 so that float rounding matters, with some pairs pushed off
+    by amounts straddling the 1e-9 slack; random integer matrices, which
+    often fail; and a broken diagonal, symmetry or positivity."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        xs = draw(st.lists(st.fractions(0, 10, max_denominator=97), min_size=n,
+                           max_size=n, unique=True))
+        scale = draw(st.sampled_from((1, 10 ** 3, 10 ** 6)))
+        mat = [[abs(a - b) * scale for b in xs] for a in xs]
+        for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+            i, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                 unique=True))
+            off = draw(st.sampled_from(_SLACK_OFFSETS))
+            mat[i][k] = mat[k][i] = mat[i][k] + off
+    else:
+        mat = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for k in range(i + 1, n):
+                mat[i][k] = mat[k][i] = draw(st.integers(1, 9))
+    flaw = draw(st.sampled_from((None, None, None, "diag", "asym", "zero")))
+    if flaw and n > 1:
+        i, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        if flaw == "diag":
+            mat[i][i] = 1
+        elif flaw == "asym":
+            mat[i][k] += 1
+        else:
+            mat[i][k] = mat[k][i] = 0
+    if draw(st.booleans()):
+        mat = [[float(v) for v in row] for row in mat]
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(metric_matrices())
+def test_validate_metric_matches_the_triple_loop(mat):
+    points = [(Fraction(i),) for i in range(len(mat))]
+
+    def metric(a, b):
+        return mat[int(a[0])][int(b[0])]
+
+    assert (_outcome(validate_metric, points, metric)
+            == _outcome(reference_validate_metric, points, metric))
+
+
+def test_validate_metric_names_the_first_failing_triple():
+    # (0, 2, 1) and (1, 2, 0) fail: 20 > 1 + 1
+    mat = [[0, 20, 1], [20, 0, 1], [1, 1, 0]]
+    with pytest.raises(MetricError, match=r"fails at \(0, 2, 1\)"):
+        validate_metric(range(3), lambda a, b: mat[a][b])
+    slack = [[0, 1, Fraction(2) + Fraction(1, 10 ** 9)],
+             [1, 0, 1], [Fraction(2) + Fraction(1, 10 ** 9), 1, 0]]
+    validate_metric(range(3), lambda a, b: slack[a][b])  # within the slack
+    slack[0][2] = slack[2][0] = Fraction(2) + Fraction(2, 10 ** 9)
+    with pytest.raises(MetricError, match=r"fails at \(0, 1, 2\)"):
+        validate_metric(range(3), lambda a, b: slack[a][b])
 
 
 def test_compactified_digits():
