@@ -9,8 +9,7 @@ from .subbase import (DistanceCut, DistanceSubbase, DyadicSubbase, KSlice,
                       OracleSubbase, digit_table, duplicated_subbase,
                       enumerate_K, is_cusl, kslice_to_dot, member_closed,
                       member_open, permute, phi)
-from .checker import (CheckReport, check_exterior_pair, check_proper,
-                      check_strong_proper)
+from .checker import CheckReport, check_proper, check_strong_proper
 from .builder import BuilderParams, build, unpair
 
 __all__ = [
@@ -22,8 +21,7 @@ __all__ = [
     "OracleSubbase", "digit_table", "duplicated_subbase", "enumerate_K",
     "is_cusl", "kslice_to_dot", "member_closed", "member_open", "permute",
     "phi",
-    "CheckReport", "check_exterior_pair", "check_proper",
-    "check_strong_proper",
+    "CheckReport", "check_proper", "check_strong_proper",
     "BuilderParams", "build", "unpair",
 ]
 

@@ -25,11 +25,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .seq import (BD, BINARY_DIGITS, BOT, DIGITS, ONE, ZERO, BottomedSeq,
-                  render)
+from .seq import BD, BINARY_DIGITS, BOT, DIGITS, BottomedSeq, render
 from .space import SpaceModel
 from .subbase import (DIGIT_CODE, DyadicSubbase, code_classes, digit_table,
-                      letter_masks, pattern_masks)
+                      letter_masks)
 
 _MAX_VIOLATIONS = 100
 
@@ -135,15 +134,6 @@ def _nearest(M: SpaceModel, i: int, target: np.ndarray) -> Optional[float]:
     return float(M.distance_row(i)[target].min()) if target.any() else None
 
 
-def _far_samples(M: SpaceModel, near, samples, target):
-    """(index, nearest) for each sample outside target with no target sample
-    among its padded neighbours near[k]."""
-    padded = np.append(target, False)
-    close = target[samples] | padded[near].any(axis=1)
-    for i in samples[~close]:
-        yield int(i), _nearest(M, int(i), target)
-
-
 def _bits(mask: np.ndarray) -> int:
     """A boolean array as an int bitset: bit j is mask[j]."""
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
@@ -174,6 +164,27 @@ def _class_reach(near: np.ndarray, inverse: np.ndarray, n_classes: int):
         for p, r in enumerate(offsets.tolist()):
             bits[p] |= 1 << r
     return bits, low.tolist()
+
+
+def _search(steps, k: int, open_bits: int, closed_bits: int, word: list,
+            stats: dict, complete) -> bool:
+    """Extend word[:k] by the letters of steps[k:] in itertools.product
+    order and call complete(open bits, closed bits) on each full pattern;
+    a branch whose closed set is empty is cut and counted.  False once
+    complete returns False.  Being a module function, the recursion
+    leaves no reference cycle behind."""
+    if k == len(steps):
+        return complete(open_bits, closed_bits)
+    for a, open_k, closed_k in steps[k]:
+        closed = closed_bits & closed_k
+        if not closed:
+            stats["patterns_pruned"] += len(steps[k]) ** (len(steps) - k - 1)
+            continue
+        word[k] = a
+        if not _search(steps, k + 1, open_bits & open_k, closed, word, stats,
+                       complete):
+            return False
+    return True
 
 
 def _run_check(S: DyadicSubbase, M: SpaceModel, depth: int, delta,
@@ -226,21 +237,7 @@ def _run_check(S: DyadicSubbase, M: SpaceModel, depth: int, delta,
         return report.add(Violation(sigma, M.sample_points[i],
                                     _nearest(M, i, target)))
 
-    def extend(k: int, open_bits: int, closed_bits: int) -> bool:
-        """False once the report is full."""
-        if k == depth:
-            return complete(open_bits, closed_bits)
-        for a, open_k, closed_k in steps[k]:
-            closed = closed_bits & closed_k
-            if not closed:
-                stats["patterns_pruned"] += (len(alphabet) + 1) ** (depth - k - 1)
-                continue
-            word[k] = a
-            if not extend(k + 1, open_bits & open_k, closed):
-                return False
-        return True
-
-    extend(0, everything, everything)
+    _search(steps, 0, everything, everything, word, stats, complete)
     return report
 
 
@@ -253,34 +250,6 @@ def check_strong_proper(S: DyadicSubbase, M: SpaceModel, depth: int,
                         delta) -> CheckReport:
     """Closure identity over sigma allowing boundary digits."""
     return _run_check(S, M, depth, delta, DIGITS, "strong-proper")
-
-
-def check_exterior_pair(S: DyadicSubbase, M: SpaceModel, sigma: BottomedSeq,
-                        delta) -> CheckReport:
-    """Diagnostic for the exterior characterization of properness.
-
-    S(sigma) and the union of the opposite-digit sets must be the
-    exteriors of each other; at grid scale every sample outside one set
-    must lie within delta of a sample of the other.
-    """
-    if not sigma.is_binary():
-        raise CheckerError("exterior check requires sigma over {0,1,_}")
-    _check_delta(M, delta)
-    depth = sigma.length
-    table = digit_table(S, M, depth)
-    open_mask, _closed = pattern_masks(table, sigma)
-    opposite = np.zeros(table.shape[1], dtype=bool)
-    for k, a in sigma.items():
-        opposite |= table[k] == DIGIT_CODE[ONE if a == ZERO else ZERO]
-    report = CheckReport("pass", "exterior", depth, delta, M.resolution)
-    # x outside S(sigma) must be close to the opposite union, and vice versa
-    for outside, target in ((~open_mask, opposite), (~opposite, open_mask)):
-        samples = np.flatnonzero(outside)
-        near = M.neighbor_lists(delta, rows=samples)
-        for i, nearest in _far_samples(M, near, samples, target):
-            if not report.add(Violation(sigma, M.sample_points[i], nearest)):
-                return report
-    return report
 
 
 def report_to_json_file(report: CheckReport, path: str):

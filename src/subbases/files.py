@@ -54,10 +54,6 @@ def subbase_to_json(S: DyadicSubbase) -> dict:
     }
 
 
-def gray_to_json(pairs: int) -> dict:
-    return {"kind": "gray", "pairs": pairs}
-
-
 def save_subbase(path: str, data: dict):
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2)

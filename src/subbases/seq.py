@@ -166,16 +166,3 @@ def render(sigma: BottomedSeq, width: int = None) -> str:
 def sort_key(sigma: BottomedSeq) -> Tuple[int, str]:
     """Deterministic ordering: by length, then ASCII rendering."""
     return (sigma.length, render(sigma))
-
-
-def enumerate_sequences(depth: int, alphabet=DIGITS) -> Iterator[BottomedSeq]:
-    """All sequences with dom within {0..depth-1} and entries from alphabet.
-
-    Deterministic lexicographic order over positions; each sequence is
-    produced exactly once.
-    """
-    import itertools
-
-    letters = tuple(alphabet) + (BOT,)
-    for tup in itertools.product(letters, repeat=depth):
-        yield BottomedSeq({i: ch for i, ch in enumerate(tup) if ch != BOT})

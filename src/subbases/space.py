@@ -247,11 +247,6 @@ def gray_digit(x: Fraction, n: int) -> str:
     return ONE if Fraction(1, 2) < t < Fraction(3, 2) else ZERO
 
 
-def gray_boundary_points(n: int) -> List[Fraction]:
-    """The boundary set of pair n: odd multiples of 1/2^(n+1) in [0, 1]."""
-    return [Fraction(2 * k + 1, 2 ** (n + 1)) for k in range(2 ** n)]
-
-
 def _as_scalar(x) -> Fraction:
     if isinstance(x, tuple):
         if len(x) != 1:
@@ -321,72 +316,38 @@ def _grid(resolution: Fraction, half_open: bool = False) -> List[Fraction]:
     return [Fraction(k * p, q) for k in range(n)]
 
 
-def _line(a, b):
-    return np.abs(a - b)
+def _lattice_space(name: str, resolution: Fraction, dims: int,
+                   wrap: bool) -> SpaceModel:
+    """The grid of step `resolution` on [0, 1]^dims, or on [0, 1)^dims with
+    every axis periodic.  In one dimension the metric is the exact
+    |a - b| (with the ring minimum); in two it is the float hypot of the
+    coordinate differences.  The lattice reads the same distances in
+    float64 from coordinates converted once per grid value."""
+    g = _grid(resolution, half_open=wrap)
+    axis = np.array([float(x) for x in g])
+    coords = axis if dims == 1 else np.stack(
+        np.meshgrid(*[axis] * dims, indexing="ij"), axis=-1).reshape(-1, dims)
 
+    def dist(a, b):
+        d = np.abs(a - b)
+        if wrap:
+            d = np.minimum(d, 1 - d)
+        return d if dims == 1 else np.sqrt((d ** 2).sum(axis=-1))
 
-def _ring(a, b):
-    d = np.abs(a - b)
-    return np.minimum(d, 1 - d)
+    if dims == 1:
+        def metric(a, b):
+            d = abs(_as_scalar(a) - _as_scalar(b))
+            return min(d, 1 - d) if wrap else d
+    else:
+        def metric(a, b):
+            d = [abs(float(s) - float(t)) for s, t in zip(a, b)]
+            if wrap:
+                d = [min(v, 1 - v) for v in d]
+            return math.hypot(*d)
 
-
-def _plane(a, b):
-    return np.sqrt(((a - b) ** 2).sum(axis=-1))
-
-
-def _flat_torus(a, b):
-    return np.sqrt((_ring(a, b) ** 2).sum(axis=-1))
-
-
-def interval_space(resolution: Fraction) -> SpaceModel:
-    g = _grid(resolution)
-    xs = np.array([float(x) for x in g])
-
-    def metric(a, b):
-        return abs(_as_scalar(a) - _as_scalar(b))
-
-    return SpaceModel("interval", [(x,) for x in g], metric, resolution,
-                      lattice=Lattice((len(g),), (False,), xs, _line))
-
-
-def circle_space(resolution: Fraction) -> SpaceModel:
-    g = _grid(resolution, half_open=True)
-    xs = np.array([float(x) for x in g])
-
-    def metric(a, b):
-        d = abs(_as_scalar(a) - _as_scalar(b))
-        return min(d, 1 - d)
-
-    return SpaceModel("circle", [(x,) for x in g], metric, resolution,
-                      lattice=Lattice((len(g),), (True,), xs, _ring))
-
-
-def square_space(resolution: Fraction) -> SpaceModel:
-    g = _grid(resolution)
-    pts = [(x, y) for x in g for y in g]
-    coords = np.array([[float(a), float(b)] for a, b in pts])
-
-    def metric(a, b):
-        return math.hypot(float(a[0]) - float(b[0]), float(a[1]) - float(b[1]))
-
-    return SpaceModel("square", pts, metric, resolution,
-                      lattice=Lattice((len(g), len(g)), (False, False),
-                                      coords, _plane))
-
-
-def torus_space(resolution: Fraction) -> SpaceModel:
-    g = _grid(resolution, half_open=True)
-    pts = [(x, y) for x in g for y in g]
-    coords = np.array([[float(a), float(b)] for a, b in pts])
-
-    def metric(a, b):
-        dx = abs(float(a[0]) - float(b[0]))
-        dy = abs(float(a[1]) - float(b[1]))
-        return math.hypot(min(dx, 1 - dx), min(dy, 1 - dy))
-
-    return SpaceModel("torus", pts, metric, resolution,
-                      lattice=Lattice((len(g), len(g)), (True, True),
-                                      coords, _flat_torus))
+    return SpaceModel(name, list(itertools.product(g, repeat=dims)), metric,
+                      resolution, lattice=Lattice((len(g),) * dims,
+                                                  (wrap,) * dims, coords, dist))
 
 
 def load_finite_space(path: str, resolution: Fraction = Fraction(1)) -> SpaceModel:
@@ -416,18 +377,15 @@ def load_finite_space(path: str, resolution: Fraction = Fraction(1)) -> SpaceMod
                       row_fn=lambda i: np.array([float(v) for v in mat[i]]))
 
 
-BUILTIN_SPACES = ("interval", "circle", "square", "torus", "finite")
+# name -> (dimensions, periodic)
+_LATTICES = {"interval": (1, False), "circle": (1, True),
+             "square": (2, False), "torus": (2, True)}
+BUILTIN_SPACES = (*_LATTICES, "finite")
 
 
 def builtin_space(name: str, resolution: Fraction, file: str = None) -> SpaceModel:
-    if name == "interval":
-        return interval_space(resolution)
-    if name == "circle":
-        return circle_space(resolution)
-    if name == "square":
-        return square_space(resolution)
-    if name == "torus":
-        return torus_space(resolution)
+    if name in _LATTICES:
+        return _lattice_space(name, resolution, *_LATTICES[name])
     if name == "finite":
         if file is None:
             raise ValueError("finite space requires a JSON file")

@@ -218,29 +218,11 @@ def code_classes(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return ordered[:, new], inverse
 
 
-def table_codes(table: np.ndarray) -> List[BottomedSeq]:
-    """The distinct codes among the table's columns, boundary read as bottom."""
-    return [BottomedSeq({k: CODE_DIGIT[c] for k, c in enumerate(column.tolist())
-                         if c != 2})
-            for column in code_classes(table)[0].T]
-
-
 def letter_masks(row: np.ndarray, a: str):
     """Where a row of digit codes puts the open set of digit a, and where
     its closed set (digit a or, for a binary digit, the boundary)."""
     hit = row == DIGIT_CODE[a]
     return hit, hit if a == BD else hit | (row == DIGIT_CODE[BD])
-
-
-def pattern_masks(table: np.ndarray, sigma: BottomedSeq):
-    """Sampled membership of S(sigma) and S-bar(sigma) as boolean arrays."""
-    open_mask = np.ones(table.shape[1], dtype=bool)
-    closed_mask = np.ones(table.shape[1], dtype=bool)
-    for k, a in sigma.items():
-        hit, near = letter_masks(table[k], a)
-        open_mask &= hit
-        closed_mask &= near
-    return open_mask, closed_mask
 
 
 # -- K slices ------------------------------------------------------------

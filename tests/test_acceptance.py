@@ -8,17 +8,18 @@ import itertools
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from subbases.builder import BuilderParams, build
 from subbases.checker import check_proper, check_strong_proper
-from subbases.seq import (BD, DIGITS, EMPTY, ONE, ZERO, enumerate_sequences,
-                          parse, render)
+from subbases.seq import BD, DIGITS, EMPTY, ONE, ZERO, render
 from subbases.space import (POINT_AT_INFINITY, builtin_space,
-                            compactified_example, gray_boundary_points,
-                            gray_subbase)
-from subbases.subbase import (duplicated_subbase, enumerate_K, is_cusl,
-                              member_open, permute, phi)
+                            compactified_example, gray_subbase)
+from subbases.subbase import (DIGIT_CODE, duplicated_subbase, enumerate_K,
+                              is_cusl, member_open, permute, phi)
+
+from reference import enumerate_sequences
 
 
 def _report(num, name, started):
@@ -35,13 +36,20 @@ def test_criterion_1_gray_code_digits():
 
 
 def test_criterion_2_gray_boundary_disjointness():
+    """The boundary samples of pair n, as the classifier reads them on the
+    1/2^17 grid, are the 2^n odd multiples of 2^-(n+1), disjoint across
+    pairs."""
     t0 = time.time()
+    M = builtin_space("interval", Fraction(1, 2 ** 17))
+    G = gray_subbase(17)
     seen = set()
     for n in range(17):
-        pts = set(gray_boundary_points(n))
-        assert len(pts) == 2 ** n
-        assert not (pts & seen)
-        seen |= pts
+        ks = np.flatnonzero(G.digit_row(n, M) == DIGIT_CODE[BD]).tolist()
+        assert len(ks) == 2 ** n
+        assert [M.sample_points[k] for k in ks] == [
+            (Fraction(2 * j + 1, 2 ** (n + 1)),) for j in range(2 ** n)]
+        assert not seen & set(ks)
+        seen |= set(ks)
     _report(2, "gray boundary disjointness", t0)
 
 

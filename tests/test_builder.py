@@ -17,8 +17,9 @@ from subbases.builder import (_EPS, _REGION_BLOCK, REGION_SUPPORT, AvoidSet,
 from subbases.checker import check_proper, check_strong_proper
 from subbases.seq import BD, BINARY_DIGITS, ONE, ZERO, BottomedSeq, render
 from subbases.space import SpaceModel, builtin_space, compactified_example
-from subbases.subbase import (DistanceCut, DistanceSubbase, pattern_masks,
-                              table_codes)
+from subbases.subbase import DistanceCut, DistanceSubbase
+
+from reference import pattern_masks, table_codes
 
 
 def test_unpair_convention():

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from fractions import Fraction
@@ -7,17 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subbases.checker import (CheckerError, CheckReport, Violation,
-                              check_exterior_pair, check_proper,
-                              check_strong_proper, digit_table,
+                              check_proper, check_strong_proper, digit_table,
                               report_to_json_file)
-from subbases.seq import (BD, BINARY_DIGITS, DIGITS, EMPTY, enumerate_sequences,
-                          parse, render)
+from subbases.seq import BD, BINARY_DIGITS, DIGITS, render
 from subbases.space import (POINT_AT_INFINITY, SpaceModel, builtin_space,
                             compactified_example, gray_subbase)
 from subbases.subbase import (CODE_DIGIT, DIGIT_CODE, DistanceCut,
                               DistanceSubbase, OracleSubbase, ReindexedSubbase,
                               duplicated_subbase, member_closed, member_open,
                               permute)
+
+from reference import enumerate_sequences
 
 
 @pytest.fixture(scope="module")
@@ -114,26 +115,6 @@ def test_strong_pass_implies_proper_pass(gray, grid256):
     proper = check_proper(gray, grid256, 3, Fraction(1, 32))
     assert strong.ok
     assert proper.ok
-
-
-def test_exterior_pair(gray, grid256):
-    assert check_exterior_pair(gray, grid256, parse("0"), Fraction(1, 32)).ok
-    assert check_exterior_pair(gray, grid256, EMPTY, Fraction(1, 32)).ok
-    S = duplicated_subbase(gray_subbase(4), 0)
-    sigma = parse("0___1")
-    assert not check_exterior_pair(S, grid256, sigma, Fraction(1, 32)).ok
-    with pytest.raises(CheckerError):
-        check_exterior_pair(gray, grid256, parse("b"), Fraction(1, 32))
-
-
-def test_exterior_pair_target_samples_are_never_far():
-    # 0, 1, 2 on a line: no sample has another within delta = 1/2, so each
-    # sample of S(sigma) or of the opposite union must count as its own
-    # nearest target sample, at distance 0
-    pts = [(Fraction(x),) for x in range(3)]
-    M = SpaceModel("finite", pts, lambda a, b: abs(a[0] - b[0]), Fraction(1, 4))
-    S = table_subbase(M, [[0, 1, 1]])
-    assert check_exterior_pair(S, M, parse("0"), Fraction(1, 2)).ok
 
 
 def _count_rows(M):
@@ -324,6 +305,26 @@ def test_gray_depth_9_stats():
                             "patterns_with_candidates": 19682,
                             "code_classes": 1023,
                             "candidates_scanned": 261632}
+
+
+def test_checks_leave_no_reference_cycle(grid256):
+    """A check's search state is freed by reference counting alone: with
+    the cyclic collector off, nothing is left for it to find, after a
+    passing check and after one that stops on a full report."""
+    truncating = ReindexedSubbase(gray_subbase(8), [0, 0, 1, 1, 2, 2, 3, 3])
+    cases = ((gray_subbase(8), 5, Fraction(1, 64)),
+             (truncating, 8, Fraction(1, 64)))
+    for S, depth, delta in cases:
+        for check in (check_proper, check_strong_proper):
+            gc.collect()
+            gc.disable()
+            try:
+                report = check(S, grid256, depth, delta)
+                assert report.ok == (S is cases[0][0])
+                del report
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
 
 
 @settings(max_examples=40, deadline=None)

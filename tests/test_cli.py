@@ -4,15 +4,15 @@ from fractions import Fraction
 import pytest
 
 from subbases.cli import run
-from subbases.files import (gray_to_json, load_subbase, parse_point,
-                            parse_rational, save_subbase)
+from subbases.files import (load_subbase, parse_point, parse_rational,
+                            save_subbase)
 from subbases.space import builtin_space
 
 
 @pytest.fixture()
 def gray_file(tmp_path):
     path = tmp_path / "gray.json"
-    save_subbase(str(path), gray_to_json(8))
+    save_subbase(str(path), {"kind": "gray", "pairs": 8})
     return str(path)
 
 
@@ -242,7 +242,7 @@ def test_gray_subbase_on_a_point_outside_the_unit_interval_exits_2(
 
 def test_encode_negative_depth_exits_2(tmp_path, capsys):
     path = tmp_path / "gray10.json"
-    save_subbase(str(path), gray_to_json(10))
+    save_subbase(str(path), {"kind": "gray", "pairs": 10})
     assert run(["encode", "--subbase", str(path), "--space", "interval",
                 "--resolution", "1/16", "--point", "1/4", "--depth", "-2"]) == 2
     out, err = capsys.readouterr()

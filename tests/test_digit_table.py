@@ -19,10 +19,12 @@ from subbases.space import (SpaceModel, _unit_grid, builtin_space,
                             compactified_example, gray_digit, gray_subbase)
 from subbases.subbase import (DIGIT_CODE, KSlice, ReindexedSubbase,
                               code_classes, digit_table, duplicated_subbase,
-                              enumerate_K, permute, phi, table_codes,
-                              table_kslice)
+                              enumerate_K, permute, phi, table_kslice)
 
-SPACES = (("interval", Fraction(1, 32)), ("square", Fraction(1, 16)))
+from reference import table_codes
+
+SPACES = (("interval", Fraction(1, 32)), ("circle", Fraction(1, 32)),
+          ("square", Fraction(1, 16)), ("torus", Fraction(1, 16)))
 
 
 @functools.lru_cache(maxsize=None)

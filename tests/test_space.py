@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -8,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from subbases.seq import BD, ONE, ZERO
 from subbases.space import (MetricError, POINT_AT_INFINITY, _grid,
-                            builtin_space, compactified_example, gray_boundary_points,
-                            gray_digit, gray_subbase, load_finite_space,
-                            validate_metric)
+                            builtin_space, compactified_example, gray_digit,
+                            gray_subbase, load_finite_space, validate_metric)
 from subbases.subbase import duplicated_subbase, phi
 from subbases.seq import render
 
@@ -52,11 +52,14 @@ def test_gray_digit_matches_floating_sign():
             assert gray_digit(x, n) == cosine_sign_digit(x, n)
 
 
+def gray_boundary_points(n):
+    """The boundary set of pair n: the odd multiples of 1/2^(n+1)."""
+    return [Fraction(2 * k + 1, 2 ** (n + 1)) for k in range(2 ** n)]
+
+
 def test_gray_boundaries_exact():
     for n in range(6):
-        pts = gray_boundary_points(n)
-        assert pts == [Fraction(2 * k + 1, 2 ** (n + 1)) for k in range(2 ** n)]
-        for p in pts:
+        for p in gray_boundary_points(n):
             assert gray_digit(p, n) == BD
 
 
@@ -106,6 +109,107 @@ def test_builtin_torus():
     assert len(M.sample_points) == 16
     d = M.metric((Fraction(0), Fraction(0)), (Fraction(3, 4), Fraction(3, 4)))
     assert abs(d - math.hypot(0.25, 0.25)) < 1e-12
+
+
+# name -> (dimensions, periodic)
+LATTICES = {"interval": (1, False), "circle": (1, True),
+            "square": (2, False), "torus": (2, True)}
+
+
+def test_lattice_metric_types():
+    """The interval and circle metrics are exact; the square and torus
+    metrics are the float hypot of the coordinate differences, with the
+    ring minimum on the torus."""
+    def float_hypot(a, b, wrap):
+        d = [abs(float(s) - float(t)) for s, t in zip(a, b)]
+        return math.hypot(*(min(v, 1 - v) for v in d) if wrap else d)
+
+    for name, (_dims, wrap) in LATTICES.items():
+        M = builtin_space(name, Fraction(1, 7))
+        rng = random.Random(3)
+        for _ in range(200):
+            a, b = rng.choice(M.sample_points), rng.choice(M.sample_points)
+            d = M.metric(a, b)
+            if len(a) == 1:
+                gap = abs(a[0] - b[0])
+                assert type(d) is Fraction
+                assert d == (min(gap, 1 - gap) if wrap else gap)
+            else:
+                assert type(d) is float
+                assert d == float_hypot(a, b, wrap)
+
+
+def _array_digest(a):
+    h = hashlib.sha256(("%s %s " % (a.dtype.str, a.shape)).encode())
+    h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the lattice coordinates, neighbor_lists(2 res) and the
+# distance rows of samples 0, n // 3 and n - 1, each with dtype and shape
+LATTICE_DIGESTS = {
+    ("interval", 10): (
+        "1b9e5e759a8420017bd1aff1296821d398548f960f2dd2ed926c85ba0b4fcb86",
+        "48300be460dcc4857400d4b0fcfdeae70fe76954ed017c720dcfa83501a33bc7",
+        "1b9e5e759a8420017bd1aff1296821d398548f960f2dd2ed926c85ba0b4fcb86",
+        "cd9f2e99d6701facfe058b3d8d41f743d09a01bbaed620faef830413791efe04",
+        "e724b80a076c661be2d2775d5c13eda56e0b4a29cd9e461c607d312dbada1ebe"),
+    ("interval", 16): (
+        "21007bb42755d8ab1cc7159efc5b27887280fe87de0876d608dccf535cab819a",
+        "480f3f2625ddfcc3693d275018d1f79baadbdea5a45045a0154adb14ca0fc270",
+        "21007bb42755d8ab1cc7159efc5b27887280fe87de0876d608dccf535cab819a",
+        "007c45ea54c207e1653c32dd269a0e70c562e158283dfb09a4d83594501ed9fa",
+        "6a97ce68a51e99d49f7ad8aee31c38182e407e95307d7fcaed5b1919046012f1"),
+    ("circle", 10): (
+        "c7d69fc6dc227a22335972d6476815aa4d3b17542c767ba4bd935a2f87a9d467",
+        "e3b60b1c7359e7030ffd13e657355af267e2b8d89fa94a40f3403e799752cc6e",
+        "260ce716d8760f74592778e012d2ca28593ab005b7fbac92b66e7babf3003736",
+        "1f4b8a39ae4848dea08b541d357ebd68d01829fc1db6eb0acc9e2cbcd9d5ab85",
+        "35aba85299dcec51576741cbbb4111e0553cf727c68e982817f45a9a623d2808"),
+    ("circle", 16): (
+        "53320de4e5162aaa7e1eaf17e1d3523f49f8304aa0ca4390ad0e9baa4985d6ec",
+        "8b1fd173b3e4fb55dc094079c5aa1a0377cd4aaf488708e894999023b3a66f91",
+        "683aea79af194d6707ef9f50e6d8dc28a21199ac362c4c577af7ee83307192bc",
+        "dcb2f1b6b5b627cd007c2d0227adf08f68768a7e94cd7b42dbaf8d61ac0578aa",
+        "677ee65ae9f3ab45b40e94d5b0c2c66d0a532156617aac6db416b703d7d60e89"),
+    ("square", 10): (
+        "5ba716e2d04df425143da441b0cbff17dca7f141efb68abe6d88f3f2d141d73c",
+        "26cd5b80bb84f7f937d224db83f859d726af1bddbf191684c49edbc3a3caec40",
+        "8c68a26e0c0192bafb3f9720c75eba0acaeb3d99ff3df70b2dc55d128113a3f9",
+        "f409f1b1a3abded5f51a124e23adf9b77060a85806bc36ceba8dab084ba7ea18",
+        "7fc5c0b5e3640e87e894e4c4932f6fa089204a7a5252faf7f77080f5c4b4558c"),
+    ("square", 16): (
+        "1b3da4dc28c678fbd02c79eed5f639361cba6e27921f85a39c4f7abc318d06e6",
+        "1d459cde7377648e9c71b82e096e9f0a64ffde7a3283e595454376c4cd5030c1",
+        "c143ec245fccf0e49fb6a7581284c3f6f417f667a9119d6c783dd0c15fa72815",
+        "94618ee1f2c6e140d801a9c723a160137661f9ef53ef6e0ae49aa1ab44fae37f",
+        "3911c18755d4aeb15f3a433c1fc1037b91ff37f3a40d7d464d968394c5d509dc"),
+    ("torus", 10): (
+        "8f109c14eb89bd791c9400babf869df8134e1ad645992901fdaa3e57ef1a18a8",
+        "a4bec11466e62a111b6e16a97ec0d2d72f4d3af4d3471f06f53dbbe65318074a",
+        "ef710ac1236636ec5fcdf85ab16d59458f105b2f073944772b653f49c3466bac",
+        "87dcd8211a7c825feabd2c56ceceb61070cba6f52635a84cc31c5ffdf679a3d1",
+        "2bef399f106901e968d2af922ba2ee4bb747c7674ca276e4dd4b272cad056911"),
+    ("torus", 16): (
+        "fb14d6c78ebc1b83bf3758d5339655de1e50678712fcd7b1b9fb5552c7de855a",
+        "5e902881aae7d95ef8cd904e9c9096b06e66dce736e3c0c031ccaf0cdd50a338",
+        "cdddabb4209299c34be104e0c6e04b399ab2641ed18adf2b53fbfe791b5de0df",
+        "e43bd372553f7b360e972a3f525cd2b85b74058a3222b90f2f9dd51dcaffe5a6",
+        "991f207f4fae08bf9dc6726d0f92d91bcefabe8ea732f4166a718eded4a008b6"),
+}
+
+
+@pytest.mark.parametrize("name, q", sorted(LATTICE_DIGESTS))
+def test_lattice_arrays_are_pinned(name, q):
+    M = builtin_space(name, Fraction(1, q))
+    n = len(M)
+    dims, wrap = LATTICES[name]
+    assert M.lattice.shape == (q + (not wrap),) * dims
+    assert M.lattice.wrap == (wrap,) * dims
+    got = (_array_digest(M.lattice.coords),
+           _array_digest(M.neighbor_lists(Fraction(2, q))),
+           *(_array_digest(M.distance_row(i)) for i in (0, n // 3, n - 1)))
+    assert got == LATTICE_DIGESTS[name, q]
 
 
 def test_unknown_space():
