@@ -122,10 +122,10 @@ def _point_json(p):
     return str(p)
 
 
-def _check_delta(M: SpaceModel, delta):
-    if Fraction(delta) < 2 * M.resolution:
+def check_delta(resolution: Fraction, delta):
+    if Fraction(delta) < 2 * resolution:
         raise CheckerError("delta %s is below twice the grid resolution %s"
-                           % (delta, M.resolution))
+                           % (delta, resolution))
 
 
 def _nearest(M: SpaceModel, i: int, target: np.ndarray) -> Optional[float]:
@@ -193,7 +193,7 @@ def _run_check(S: DyadicSubbase, M: SpaceModel, depth: int, delta,
     (position 0 slowest), with the first far candidate sample of each
     recorded.  Branches with an empty closed set are cut, since no
     extension of them has a candidate."""
-    _check_delta(M, delta)
+    check_delta(M.resolution, delta)
     table = digit_table(S, M, depth)
     codes, inverse = code_classes(table)
     n_classes = codes.shape[1]

@@ -32,11 +32,14 @@ def _header(**kv):
     print("# " + " ".join(parts))
 
 
+def _resolution(args) -> Fraction:
+    return DEFAULT_RESOLUTION if args.resolution is None else args.resolution
+
+
 def _space_from_args(args) -> SpaceModel:
-    resolution = DEFAULT_RESOLUTION if args.resolution is None else args.resolution
     if args.space_file:
-        return builtin_space("finite", resolution, file=args.space_file)
-    return builtin_space(args.space, resolution)
+        return builtin_space("finite", _resolution(args), file=args.space_file)
+    return builtin_space(args.space, _resolution(args))
 
 
 def _load_subbase(args, need_space=False):
@@ -103,8 +106,10 @@ def cmd_kslice(args) -> int:
 
 
 def _run_closure_check(args, strong: bool) -> int:
-    S, M = _load_subbase(args, need_space=True)
     delta = files.parse_rational(args.delta)
+    if args.space or args.space_file:  # a bad delta exits before the load
+        checker_mod.check_delta(_resolution(args), delta)
+    S, M = _load_subbase(args, need_space=True)
     _header(command="check-strong" if strong else "check-proper",
             space=M.name, resolution=M.resolution, depth=args.depth,
             delta=delta)
@@ -156,13 +161,8 @@ def cmd_check_cusl(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    if args.name == "gray":
-        return _demo_gray()
-    if args.name == "duplication":
-        return _demo_duplication()
-    if args.name == "compactification":
-        return _demo_compactification()
-    raise SystemExit2("unknown demo %r" % args.name)
+    return {"gray": _demo_gray, "duplication": _demo_duplication,
+            "compactification": _demo_compactification}[args.name]()
 
 
 def _demo_gray() -> int:
@@ -277,10 +277,7 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
         return args.fn(args)
-    except SystemExit2 as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, IndexError, KeyError) as exc:
+    except (SystemExit2, ValueError, OSError, IndexError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

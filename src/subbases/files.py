@@ -30,11 +30,10 @@ def parse_point(text: str):
 
 
 def space_digest(M: SpaceModel) -> str:
-    """SHA-256 of a space's points and exact metric matrix, in sample order."""
+    """SHA-256 of a finite space's points and exact matrix, in sample order."""
     import hashlib  # loads OpenSSL, about 3.5 MB of RSS: only finite spaces pay
-    pts = M.sample_points
-    data = {"points": [[str(c) for c in p] for p in pts],
-            "metric": [[str(M.metric(a, b)) for b in pts] for a in pts]}
+    data = {"points": [[str(c) for c in p] for p in M.sample_points],
+            "metric": [[str(v) for v in row] for row in M.exact]}
     return hashlib.sha256(json.dumps(data).encode()).hexdigest()
 
 
@@ -102,12 +101,13 @@ def load_subbase(path: str, M: SpaceModel = None,
                                  "the command line names the %s space at "
                                  "resolution %s" % (path, name, resolution,
                                                     M.name, M.resolution))
-            embedded = space.get("digest")
-            if name == "finite" and embedded != space_digest(M):
-                raise ValueError("%s embeds the finite space with digest %s, but "
-                                 "%s has digest %s"
-                                 % (path, embedded, space_file or "the given space",
-                                    space_digest(M)))
+            if name == "finite":
+                digest = space_digest(M)
+                if space.get("digest") != digest:
+                    raise ValueError("%s embeds the finite space with digest %s, "
+                                     "but %s has digest %s"
+                                     % (path, space.get("digest"),
+                                        space_file or "the given space", digest))
         elif M is None:
             raise ValueError("distance subbase needs a space "
                              "(embedded or via --space)")

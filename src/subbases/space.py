@@ -28,13 +28,6 @@ class MetricError(ValueError):
 class InfinityPoint:
     """The added point of the one-point compactification model."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "p"
 
@@ -99,18 +92,19 @@ class Lattice:
 class SpaceModel:
     """Dense sample points + metric + dense enumeration at a stated resolution.
 
-    Distance rows come from the `lattice` of a grid model, else from
-    `row_fn`, else from the exact metric.
+    Distance rows come from the `lattice` of a grid model, else from the
+    read-only float64 `distances` matrix, else from the exact metric.  A
+    finite space loaded from a file also keeps its `exact` matrix.
     """
 
     def __init__(self, name: str, sample_points: Sequence, metric: Callable,
-                 resolution: Fraction, row_fn: Callable = None,
+                 resolution: Fraction, distances: np.ndarray = None,
                  lattice: Lattice = None):
         self.name = name
         self.sample_points = list(sample_points)
         self.metric = metric
         self.resolution = Fraction(resolution)
-        self._row_fn = row_fn
+        self.distances = distances
         self.lattice = lattice
         self._dense_order: List[int] = []
         self._dense_mindist = None
@@ -119,11 +113,12 @@ class SpaceModel:
         return len(self.sample_points)
 
     def distance_row(self, i: int) -> np.ndarray:
-        """Distances from sample i to every sample, as floats; uncached."""
+        """Distances from sample i to every sample, as floats: a read-only
+        row of a finite space's matrix, else computed on each call."""
         if self.lattice is not None:
             return self.lattice.row(i)
-        if self._row_fn is not None:
-            return np.asarray(self._row_fn(i), dtype=float)
+        if self.distances is not None:
+            return self.distances[i]
         x = self.sample_points[i]
         return np.array([float(self.metric(x, y)) for y in self.sample_points])
 
@@ -190,18 +185,17 @@ class SpaceModel:
 _TRIANGLE_BLOCK = 1 << 18  # float64 cells per block of the triangle screen
 
 
-def validate_metric(points: Sequence, metric: Callable):
-    """Check symmetry, identity of indiscernibles and triangle inequality.
+def validate_metric(d: Sequence[Sequence]) -> np.ndarray:
+    """Check symmetry, identity of indiscernibles and triangle inequality
+    of the n x n matrix d, and return it as a read-only float64 array.
 
     The triangle inequality d(i, k) <= d(i, j) + d(j, k) + 1e-9 is
     screened in float64, a block of i at a time.  Every triple the screen
-    cannot clear is rechecked on the metric's own values, in
+    cannot clear is rechecked on the matrix's own values, in
     lexicographic order, so the error names the first failing (i, j, k)
     of a triple loop.
     """
-    pts = list(points)
-    n = len(pts)
-    d = [[metric(a, b) for b in pts] for a in pts]
+    n = len(d)
     for i in range(n):
         if d[i][i] != 0:
             raise MetricError("d(x,x) != 0 at point %d" % i)
@@ -211,8 +205,14 @@ def validate_metric(points: Sequence, metric: Callable):
             if d[i][j] <= 0:
                 raise MetricError("non-positive distance between distinct "
                                   "points %d, %d" % (i, j))
+    try:
+        f = np.array(d, dtype=float).reshape(n, n)
+    except OverflowError:  # from 2^1024 - 2^970 on, an int or Fraction does
+        i, j = next((i, j) for i in range(n) for j in range(n)
+                    if d[i][j] >= 2 ** 1024 - 2 ** 970)
+        raise MetricError("metric entry (%d, %d) is too large for a float"
+                          % (i, j)) from None
     slack = 1e-9
-    f = np.array([[float(v) for v in row] for row in d]).reshape(n, n)
     # the screen's rounding error, and that of the exact test's float
     # right-hand side, stay below 16 ulps of the largest distance; an
     # infinite distance sends every triple to the recheck
@@ -227,6 +227,8 @@ def validate_metric(points: Sequence, metric: Callable):
             if d[i][k] > d[i][j] + d[j][k] + slack:
                 raise MetricError("triangle inequality fails at "
                                   "(%d, %d, %d)" % (i, j, k))
+    f.setflags(write=False)
+    return f
 
 
 # -- the Gray classifier of the unit interval ----------------------------
@@ -353,7 +355,8 @@ def _lattice_space(name: str, resolution: Fraction, dims: int,
 def load_finite_space(path: str, resolution: Fraction = Fraction(1)) -> SpaceModel:
     """Finite space from JSON {"points": [[...], ...], "metric": [[row-major]]}.
 
-    All metric axioms are validated eagerly; a bad matrix raises MetricError.
+    Integer entries stay ints, the others become Fractions.  All metric
+    axioms are validated eagerly; a bad matrix raises MetricError.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -364,17 +367,15 @@ def load_finite_space(path: str, resolution: Fraction = Fraction(1)) -> SpaceMod
     n = len(pts)
     if len(mat) != n or any(len(r) != n for r in mat):
         raise ValueError("metric matrix must be %dx%d" % (n, n))
-    mat = [[Fraction(str(v)) for v in r] for r in mat]
+    # a bool is not an int here: Fraction("True") fails as it always did
+    mat = [[v if type(v) is int else Fraction(str(v)) for v in r] for r in mat]
     index = {p: i for i, p in enumerate(pts)}
     if len(index) != n:
         raise ValueError("duplicate points in space file")
-
-    def metric(a, b):
-        return mat[index[a]][index[b]]
-
-    validate_metric(pts, metric)
-    return SpaceModel("finite", pts, metric, resolution,
-                      row_fn=lambda i: np.array([float(v) for v in mat[i]]))
+    M = SpaceModel("finite", pts, lambda a, b: mat[index[a]][index[b]],
+                   resolution, distances=validate_metric(mat))
+    M.exact = mat
+    return M
 
 
 # name -> (dimensions, periodic)

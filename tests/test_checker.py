@@ -214,10 +214,8 @@ def grid_space(points):
     def metric(p, q):
         return math.hypot(float(p[0]) - float(q[0]), float(p[1]) - float(q[1]))
 
-    def row(i):
-        return np.sqrt(((coords - coords[i]) ** 2).sum(axis=1))
-
-    return SpaceModel("finite", pts, metric, Fraction(1, 16), row_fn=row)
+    distances = np.sqrt(((coords[None] - coords[:, None]) ** 2).sum(axis=-1))
+    return SpaceModel("finite", pts, metric, Fraction(1, 16), distances=distances)
 
 
 @st.composite

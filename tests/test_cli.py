@@ -202,6 +202,32 @@ def test_finite_space_file_mismatch_exits_2(tmp_path, capsys):
     assert "%s has digest " % b in err and err.count("digest") == 2
 
 
+def test_metric_entry_beyond_float_range_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"points": [[0], [1]],
+                                "metric": [[0, 10 ** 400], [10 ** 400, 0]]}))
+    assert run(["build", "--space-file", str(path), "--resolution", "1",
+                "--pairs", "1", "--out", str(tmp_path / "s.json")]) == 2
+    assert ("metric entry (0, 1) is too large for a float"
+            in capsys.readouterr().err)
+
+
+def test_delta_is_checked_before_the_space_file_loads(gray_file, tmp_path,
+                                                      capsys, monkeypatch):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"points": [[0], [1]], "metric": [[0, 1], [1, 0]]}))
+
+    def fail(*args):
+        pytest.fail("the space file was loaded")
+
+    monkeypatch.setattr("subbases.space.validate_metric", fail)
+    assert run(["check-strong", "--subbase", gray_file, "--space-file",
+                str(path), "--resolution", "1", "--depth", "2",
+                "--delta", "1"]) == 2
+    assert ("delta 1 is below twice the grid resolution 1"
+            in capsys.readouterr().err)
+
+
 def test_check_cusl_rejects_negative_permutations(gray_file, capsys):
     assert run(["check-cusl", "--subbase", gray_file, "--space", "interval",
                 "--resolution", "1/64", "--depth", "3",

@@ -1,12 +1,15 @@
 import hashlib
 import json
 import math
+import pathlib
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subbases.files import space_digest
 from subbases.seq import BD, ONE, ZERO
 from subbases.space import (MetricError, POINT_AT_INFINITY, _grid,
                             builtin_space, compactified_example, gray_digit,
@@ -247,10 +250,41 @@ def test_finite_space_rejects_bad_metric(tmp_path):
 
 
 def test_validate_metric_axioms():
-    pts = [(Fraction(k),) for k in range(5)]
-    validate_metric(pts, lambda a, b: abs(a[0] - b[0]))
+    validate_metric([[abs(a - b) for b in range(5)] for a in range(5)])
     with pytest.raises(MetricError):
-        validate_metric(pts, lambda a, b: a[0] - b[0])  # asymmetric
+        validate_metric([[a - b for b in range(5)] for a in range(5)])  # asymmetric
+
+
+def _write_space(path, mat):
+    path.write_text(json.dumps({"points": [[i] for i in range(len(mat))],
+                                "metric": mat}))
+    return str(path)
+
+
+def test_finite_distance_rows_are_read_only(tmp_path):
+    M = load_finite_space(_write_space(tmp_path / "s.json",
+                                       [[0, 5, 4], [5, 0, 2], [4, 2, 0]]))
+    row = M.distance_row(1)
+    assert row.tolist() == [5.0, 0.0, 2.0]
+    with pytest.raises(ValueError):
+        row[0] = 1.0
+
+
+def test_space_digest_is_pinned(tmp_path):
+    # int, decimal and "p/q" entries and points
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({
+        "points": [[0], ["1/2"], [1.5]],
+        "metric": [[0, 3, "5/2"], [3, 0, 1.25], ["5/2", 1.25, 0]]}))
+    assert space_digest(load_finite_space(str(path))) == (
+        "5b55d23ae154f845d7af2050dcd89a1ed3d249c18ac788219107102c51ec0f37")
+
+
+@pytest.mark.parametrize("huge", (10 ** 400, "%d/1" % 10 ** 400))
+def test_entry_beyond_float_range_is_a_metric_error(tmp_path, huge):
+    mat = [[0, 1, 1], [1, 0, huge], [1, huge, 0]]
+    with pytest.raises(MetricError, match=r"entry \(1, 2\) is too large"):
+        load_finite_space(_write_space(tmp_path / "huge.json", mat))
 
 
 def reference_grid(resolution, half_open=False):
@@ -294,9 +328,9 @@ def reference_validate_metric(points, metric):
                                       "(%d, %d, %d)" % (i, j, k))
 
 
-def _outcome(check, points, metric):
+def _outcome(check, *args):
     try:
-        check(points, metric)
+        check(*args)
     except MetricError as exc:
         return str(exc)
     return None
@@ -354,21 +388,51 @@ def test_validate_metric_matches_the_triple_loop(mat):
     def metric(a, b):
         return mat[int(a[0])][int(b[0])]
 
-    assert (_outcome(validate_metric, points, metric)
+    assert (_outcome(validate_metric, mat)
             == _outcome(reference_validate_metric, points, metric))
+
+
+@st.composite
+def integer_matrices(draw):
+    """A `metric_matrices` draw, flaws included, times the common
+    denominator of its entries: an integer matrix."""
+    mat = [[Fraction(v) for v in row] for row in draw(metric_matrices())]
+    scale = math.lcm(*(v.denominator for row in mat for v in row))
+    return [[int(v * scale) for v in row] for row in mat]
+
+
+@settings(deadline=None)
+@given(integer_matrices())
+def test_integer_entries_load_like_their_fractions(mat):
+    # the same matrix written with JSON ints and with "k/1" strings
+    loaded = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, entry in (("int", int), ("fraction", lambda v: "%d/1" % v)):
+            path = _write_space(pathlib.Path(tmp) / name,
+                                [[entry(v) for v in row] for row in mat])
+            try:
+                loaded.append(load_finite_space(path))
+            except MetricError as exc:
+                loaded.append(str(exc))
+    ints, fractions = loaded
+    if isinstance(ints, str) or isinstance(fractions, str):
+        assert ints == fractions
+        return
+    assert space_digest(ints) == space_digest(fractions)
+    for i in range(len(mat)):
+        assert ints.distance_row(i).tolist() == fractions.distance_row(i).tolist()
 
 
 def test_validate_metric_names_the_first_failing_triple():
     # (0, 2, 1) and (1, 2, 0) fail: 20 > 1 + 1
-    mat = [[0, 20, 1], [20, 0, 1], [1, 1, 0]]
     with pytest.raises(MetricError, match=r"fails at \(0, 2, 1\)"):
-        validate_metric(range(3), lambda a, b: mat[a][b])
+        validate_metric([[0, 20, 1], [20, 0, 1], [1, 1, 0]])
     slack = [[0, 1, Fraction(2) + Fraction(1, 10 ** 9)],
              [1, 0, 1], [Fraction(2) + Fraction(1, 10 ** 9), 1, 0]]
-    validate_metric(range(3), lambda a, b: slack[a][b])  # within the slack
+    validate_metric(slack)  # within the slack
     slack[0][2] = slack[2][0] = Fraction(2) + Fraction(2, 10 ** 9)
     with pytest.raises(MetricError, match=r"fails at \(0, 1, 2\)"):
-        validate_metric(range(3), lambda a, b: slack[a][b])
+        validate_metric(slack)
 
 
 def test_compactified_digits():
