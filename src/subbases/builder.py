@@ -26,7 +26,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .seq import BD, BINARY_DIGITS, BOT, ONE, ZERO
+from .seq import BD, BINARY_DIGITS
 from .space import SpaceModel
 from .subbase import (DIGIT_CODE, DistanceCut, DistanceSubbase, classify,
                       code_classes, letter_masks)
@@ -34,6 +34,8 @@ from .subbase import (DIGIT_CODE, DistanceCut, DistanceSubbase, classify,
 _EPS = 1e-9
 REGION_SUPPORT = 2  # max #fixed digits in enumerated avoid regions
 _REGION_BLOCK = 128  # regions per packed block: two 64-bit words per sample
+AVOID_MARGIN = Fraction(1, 1000)  # a drawn cut keeps this far from avoid values
+MAX_RETRIES = 64  # draws per base interval, and base intervals per cut
 
 
 class Exhaustion(RuntimeError):
@@ -82,17 +84,11 @@ def base_interval(m: int) -> Tuple[Fraction, Fraction]:
 class BuilderParams:
     count: int
     strong: bool = False
-    avoid_margin: Fraction = Fraction(1, 1000)
-    max_retries: int = 64
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.count < 0:
             raise ValueError("count must be non-negative")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be at least 1")
-        if self.avoid_margin <= 0:
-            raise ValueError("avoid_margin must be positive")
 
 
 @dataclass
@@ -120,28 +116,16 @@ def candidate(M: SpaceModel, n: int) -> Tuple[int, Tuple[Fraction, Fraction]]:
     return M.dense_index(n0), base_interval(n1)
 
 
-def _extremal(v: np.ndarray, nbr: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per sample: v is maximal or minimal (within slack) among the values
-    of its neighbours in the padded array nbr that `mask` (slots x
-    samples) selects; a sample with none selected counts as both.  The
-    masked max and min are taken one slot at a time, as in `_steps`."""
-    v_pad = np.append(v, 0.0)
-    hi = np.full(len(v), -np.inf)
-    lo = np.full(len(v), np.inf)
-    for col, selected in zip(nbr.T, mask):
-        nb_vals = v_pad[col]
-        np.maximum(hi, nb_vals, out=hi, where=selected)
-        np.minimum(lo, nb_vals, out=lo, where=selected)
-    return (v >= hi - _EPS) | (v <= lo + _EPS)
-
-
 def _steps(f_vals: np.ndarray, nbr: np.ndarray):
     """Two slots x samples arrays over the padded neighbour array: whether
     the neighbour in a slot lies above the sample by more than the slack
     (`up`), and whether below it (`down`).  They are filled one slot at a
     time, so the float temporaries hold one value per sample: gathering
     all slots at once adds about 10 MB to a call's peak allocation on the
-    1/256 square (66,049 samples x 12 slots)."""
+    1/256 square (66,049 samples x 12 slots).  A sample is maximal (within
+    slack) among a selection of its neighbours iff none is `up`, minimal
+    iff none is `down`, both if none is selected: rounding is monotone, so
+    v >= fl(max f - eps) iff v >= fl(f - eps) for every neighbour value f."""
     f_pad = np.append(f_vals, 0.0)
     up = np.empty(nbr.shape[::-1], dtype=bool)
     down = np.empty_like(up)
@@ -164,9 +148,8 @@ def _region_extrema(member: np.ndarray, inverse: np.ndarray, nbr: np.ndarray,
     where the neighbour lies above the sample and into `below` where it
     lies below.  A sample of a region is a local extremum there unless
     the region holds a neighbour of each kind; isolated samples count.
-    This is `_extremal` on the region's neighbours, exactly: rounding is
-    monotone, so v >= fl(max f - eps) iff v >= fl(f - eps) for every
-    neighbour value f.
+    This is the extremum rule of `_steps` with the region's neighbours
+    selected.
     """
     regions, classes = member.shape
     packed = np.zeros((classes + 1, 8 * -(-regions // 64)), dtype=np.uint8)
@@ -227,26 +210,21 @@ def collect_avoid(M: SpaceModel, table: np.ndarray, f_vals: np.ndarray,
     Membership in a region depends only on a sample's code class, so a
     family of regions is a regions x classes matrix.  It is built and
     searched _REGION_BLOCK regions at a time by `_region_extrema`, which
-    shares one comparison of f with its neighbours per call.
+    shares one comparison of f with its neighbours per call.  Each value
+    is tagged with its family: closed, code, boundary or interaction.
     """
     avoid = AvoidSet()
     codes, inverse = code_classes(table)
     up, down = _steps(f_vals, nbr)
 
-    def add_extrema(kind, regions, member, pattern):
-        """Add f's local extrema in regions 0..regions-1, tagged
-        extremum|kind[pattern(r)]; member(lo, hi) holds the rows of
-        regions lo..hi-1."""
+    def add_extrema(kind, regions, member):
+        """Add f's local extrema in regions 0..regions-1, region-major,
+        tagged kind; member(lo, hi) holds the rows of regions lo..hi-1."""
         for lo in range(0, regions, _REGION_BLOCK):
             block = member(lo, min(lo + _REGION_BLOCK, regions))
-            if not block.any():
-                continue
-            region, sample = _region_extrema(block, inverse, nbr, up, down)
-            vals = f_vals[sample]
-            starts = np.flatnonzero(np.diff(region, prepend=-1)).tolist()
-            for r, a, b in zip((lo + region[starts]).tolist(), starts,
-                               starts[1:] + [len(vals)]):
-                avoid.extend(vals[a:b], "extremum|%s[%s]" % (kind, pattern(r)))
+            if block.any():
+                _, sample = _region_extrema(block, inverse, nbr, up, down)
+                avoid.extend(f_vals[sample], kind)
 
     def patterns(kind, digits, skip=0):
         """The closed sets of the patterns of `_pattern_index` over
@@ -258,17 +236,8 @@ def collect_avoid(M: SpaceModel, table: np.ndarray, f_vals: np.ndarray,
             for i, a in enumerate(digits):
                 letters[d * k + i] = letter_masks(row, a)[1]
         index = _pattern_index(n, d)[skip:]
-        rows = index.tolist()
-
-        def pattern(r):  # render() of the pattern, read off its letters
-            fixed = [i for i in rows[r] if i < d * n]
-            chars = [BOT] * (fixed[-1] // d + 1 if fixed else 0)
-            for i in fixed:
-                chars[i // d] = digits[i % d]
-            return "".join(chars)
-
         add_extrema(kind, len(index),
-                    lambda lo, hi: letters[index[lo:hi]].all(axis=1), pattern)
+                    lambda lo, hi: letters[index[lo:hi]].all(axis=1))
 
     patterns("closed", BINARY_DIGITS)
 
@@ -287,10 +256,7 @@ def collect_avoid(M: SpaceModel, table: np.ndarray, f_vals: np.ndarray,
         member[rows] |= _compatible(codes[:, lo + rows], codes)
         return member
 
-    # a code's tag is render(phi(x)|_n, width=n): a boundary digit is a bottom
-    add_extrema("code", codes.shape[1], code_member,
-                lambda r: "".join((ZERO, ONE, BOT)[c]
-                                  for c in codes[:, r].tolist()))
+    add_extrema("code", codes.shape[1], code_member)
 
     if strong:
         # sampled boundary regions S(tau), tau over {bd, bot} and not
@@ -305,30 +271,32 @@ def collect_avoid(M: SpaceModel, table: np.ndarray, f_vals: np.ndarray,
         for slot, col in enumerate(nbr.T):
             level[slot] = np.abs(f_inf[col] - f_vals) <= band
         on_level = level.any(axis=0)
-        for k, (c_k, g_vals) in enumerate(zip(chosen, cut_vals)):
-            hit = (on_level & (np.abs(g_vals - c_k) <= band)
-                   & _extremal(g_vals, nbr, level))
-            avoid.extend(f_vals[hit], "interaction|cut%d" % k)
+        for c_k, g_vals in zip(chosen, cut_vals):
+            g_up, g_down = _steps(g_vals, nbr)
+            extremal = ~((g_up & level).any(axis=0) & (g_down & level).any(axis=0))
+            hit = on_level & (np.abs(g_vals - c_k) <= band) & extremal
+            avoid.extend(f_vals[hit], "interaction")
     return avoid
 
 
 def choose_cut(interval: Tuple[Fraction, Fraction], avoid: AvoidSet,
-               params: BuilderParams, rng: random.Random) -> Fraction:
+               rng: random.Random) -> Fraction:
     """Uniform rational draw from the interval, rejecting values within
-    the margin of any avoid value; deterministic given the rng state."""
+    AVOID_MARGIN of any avoid value, at most MAX_RETRIES draws;
+    deterministic given the rng state."""
     lo, hi = interval
     if hi <= lo:
         raise Exhaustion("empty interval %s" % (interval,))
-    margin = float(params.avoid_margin)
-    blocked = avoid.clipped(lo, hi, params.avoid_margin)
+    margin = float(AVOID_MARGIN)
+    blocked = avoid.clipped(lo, hi, AVOID_MARGIN)
     width = hi - lo
-    for _ in range(params.max_retries):
+    for _ in range(MAX_RETRIES):
         c = lo + width * Fraction(rng.randrange(1, 2 ** 30), 2 ** 30)
         cf = float(c)
         if all(abs(cf - v) >= margin - _EPS for v in blocked):
             return c
     raise Exhaustion("no admissible cut in %s after %d draws"
-                     % (interval, params.max_retries))
+                     % (interval, MAX_RETRIES))
 
 
 @dataclass
@@ -405,10 +373,10 @@ def build(M: SpaceModel, params: BuilderParams) -> BuildResult:
         c = None
         while c is None:
             try:
-                c = choose_cut(interval, avoid, params, rng)
+                c = choose_cut(interval, avoid, rng)
             except Exhaustion:
                 retries += 1
-                if retries > params.max_retries:
+                if retries > MAX_RETRIES:
                     raise
                 n1 += 1
                 interval = base_interval(n1)

@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "verify properness, build subbases.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_space(sp, required=False):
+    def add_space(sp):
         sp.add_argument("--space", choices=("interval", "circle", "square",
                                             "torus"), required=False)
         sp.add_argument("--space-file", help="finite space JSON file")

@@ -250,10 +250,10 @@ def gray_digit(x: Fraction, n: int) -> str:
 
 
 def _as_scalar(x) -> Fraction:
-    if isinstance(x, tuple):
-        if len(x) != 1:
-            raise ValueError("expected a scalar point, got %r" % (x,))
+    if isinstance(x, tuple) and len(x) == 1:
         x = x[0]
+    if isinstance(x, (tuple, InfinityPoint)):
+        raise ValueError("expected a scalar point, got %r" % (x,))
     return x if type(x) is Fraction else Fraction(x)
 
 
@@ -265,36 +265,27 @@ def _unit_scalar(p) -> Fraction:
     return x
 
 
-def _unit_grid(points):
-    """The coordinates of scalar points in [0, 1] as numerators k over their
-    common denominator Q: (k, Q), k an int64 array, or an object array of
-    ints when 2 Q^2 does not fit in int64."""
-    xs = [_unit_scalar(p) for p in points]
-    nums = [x.numerator for x in xs]
-    dens = [x.denominator for x in xs]
-    Q = math.lcm(*dens)
-    dtype = np.int64 if 2 * Q * Q <= np.iinfo(np.int64).max else object
-    return np.array(nums, dtype=dtype) * (Q // np.array(dens, dtype=dtype)), Q
-
-
 class GraySubbase(OracleSubbase):
     """The Gray subbase of [0, 1]: `digit` is the exact `gray_digit`, and
-    `digit_row` the same rule in integer arithmetic over a whole model.
+    `digit_row` on a one-axis lattice the same rule in integer arithmetic.
 
-    With x = k/Q, u = 2^n k mod 2Q equals t Q for t = 2^n x mod 2, so the
-    digit is the boundary at 2u in {Q, 3Q}, 1 for Q < 2u < 3Q and 0
-    otherwise.  The coordinates of the last model read are kept.
+    Sample i of a one-axis lattice of resolution p/q is x = k/Q with
+    k = i p and Q = q.  Then u = 2^n k mod 2Q equals t Q for
+    t = 2^n x mod 2, so the digit is the boundary at 2u in {Q, 3Q}, 1 for
+    Q < 2u < 3Q and 0 otherwise.  Any other model is read point by point.
     """
 
     def __init__(self, pairs: int):
         super().__init__(pairs, lambda n, x: gray_digit(x, n))
-        self._grid = (None, None, None)   # (model, k, Q) of the last model read
 
     def digit_row(self, n: int, M) -> np.ndarray:
+        if M.lattice is None or len(M.lattice.shape) != 1:
+            return super().digit_row(n, M)
         self._check_index(n)
-        if self._grid[0] is not M:
-            self._grid = (M, *_unit_grid(M.sample_points))
-        _, k, Q = self._grid
+        Q = M.resolution.denominator
+        # ints up to 2 Q^2 occur below; past int64 they are Python ints
+        dtype = np.int64 if 2 * Q * Q <= np.iinfo(np.int64).max else object
+        k = np.arange(len(M), dtype=dtype) * M.resolution.numerator
         twice_u = 2 * ((pow(2, n, 2 * Q) * k) % (2 * Q))
         boundary = (twice_u == Q) | (twice_u == 3 * Q)
         one = (twice_u > Q) & (twice_u < 3 * Q)

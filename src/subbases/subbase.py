@@ -360,12 +360,12 @@ def is_cusl(K: KSlice) -> CuslReport:
 # -- Hasse diagram export ------------------------------------------------
 
 
-def kslice_to_dot(K: KSlice, name: str = "kslice") -> str:
+def kslice_to_dot(K: KSlice) -> str:
     """DOT digraph of the covering relation, nodes sorted by (length, label).
     The covers of u are the minimal elements of its strict up-set."""
     elems = K.sorted_elements()
     key, count, _width = _kslice_keys(elems)
-    lines = ["digraph %s {" % name, '  rankdir="BT";']
+    lines = ["digraph kslice {", '  rankdir="BT";']
     lines.extend('  n%d [label="%s"];' % (i, render(e))
                  for i, e in enumerate(elems))
     for u in range(len(elems)):

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from subbases.builder import (_EPS, _REGION_BLOCK, REGION_SUPPORT, AvoidSet,
-                              BuilderParams, Exhaustion, _extremal,
+from subbases import builder
+from subbases.builder import (_EPS, _REGION_BLOCK, AVOID_MARGIN, MAX_RETRIES,
+                              REGION_SUPPORT, AvoidSet, BuilderParams, Exhaustion,
                               _region_extrema, _steps, base_interval, build, candidate,
                               choose_cut, collect_avoid, positive_rational,
                               separation_fraction, unpair)
 from subbases.checker import check_proper, check_strong_proper
-from subbases.seq import BD, BINARY_DIGITS, ONE, ZERO, BottomedSeq, render
+from subbases.seq import BD, BINARY_DIGITS, ONE, ZERO, BottomedSeq
 from subbases.space import SpaceModel, builtin_space, compactified_example
 from subbases.subbase import DistanceCut, DistanceSubbase
 
@@ -69,30 +70,34 @@ def test_candidate_uses_unpairing():
 
 
 def test_choose_cut_contract():
-    params = BuilderParams(count=1, avoid_margin=Fraction(1, 100))
-    rng = random.Random(0)
+    assert AVOID_MARGIN == Fraction(1, 1000) and MAX_RETRIES == 64
     avoid = AvoidSet([(0.5, "t")])
-    c = choose_cut((Fraction(2, 5), Fraction(3, 5)), avoid, params, rng)
-    assert Fraction(2, 5) < c < Fraction(3, 5)
-    assert abs(float(c) - 0.5) >= 0.01 - 1e-9
+    for seed in range(20):
+        # half the interval lies within the margin of 0.5: draws get rejected
+        c = choose_cut((Fraction(499, 1000), Fraction(503, 1000)), avoid,
+                       random.Random(seed))
+        assert Fraction(499, 1000) < c < Fraction(503, 1000)
+        assert abs(float(c) - 0.5) >= 0.001 - 1e-9
 
 
 def test_choose_cut_empty_avoid_first_draw():
-    params = BuilderParams(count=1)
-    c1 = choose_cut((Fraction(0), Fraction(1)), AvoidSet(), params,
-                    random.Random(5))
+    c1 = choose_cut((Fraction(0), Fraction(1)), AvoidSet(), random.Random(5))
     c2_rng = random.Random(5)
-    c2 = choose_cut((Fraction(0), Fraction(1)), AvoidSet(), params, c2_rng)
+    c2 = choose_cut((Fraction(0), Fraction(1)), AvoidSet(), c2_rng)
     assert c1 == c2
 
 
 def test_choose_cut_exhaustion():
-    params = BuilderParams(count=1, avoid_margin=Fraction(1, 50),
-                           max_retries=20)
+    # (0.4995, 0.5005) lies within the margin 1/1000 of the avoided 0.5
     avoid = AvoidSet([(0.5, "t")])
-    with pytest.raises(Exhaustion):
-        choose_cut((Fraction(49, 100), Fraction(51, 100)), avoid, params,
-                   random.Random(0))
+    rng = random.Random(0)
+    with pytest.raises(Exhaustion, match="after 64 draws"):
+        choose_cut((Fraction(4995, 10000), Fraction(5005, 10000)), avoid, rng)
+    # every draw was made: the rng advanced MAX_RETRIES times
+    replay = random.Random(0)
+    for _ in range(MAX_RETRIES):
+        replay.randrange(1, 2 ** 30)
+    assert rng.getstate() == replay.getstate()
 
 
 def test_collect_avoid_distance_endpoints():
@@ -105,8 +110,8 @@ def test_collect_avoid_distance_endpoints():
     avoid = collect_avoid(M, table, f_vals, 0, False, nbr)
     # the minimum 0 at the center and the maximum 1 at the far endpoint,
     # once for the empty pattern's closed set and once for its code
-    assert avoid.values == [(0.0, "extremum|closed[]"), (1.0, "extremum|closed[]"),
-                            (0.0, "extremum|code[]"), (1.0, "extremum|code[]")]
+    assert avoid.values == [(0.0, "closed"), (1.0, "closed"),
+                            (0.0, "code"), (1.0, "code")]
 
 
 def test_avoid_set_extend_shares_one_tag():
@@ -164,25 +169,25 @@ def _reference_extrema(f_vals, region, neighbors):
 
 
 def _reference_avoid(M, table, f_vals, n, strong, neighbors, chosen, cut_vals):
-    """collect_avoid with the per-sample loops and a tag rendered per value."""
+    """collect_avoid with the per-sample loops, region by region, each
+    value tagged with its family."""
     out = []
     for sigma in _small_support(n, BINARY_DIGITS, REGION_SUPPORT):
         _, mask = pattern_masks(table, sigma)
         if mask.any():
-            for v in _reference_extrema(f_vals, mask, neighbors):
-                out.append((v, "extremum|closed[%s]" % render(sigma)))
+            out.extend((v, "closed")
+                       for v in _reference_extrema(f_vals, mask, neighbors))
     for code in table_codes(table):
         _, mask = pattern_masks(table, code)
-        for v in _reference_extrema(f_vals, mask, neighbors):
-            out.append((v, "extremum|code[%s]" % render(code, width=n)))
+        out.extend((v, "code") for v in _reference_extrema(f_vals, mask, neighbors))
     if strong:
         for tau in _small_support(n, (BD,), REGION_SUPPORT):
             _, mask = pattern_masks(table, tau)
             if not tau.is_empty() and mask.any():
-                for v in _reference_extrema(f_vals, mask, neighbors):
-                    out.append((v, "extremum|boundary[%s]" % render(tau)))
+                out.extend((v, "boundary")
+                           for v in _reference_extrema(f_vals, mask, neighbors))
         band = 2 * float(M.resolution)
-        for k, (c_k, g_vals) in enumerate(zip(chosen, cut_vals)):
+        for c_k, g_vals in zip(chosen, cut_vals):
             for i in range(len(M)):
                 nb = neighbors[i]
                 if nb.size == 0:
@@ -193,7 +198,7 @@ def _reference_avoid(M, table, f_vals, n, strong, neighbors, chosen, cut_vals):
                 g = g_vals[i]
                 if g >= g_vals[level].max() - _EPS or g <= g_vals[level].min() + _EPS:
                     if abs(g - c_k) <= band:
-                        out.append((float(f_vals[i]), "interaction|cut%d" % k))
+                        out.append((float(f_vals[i]), "interaction"))
     return out
 
 
@@ -307,8 +312,8 @@ def test_collect_avoid_interaction_hits(M, f_centre, g_centre, c, hit):
     table = np.zeros((1, len(M)), dtype=np.int8)
     avoid = collect_avoid(M, table, f_vals, 1, True,
                           M.neighbor_lists(2 * M.resolution), [c], [g_vals])
-    hits = [(v, t) for v, t in avoid.values if t == "interaction|cut0"]
-    assert hits == ([] if hit is None else [(float(f_vals[hit]), "interaction|cut0")])
+    hits = [(v, t) for v, t in avoid.values if t == "interaction"]
+    assert hits == ([] if hit is None else [(float(f_vals[hit]), "interaction")])
     reference = _reference_avoid(M, table, f_vals, 1, True,
                                  _reference_neighbors(M, 2 * M.resolution),
                                  [c], [g_vals])
@@ -318,9 +323,10 @@ def test_collect_avoid_interaction_hits(M, f_centre, g_centre, c, hit):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 30), st.integers(0, 6), st.data())
 def test_extremal_matches_the_gathered_reduction(samples, width, data):
-    """The slot-by-slot masked max and min against one masked reduction
-    over the gathered samples x slots values, on random padded neighbour
-    arrays (width 0 included) and masks, with ties to the slack."""
+    """The extremum rule on `_steps` (no selected neighbour above, or none
+    below) against one masked max and min over the gathered samples x
+    slots values, on random padded neighbour arrays (width 0 included)
+    and masks, with ties to the slack."""
     v = np.array(data.draw(st.lists(st.integers(0, 4), min_size=samples,
                                     max_size=samples)), dtype=float) / 4
     v += data.draw(st.sampled_from((0.0, _EPS / 2)))
@@ -335,7 +341,10 @@ def test_extremal_matches_the_gathered_reduction(samples, width, data):
     hi = gathered.max(axis=1, where=mask, initial=-np.inf)
     lo = gathered.min(axis=1, where=mask, initial=np.inf)
     reference = (v >= hi - _EPS) | (v <= lo + _EPS)
-    assert np.array_equal(_extremal(v, nbr, mask.T), reference)
+    up, down = _steps(v, nbr)
+    level = mask.T
+    extremal = ~((up & level).any(axis=0) & (down & level).any(axis=0))
+    assert np.array_equal(extremal, reference)
 
 
 # -- bounded memory -------------------------------------------------------
@@ -508,6 +517,31 @@ def test_build_square_strong_passes_checker():
     M = builtin_space("square", Fraction(1, 16))
     res = build(M, BuilderParams(count=10, strong=True, rng_seed=7))
     assert check_strong_proper(res.subbase, M, 3, 2 * M.resolution).ok
+
+
+@pytest.mark.parametrize("space, resolution, count, seed, families", [
+    ("interval", Fraction(1, 128), 24, 5,
+     {"closed": 9601, "code": 281, "interaction": 12}),
+    ("torus", Fraction(1, 32), 24, 3,
+     {"closed": 21150, "code": 1528, "interaction": 23}),
+])
+def test_strong_build_avoid_families(monkeypatch, space, resolution, count,
+                                     seed, families):
+    """Avoid values per family over every step of two strong builds where
+    earlier cuts interact; the counts were recorded when each value's tag
+    still named its region's pattern."""
+    seen = collections.Counter()
+    collect = builder.collect_avoid
+
+    def counting(*args):
+        avoid = collect(*args)
+        seen.update(tag for _v, tag in avoid.values)
+        return avoid
+
+    monkeypatch.setattr(builder, "collect_avoid", counting)
+    build(builtin_space(space, resolution),
+          BuilderParams(count=count, strong=True, rng_seed=seed))
+    assert seen == families
 
 
 def test_build_log_shape():

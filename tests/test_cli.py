@@ -266,6 +266,14 @@ def test_gray_subbase_on_a_point_outside_the_unit_interval_exits_2(
     assert capsys.readouterr().err == "error: x must lie in [0, 1]: 2\n"
 
 
+def test_encode_the_added_point_without_a_space_exits_2(gray_file, capsys):
+    # with no space named, `p` (the compactification's added point) reaches
+    # the Gray digit itself, which takes scalars only
+    assert run(["encode", "--subbase", gray_file, "--point", "p",
+                "--depth", "3"]) == 2
+    assert capsys.readouterr().err == "error: expected a scalar point, got p\n"
+
+
 def test_encode_negative_depth_exits_2(tmp_path, capsys):
     path = tmp_path / "gray10.json"
     save_subbase(str(path), {"kind": "gray", "pairs": 10})

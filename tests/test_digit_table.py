@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from subbases.builder import BuilderParams, build
 from subbases.files import load_subbase, save_subbase, subbase_to_json
-from subbases.space import (SpaceModel, _unit_grid, builtin_space,
+from subbases.space import (SpaceModel, builtin_space,
                             compactified_example, gray_digit, gray_subbase)
 from subbases.subbase import (DIGIT_CODE, KSlice, ReindexedSubbase,
                               code_classes, digit_table, duplicated_subbase,
@@ -153,20 +153,23 @@ def test_gray_digit_row_matches_gray_digit(space, resolution, rows):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.one_of(st.integers(2 ** 31 - 2, 2 ** 31 + 1), st.integers(1, 2 ** 70)),
+@given(st.sampled_from(("interval", "circle")),
+       st.one_of(st.integers(2 ** 31, 2 ** 31 + 1), st.integers(2 ** 31, 2 ** 70),
+                 st.integers(31, 70).map(lambda m: 2 ** m)),
        st.data())
-def test_gray_digit_row_on_large_denominators(Q, data):
-    # from Q = 2^31 on, 2 Q^2 overflows int64 and the rows use Python ints
-    ks = data.draw(st.lists(st.integers(0, Q), max_size=40))
-    ks += [0, 1, Q, Q // 2, Q // 4, 3 * Q // 4]
-    points = [(Fraction(k, Q),) for k in ks]
-    k, common = _unit_grid(points)
-    assert common == Q
-    assert k.dtype == (object if Q >= 2 ** 31 else np.int64)
-    M = SpaceModel("points", points, None, Fraction(1, Q))
+def test_gray_digit_row_on_large_denominators(space, q, data):
+    # from q = 2^31 on, 2 q^2 overflows int64 and the rows use Python ints;
+    # q/p <= 40 keeps the model small.  At q = 2^m the samples with odd
+    # k p are boundary points of pair m - 1.
+    p = data.draw(st.integers(-(-q // 40), q).filter(
+        lambda p: Fraction(p, q).denominator == q))
+    M = builtin_space(space, Fraction(p, q))
+    assert len(M) <= 41
     G = gray_subbase(80)
-    for n in data.draw(st.lists(st.integers(0, 79), min_size=1, max_size=6)):
-        assert np.array_equal(G.digit_row(n, M), gray_reference_row(n, points))
+    rows = data.draw(st.lists(st.integers(0, 79), min_size=1, max_size=6))
+    for n in rows + [q.bit_length() - 2]:
+        assert np.array_equal(G.digit_row(n, M),
+                              gray_reference_row(n, M.sample_points))
 
 
 @settings(max_examples=30, deadline=None)
@@ -182,7 +185,7 @@ def test_gray_rows_through_reindexed_views(resolution, index_map, pair):
         assert np.array_equal(table, reference.reshape(table.shape))
 
 
-def test_gray_rows_equal_on_a_fresh_model_and_a_cached_one():
+def test_gray_rows_equal_when_models_alternate():
     G = gray_subbase(12)
     fine, coarse = (builtin_space("interval", Fraction(1, q)) for q in (4096, 3))
     for M in (fine, coarse, fine):
