@@ -22,14 +22,14 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .seq import BD, BINARY_DIGITS
 from .space import SpaceModel
-from .subbase import (DIGIT_CODE, DistanceCut, DistanceSubbase, classify,
-                      code_classes, letter_masks)
+from .subbase import (DIGIT_CODE, DistanceCut, DistanceSubbase, code_classes,
+                      letter_masks)
 
 _EPS = 1e-9
 REGION_SUPPORT = 2  # max #fixed digits in enumerated avoid regions
@@ -66,11 +66,8 @@ def positive_rational(i: int) -> Fraction:
 
 
 def base_interval(m: int) -> Tuple[Fraction, Fraction]:
-    """m-th interval of a base of the positive reals.
-
-    Centers run over all positive rationals, radii shrink along the
-    second unpaired coordinate; every interval stays positive.
-    """
+    """m-th interval of a base of the positive reals: centers run over all
+    positive rationals, radii shrink along the second unpaired coordinate."""
     a, b = unpair(m)
     center = positive_rational(a)
     radius = min(Fraction(1, b + 2), center / 2)
@@ -100,40 +97,49 @@ class AvoidSet:
     def extend(self, values: np.ndarray, tag: str):
         self.values.extend((v, tag) for v in np.asarray(values, float).tolist())
 
-    def clipped(self, lo: Fraction, hi: Fraction, margin) -> List[float]:
-        m = float(margin)
-        lo_f, hi_f = float(lo) - m, float(hi) + m
-        return sorted({v for v, _ in self.values if lo_f <= v <= hi_f})
+    def clipped(self, lo: float, hi: float) -> List[float]:
+        """The distinct values in [lo, hi], sorted."""
+        return sorted({v for v, _ in self.values if lo <= v <= hi})
 
     def __len__(self):
         return len(self.values)
 
 
-def candidate(M: SpaceModel, n: int) -> Tuple[int, Tuple[Fraction, Fraction]]:
-    """Centre and target interval for step n: the sample index of the
-    n0-th dense point, and the n1-th base interval."""
-    n0, n1 = unpair(n)
-    return M.dense_index(n0), base_interval(n1)
+def _pack_slots(nbr: np.ndarray, test) -> np.ndarray:
+    """Slots x samples bits, bit (slot, i) = test(nbr[:, slot])[i], packed
+    as by `np.packbits(bits, axis=0, bitorder="little")`, slot by slot: a
+    samples x slots gather adds about 10 MB to a call's peak allocation on
+    the 1/256 square (66,049 samples x 12 slots)."""
+    bits = np.zeros((-(-nbr.shape[1] // 8), nbr.shape[0]), dtype=np.uint8)
+    for slot, col in enumerate(nbr.T):
+        byte = bits[slot // 8]
+        np.bitwise_or(byte, np.uint8(1 << slot % 8), out=byte, where=test(col))
+    return bits
 
 
 def _steps(f_vals: np.ndarray, nbr: np.ndarray):
-    """Two slots x samples arrays over the padded neighbour array: whether
-    the neighbour in a slot lies above the sample by more than the slack
-    (`up`), and whether below it (`down`).  They are filled one slot at a
-    time, so the float temporaries hold one value per sample: gathering
-    all slots at once adds about 10 MB to a call's peak allocation on the
-    1/256 square (66,049 samples x 12 slots).  A sample is maximal (within
-    slack) among a selection of its neighbours iff none is `up`, minimal
-    iff none is `down`, both if none is selected: rounding is monotone, so
-    v >= fl(max f - eps) iff v >= fl(f - eps) for every neighbour value f."""
+    """`_pack_slots` bits: whether the neighbour in a slot lies above the
+    sample by more than the slack (`up`), and whether below it (`down`).
+    A sample is maximal (within slack) among a selection of its neighbours
+    iff none is `up`, minimal iff none is `down`, both if none is selected:
+    rounding is monotone, so v >= fl(max f - eps) iff v >= fl(f - eps)."""
     f_pad = np.append(f_vals, 0.0)
-    up = np.empty(nbr.shape[::-1], dtype=bool)
-    down = np.empty_like(up)
-    for slot, col in enumerate(nbr.T):
-        nb_vals = f_pad[col]
-        up[slot] = f_vals < nb_vals - _EPS
-        down[slot] = f_vals > nb_vals + _EPS
-    return up, down
+    return (_pack_slots(nbr, lambda col: f_vals < f_pad[col] - _EPS),
+            _pack_slots(nbr, lambda col: f_vals > f_pad[col] + _EPS))
+
+
+def _extremal(up: np.ndarray, down: np.ndarray, selected: np.ndarray) -> np.ndarray:
+    """Local extrema among the `selected` neighbours: the samples without
+    one above them and one below them.  All three are packed slot bits."""
+    return ~((up & selected).any(axis=0) & (down & selected).any(axis=0))
+
+
+class Centre(NamedTuple):
+    """A cut centre's distance row and its `_steps`, made once per build."""
+
+    row: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
 
 
 def _region_extrema(member: np.ndarray, inverse: np.ndarray, nbr: np.ndarray,
@@ -148,8 +154,7 @@ def _region_extrema(member: np.ndarray, inverse: np.ndarray, nbr: np.ndarray,
     where the neighbour lies above the sample and into `below` where it
     lies below.  A sample of a region is a local extremum there unless
     the region holds a neighbour of each kind; isolated samples count.
-    This is the extremum rule of `_steps` with the region's neighbours
-    selected.
+    This is the rule of `_extremal` with the region's neighbours selected.
     """
     regions, classes = member.shape
     packed = np.zeros((classes + 1, 8 * -(-regions // 64)), dtype=np.uint8)
@@ -158,10 +163,10 @@ def _region_extrema(member: np.ndarray, inverse: np.ndarray, nbr: np.ndarray,
     words = packed.view(np.uint64)[np.append(inverse, classes)]
     above = np.zeros_like(words[:-1])
     below = np.zeros_like(above)
-    for col, is_up, is_down in zip(nbr.T, up, down):
-        nb = words[col]
-        np.bitwise_or(above, nb, out=above, where=is_up[:, None])
-        np.bitwise_or(below, nb, out=below, where=is_down[:, None])
+    for slot, col in enumerate(nbr.T):  # each slot's bits as it is reached
+        nb, byte, bit = words[col], slot // 8, np.uint8(1 << slot % 8)
+        np.bitwise_or(above, nb, out=above, where=(up[byte] & bit)[:, None] > 0)
+        np.bitwise_or(below, nb, out=below, where=(down[byte] & bit)[:, None] > 0)
     extremal = words[:-1] & ~(above & below)
     samples = np.flatnonzero(extremal.any(axis=1))
     bits = np.unpackbits(extremal[samples].view(np.uint8), axis=1,
@@ -196,11 +201,11 @@ def _compatible(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ~clash
 
 
-def collect_avoid(M: SpaceModel, table: np.ndarray, f_vals: np.ndarray,
-                  n: int, strong: bool, nbr: np.ndarray,
-                  chosen: Sequence[float] = (),
-                  cut_vals: Sequence[np.ndarray] = ()) -> AvoidSet:
-    """Sampled avoid set for cut n given the digit table of cuts 0..n-1.
+def collect_avoid(table: np.ndarray, cut: Centre, nbr: np.ndarray, band,
+                  strong: bool,
+                  earlier: Sequence[Tuple[float, Centre]] = ()) -> AvoidSet:
+    """Sampled avoid set for the cut centred at `cut`, given the earlier
+    cuts' digit table and (value, centre) pairs and neighbours within `band`.
 
     Regions are the closed sets of sigma with at most REGION_SUPPORT
     fixed binary digits, plus every region realized by a sampled code;
@@ -208,14 +213,14 @@ def collect_avoid(M: SpaceModel, table: np.ndarray, f_vals: np.ndarray,
     values of earlier pairs that interact with level sets of f_n.
 
     Membership in a region depends only on a sample's code class, so a
-    family of regions is a regions x classes matrix.  It is built and
-    searched _REGION_BLOCK regions at a time by `_region_extrema`, which
-    shares one comparison of f with its neighbours per call.  Each value
-    is tagged with its family: closed, code, boundary or interaction.
+    family of regions is a regions x classes matrix, built and searched
+    _REGION_BLOCK regions at a time by `_region_extrema` on the centre's
+    `_steps`.  Each value is tagged with its family: closed, code,
+    boundary or interaction.
     """
     avoid = AvoidSet()
+    n, f_vals = table.shape[0], cut.row
     codes, inverse = code_classes(table)
-    up, down = _steps(f_vals, nbr)
 
     def add_extrema(kind, regions, member):
         """Add f's local extrema in regions 0..regions-1, region-major,
@@ -223,7 +228,7 @@ def collect_avoid(M: SpaceModel, table: np.ndarray, f_vals: np.ndarray,
         for lo in range(0, regions, _REGION_BLOCK):
             block = member(lo, min(lo + _REGION_BLOCK, regions))
             if block.any():
-                _, sample = _region_extrema(block, inverse, nbr, up, down)
+                _, sample = _region_extrema(block, inverse, nbr, cut.up, cut.down)
                 avoid.extend(f_vals[sample], kind)
 
     def patterns(kind, digits, skip=0):
@@ -264,17 +269,13 @@ def collect_avoid(M: SpaceModel, table: np.ndarray, f_vals: np.ndarray,
         patterns("boundary", (BD,), skip=1)
         # earlier cut values with a sampled critical interaction:
         # x extremal for f_k among neighbors on its own f_n level band
-        band = 2 * float(M.resolution)
-        # slot by slot, as in _steps: no samples x slots float temporaries
+        band = float(band)
         f_inf = np.append(f_vals, np.inf)
-        level = np.empty(nbr.shape[::-1], dtype=bool)
-        for slot, col in enumerate(nbr.T):
-            level[slot] = np.abs(f_inf[col] - f_vals) <= band
+        level = _pack_slots(nbr, lambda col: np.abs(f_inf[col] - f_vals) <= band)
         on_level = level.any(axis=0)
-        for c_k, g_vals in zip(chosen, cut_vals):
-            g_up, g_down = _steps(g_vals, nbr)
-            extremal = ~((g_up & level).any(axis=0) & (g_down & level).any(axis=0))
-            hit = on_level & (np.abs(g_vals - c_k) <= band) & extremal
+        for c_k, g in earlier:
+            hit = (on_level & (np.abs(g.row - c_k) <= band)
+                   & _extremal(g.up, g.down, level))
             avoid.extend(f_vals[hit], "interaction")
     return avoid
 
@@ -288,10 +289,9 @@ def choose_cut(interval: Tuple[Fraction, Fraction], avoid: AvoidSet,
     if hi <= lo:
         raise Exhaustion("empty interval %s" % (interval,))
     margin = float(AVOID_MARGIN)
-    blocked = avoid.clipped(lo, hi, AVOID_MARGIN)
-    width = hi - lo
+    blocked = avoid.clipped(float(lo) - margin, float(hi) + margin)
     for _ in range(MAX_RETRIES):
-        c = lo + width * Fraction(rng.randrange(1, 2 ** 30), 2 ** 30)
+        c = lo + (hi - lo) * Fraction(rng.randrange(1, 2 ** 30), 2 ** 30)
         cf = float(c)
         if all(abs(cf - v) >= margin - _EPS for v in blocked):
             return c
@@ -346,43 +346,41 @@ def separation_fraction(table: np.ndarray) -> float:
 
 
 def build(M: SpaceModel, params: BuilderParams) -> BuildResult:
-    """Build `count` cuts inductively: candidate, avoid set, random cut.
+    """Build `count` cuts inductively: cut n is centred at the n0-th dense
+    point and drawn from the n1-th base interval, (n0, n1) = unpair(n).
 
     On exhaustion the next base interval for the same center is tried.
     The result is expected, not guaranteed, to pass the checkers at the
     model's resolution; run them to accept it.
     """
     rng = random.Random(params.rng_seed)
-    npts = len(M.sample_points)
-    nbr = M.neighbor_lists(2 * M.resolution)
-    table = np.empty((0, npts), dtype=np.int8)
-    cuts: List[DistanceCut] = []
-    rows = {}  # centre -> distance row: a centre recurs, its row is read once
+    band = 2 * M.resolution
+    nbr = M.neighbor_lists(band)
+    table = np.empty((params.count, len(M.sample_points)), dtype=np.int8)
+    subbase = DistanceSubbase(M, [])
+    centres = {}  # sample index -> Centre: a centre recurs, its record is made once
+    earlier: List[Tuple[float, Centre]] = []
     log: List[BuildLogRecord] = []
 
     for n in range(params.count):
-        center_index, interval = candidate(M, n)
-        if center_index not in rows:
-            rows[center_index] = M.distance_row(center_index)
-        f_vals = rows[center_index]
-        avoid = collect_avoid(M, table, f_vals, n, params.strong, nbr,
-                              [float(cut.c) for cut in cuts],
-                              [rows[cut.center_index] for cut in cuts])
-        n1 = unpair(n)[1]
-        retries = 0
-        c = None
-        while c is None:
+        n0, n1 = unpair(n)
+        center_index = M.dense_index(n0)
+        if center_index not in centres:
+            row = M.distance_row(center_index)
+            centres[center_index] = Centre(row, *_steps(row, nbr))
+        cut = centres[center_index]
+        avoid = collect_avoid(table[:n], cut, nbr, band, params.strong, earlier)
+        for retries in itertools.count():
+            interval = base_interval(n1 + retries)
             try:
                 c = choose_cut(interval, avoid, rng)
+                break
             except Exhaustion:
-                retries += 1
-                if retries > MAX_RETRIES:
+                if retries == MAX_RETRIES:
                     raise
-                n1 += 1
-                interval = base_interval(n1)
-        cuts.append(DistanceCut(center_index, c))
-        table = np.vstack([table, classify(f_vals, c)])
-        log.append(BuildLogRecord(n, unpair(n)[0], interval, len(avoid),
-                                  c, retries))
+        subbase.cuts.append(DistanceCut(center_index, c))
+        table[n] = subbase.digit_row(n, M)
+        earlier.append((float(c), cut))
+        log.append(BuildLogRecord(n, n0, interval, len(avoid), c, retries))
 
-    return BuildResult(DistanceSubbase(M, cuts), log, table)
+    return BuildResult(subbase, log, table)

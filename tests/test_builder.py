@@ -1,20 +1,26 @@
 import collections
+import functools
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import subbases
 from subbases import builder
 from subbases.builder import (_EPS, _REGION_BLOCK, AVOID_MARGIN, MAX_RETRIES,
-                              REGION_SUPPORT, AvoidSet, BuilderParams, Exhaustion,
-                              _region_extrema, _steps, base_interval, build, candidate,
-                              choose_cut, collect_avoid, positive_rational,
-                              separation_fraction, unpair)
+                              REGION_SUPPORT, AvoidSet, BuilderParams, Centre,
+                              Exhaustion, _extremal, _region_extrema, _steps,
+                              base_interval, build, choose_cut, collect_avoid,
+                              positive_rational, separation_fraction, unpair)
 from subbases.checker import check_proper, check_strong_proper
 from subbases.seq import BD, BINARY_DIGITS, ONE, ZERO, BottomedSeq
 from subbases.space import SpaceModel, builtin_space, compactified_example
@@ -49,12 +55,17 @@ def test_base_intervals_positive():
         assert 0 <= lo < hi
 
 
+def _centre(row, nbr):
+    """A build's record of the centre whose distance row is `row`."""
+    return Centre(row, *_steps(row, nbr))
+
+
 def test_candidate_distance_function():
     M = builtin_space("interval", Fraction(1, 16))
-    center_index, interval = candidate(M, 0)
+    center_index = M.dense_index(unpair(0)[0])
     assert center_index == M.dense_index(0)
-    assert interval == base_interval(0)
-    # the candidate's cut function is the distance to its centre
+    assert base_interval(unpair(0)[1]) == base_interval(0)
+    # a cut of step 0 is the distance to its centre
     c = Fraction(5, 16) + Fraction(1, 1000)
     S = DistanceSubbase(M, [DistanceCut(center_index, c)])
     center = M.sample_points[center_index]
@@ -65,8 +76,9 @@ def test_candidate_distance_function():
 
 def test_candidate_uses_unpairing():
     M = builtin_space("interval", Fraction(1, 16))
-    center_index, _ = candidate(M, 2)  # unpair(2) = (1, 0): second dense point
-    assert center_index == M.dense_index(1)
+    # unpair(2) = (1, 0): the second dense point and the first base interval
+    assert M.dense_index(unpair(2)[0]) == M.dense_index(1)
+    assert base_interval(unpair(2)[1]) == base_interval(0)
 
 
 def test_choose_cut_contract():
@@ -102,12 +114,11 @@ def test_choose_cut_exhaustion():
 
 def test_collect_avoid_distance_endpoints():
     M = builtin_space("interval", Fraction(1, 16))
-    center_index, _ = candidate(M, 0)
-    f_vals = M.distance_row(center_index)
     table = np.empty((0, len(M.sample_points)), dtype=np.int8)
     nbr = M.neighbor_lists(2 * M.resolution)
     assert nbr.shape == (17, 4) and nbr.dtype == np.intp
-    avoid = collect_avoid(M, table, f_vals, 0, False, nbr)
+    f_vals = M.distance_row(M.dense_index(unpair(0)[0]))
+    avoid = collect_avoid(table, _centre(f_vals, nbr), nbr, 2 * M.resolution, False)
     # the minimum 0 at the center and the maximum 1 at the far endpoint,
     # once for the empty pattern's closed set and once for its code
     assert avoid.values == [(0.0, "closed"), (1.0, "closed"),
@@ -257,16 +268,18 @@ def _extrema_by_region(f_vals, member, inverse, nbr):
 @given(spaces(), st.data())
 def test_local_extrema_matches_per_sample_loop(M, data):
     """A block of random regions over random code classes, more than one
-    64-bit word of them, against the per-sample loop region by region."""
+    64-bit word of them, against the per-sample loop region by region.
+    The membership matrix comes from a drawn seed and density: up to
+    140 x 81 cells, more than one Hypothesis list may hold."""
     npts = len(M)
     f_vals = M.distance_row(data.draw(st.integers(0, npts - 1)))
     classes = data.draw(st.integers(1, npts))
     inverse = np.array(data.draw(st.lists(st.integers(0, classes - 1),
                                           min_size=npts, max_size=npts)))
     regions = data.draw(st.integers(1, 140))
-    member = np.array(data.draw(st.lists(st.booleans(), min_size=regions * classes,
-                                         max_size=regions * classes)),
-                      dtype=bool).reshape(regions, classes)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    member = rng.random((regions, classes)) < data.draw(
+        st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)))
     nbr = M.neighbor_lists(2 * M.resolution)
     neighbors = _reference_neighbors(M, 2 * M.resolution)
     assert [list(row[row < npts]) for row in nbr] == [list(nb) for nb in neighbors]
@@ -278,8 +291,9 @@ def test_local_extrema_matches_per_sample_loop(M, data):
 @given(avoid_cases(), st.booleans())
 def test_collect_avoid_matches_per_sample_loops(case, strong):
     M, table, f_vals, n, chosen, cut_vals = case
-    avoid = collect_avoid(M, table, f_vals, n, strong,
-                          M.neighbor_lists(2 * M.resolution), chosen, cut_vals)
+    nbr = M.neighbor_lists(2 * M.resolution)
+    avoid = collect_avoid(table, _centre(f_vals, nbr), nbr, 2 * M.resolution, strong,
+                          [(c, _centre(g, nbr)) for c, g in zip(chosen, cut_vals)])
     reference = _reference_avoid(M, table, f_vals, n, strong,
                                  _reference_neighbors(M, 2 * M.resolution),
                                  chosen, cut_vals)
@@ -310,8 +324,9 @@ def test_local_extrema_empty_and_isolated_regions():
 def test_collect_avoid_interaction_hits(M, f_centre, g_centre, c, hit):
     f_vals, g_vals = M.distance_row(f_centre), M.distance_row(g_centre)
     table = np.zeros((1, len(M)), dtype=np.int8)
-    avoid = collect_avoid(M, table, f_vals, 1, True,
-                          M.neighbor_lists(2 * M.resolution), [c], [g_vals])
+    nbr = M.neighbor_lists(2 * M.resolution)
+    avoid = collect_avoid(table, _centre(f_vals, nbr), nbr, 2 * M.resolution,
+                          True, [(c, _centre(g_vals, nbr))])
     hits = [(v, t) for v, t in avoid.values if t == "interaction"]
     assert hits == ([] if hit is None else [(float(f_vals[hit]), "interaction")])
     reference = _reference_avoid(M, table, f_vals, 1, True,
@@ -341,10 +356,32 @@ def test_extremal_matches_the_gathered_reduction(samples, width, data):
     hi = gathered.max(axis=1, where=mask, initial=-np.inf)
     lo = gathered.min(axis=1, where=mask, initial=np.inf)
     reference = (v >= hi - _EPS) | (v <= lo + _EPS)
-    up, down = _steps(v, nbr)
-    level = mask.T
-    extremal = ~((up & level).any(axis=0) & (down & level).any(axis=0))
-    assert np.array_equal(extremal, reference)
+    level = np.packbits(mask.T, axis=0, bitorder="little")
+    assert np.array_equal(_extremal(*_steps(v, nbr), level), reference)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 20), st.integers(1, 12), st.data())
+def test_packed_extremal_matches_the_boolean_rule(slots, samples, data):
+    """`_extremal` on packed slot bits against the rule on slots x samples
+    booleans, and `_steps` against np.packbits of its boolean slot rows,
+    on 0 to 20 slots: across the byte boundaries at 8 and 16."""
+    def draw(elements):
+        return np.array(data.draw(st.lists(elements, min_size=slots * samples,
+                                           max_size=slots * samples))
+                        ).reshape(slots, samples)
+
+    up, down, level = (draw(st.booleans()).astype(bool) for _ in range(3))
+    rule = ~((up & level).any(0) & (down & level).any(0))
+    pack = functools.partial(np.packbits, axis=0, bitorder="little")
+    assert np.array_equal(_extremal(pack(up), pack(down), pack(level)), rule)
+    f_vals = np.array(data.draw(st.lists(st.integers(0, 3), min_size=samples,
+                                         max_size=samples)), dtype=float)
+    nbr = draw(st.integers(0, samples)).astype(np.intp).T  # pad: samples
+    nb_vals = np.append(f_vals, 0.0)[nbr.T]
+    got_up, got_down = _steps(f_vals, nbr)
+    assert np.array_equal(got_up, pack(f_vals < nb_vals - _EPS))
+    assert np.array_equal(got_down, pack(f_vals > nb_vals + _EPS))
 
 
 # -- bounded memory -------------------------------------------------------
@@ -356,19 +393,18 @@ def test_collect_avoid_working_memory_is_bounded():
     working memory (the tracemalloc peak less what the call leaves
     allocated, which is the avoid set) stays under 2 MB.  The closed
     family alone is 3,201 regions x 1,089 classes, 3.5 MB as one dense
-    boolean array; with _REGION_BLOCK regions at a time the whole call
-    measured 0.8 MB."""
+    boolean array; with _REGION_BLOCK regions at a time the call and
+    the four centre records measured 0.7 MB."""
     M = builtin_space("square", Fraction(1, 32))
     table = np.random.default_rng(0).integers(0, 2, (40, len(M))).astype(np.int8)
     nbr = M.neighbor_lists(2 * M.resolution)
-    f_vals = M.distance_row(5)
-    cut_vals = [M.distance_row(i) for i in (0, 100, 500)]
     assert len(np.unique(table, axis=1).T) == len(M)
     assert len(list(_small_support(40, BINARY_DIGITS, REGION_SUPPORT))) == 3201
     tracemalloc.start()
     try:
-        avoid = collect_avoid(M, table, f_vals, 40, True, nbr,
-                              [0.3, 0.5, 0.7], cut_vals)
+        cut, *cuts = (_centre(M.distance_row(i), nbr) for i in (5, 0, 100, 500))
+        avoid = collect_avoid(table, cut, nbr, 2 * M.resolution, True,
+                              list(zip([0.3, 0.5, 0.7], cuts)))
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -378,21 +414,22 @@ def test_collect_avoid_working_memory_is_bounded():
 
 
 def test_interaction_test_gathers_no_samples_x_slots_floats():
-    """A strong call on the 1/128 square with three earlier cuts: the
-    interaction test takes each earlier cut's masked max and min one
-    neighbour slot at a time.  Gathering the earlier cut's values at
-    every slot at once is 1.6 MB alone (16,641 samples x 12 slots of
-    float64); the whole call measured 2.9 MB that way and 1.6 MB slot
-    by slot."""
+    """A strong call on the 1/128 square with three earlier cuts, and
+    the four centre records: the steps and the level band are packed
+    slot bits filled one neighbour slot at a time.  Gathering a row's
+    values at every slot at once is 1.6 MB alone (16,641 samples x 12
+    slots of float64); the call measured 2.9 MB that way, 2.1 MB with
+    boolean steps made slot by slot for every earlier cut, and 0.9 MB
+    with the records' packed steps."""
     M = builtin_space("square", Fraction(1, 128))
     nbr = M.neighbor_lists(2 * M.resolution)
-    f_vals = M.distance_row(5)
-    cut_vals = [M.distance_row(i) for i in (0, 100, 500)]
     table = np.zeros((3, len(M)), dtype=np.int8)
     assert nbr.shape == (16641, 12)
     tracemalloc.start()
     try:
-        collect_avoid(M, table, f_vals, 3, True, nbr, [0.3, 0.5, 0.7], cut_vals)
+        cut, *cuts = (_centre(M.distance_row(i), nbr) for i in (5, 0, 100, 500))
+        collect_avoid(table, cut, nbr, 2 * M.resolution, True,
+                      list(zip([0.3, 0.5, 0.7], cuts)))
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -542,6 +579,33 @@ def test_strong_build_avoid_families(monkeypatch, space, resolution, count,
     build(builtin_space(space, resolution),
           BuilderParams(count=count, strong=True, rng_seed=seed))
     assert seen == families
+
+
+@pytest.mark.parametrize("count, centres", [(16, 5), (48, 9)])
+def test_build_compares_each_centre_with_its_neighbours_once(monkeypatch, count,
+                                                             centres):
+    """`_steps` runs once per distinct centre (the dense points 0..n0 of
+    unpair), not once per earlier cut at every step: 136 and 1,176 calls."""
+    calls = []
+    steps = builder._steps
+    monkeypatch.setattr(builder, "_steps",
+                        lambda f_vals, nbr: calls.append(1) or steps(f_vals, nbr))
+    res = build(builtin_space("square", Fraction(1, 32)),
+                BuilderParams(count=count, strong=True, rng_seed=42))
+    assert len(calls) == centres
+    assert len({cut.center_index for cut in res.subbase.cuts}) == centres
+
+
+def test_import_subbases_loads_no_module():
+    """The package itself re-exports nothing: importing it loads neither
+    the builder nor the checker."""
+    code = ("import sys, subbases; "
+            "print(sorted(m for m in sys.modules if m.startswith('subbases')))")
+    src = str(Path(subbases.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "['subbases']"
 
 
 def test_build_log_shape():
