@@ -9,10 +9,10 @@ from __future__ import annotations
 # package modules first, then the standard library: without a bytecode
 # cache, importing argparse first raised a CLI's peak RSS by 0.1-0.3 MB
 from .seq import render
-from .space import (POINT_AT_INFINITY, SpaceModel, builtin_space,
-                    compactified_example, gray_subbase)
-from .subbase import (digit_table, duplicated_subbase, enumerate_K, is_cusl,
-                      kslice_to_dot, phi, table_kslice)
+from .space import POINT_AT_INFINITY, SpaceModel, builtin_space
+from .subbase import (GraySubbase, compactified_example, digit_table,
+                      duplicated_subbase, enumerate_K, is_cusl, kslice_to_dot,
+                      phi, table_kslice)
 from . import checker as checker_mod
 from .builder import BuilderParams, build
 from . import files
@@ -170,7 +170,7 @@ def cmd_demo(args) -> int:
 def _demo_gray() -> int:
     _header(command="demo", name="gray", resolution=Fraction(1, 256),
             depth=4, delta=Fraction(1, 32))
-    S = gray_subbase(8)
+    S = GraySubbase(8)
     for x in (Fraction(1, 4), Fraction(3, 4), Fraction(1, 3)):
         print("phi(%s) = %s" % (x, render(phi(S, (x,), 8), width=8)))
     M = builtin_space("interval", Fraction(1, 256))
@@ -186,7 +186,7 @@ def _demo_gray() -> int:
 def _demo_duplication() -> int:
     _header(command="demo", name="duplication", resolution=Fraction(1, 256),
             depth=5, delta=Fraction(1, 64))
-    S = duplicated_subbase(gray_subbase(4), 0)
+    S = duplicated_subbase(GraySubbase(4), 0)
     M = builtin_space("interval", Fraction(1, 256))
     report = checker_mod.check_proper(S, M, 5, Fraction(1, 64))
     print(report.to_text())

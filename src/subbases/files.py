@@ -6,9 +6,8 @@ import json
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from . import space as space_mod
-from .space import SpaceModel, builtin_space, gray_subbase
-from .subbase import DistanceCut, DistanceSubbase, DyadicSubbase
+from .space import POINT_AT_INFINITY, SpaceModel, builtin_space
+from .subbase import DistanceCut, DistanceSubbase, DyadicSubbase, GraySubbase
 
 
 def parse_rational(text: str) -> Fraction:
@@ -25,7 +24,7 @@ def parse_point(text: str):
     names the compactification point."""
     text = text.strip()
     if text == "p":
-        return space_mod.POINT_AT_INFINITY
+        return POINT_AT_INFINITY
     return tuple(parse_rational(part) for part in text.split(","))
 
 
@@ -87,7 +86,7 @@ def load_subbase(path: str, M: SpaceModel = None,
         data = _typed(json.load(fh), "a subbase file", dict, "a JSON object")
     kind = data.get("kind")
     if kind == "gray":
-        return gray_subbase(_count(data, "pairs", 8)), M
+        return GraySubbase(_count(data, "pairs", 8)), M
     if kind == "distance":
         if "space" in data:
             space = _typed(data["space"], "space", dict, "an object")

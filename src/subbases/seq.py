@@ -107,13 +107,6 @@ class BottomedSeq:
         """Product order: every defined entry agrees with other."""
         return self._items <= other._items
 
-    def compatible(self, other: "BottomedSeq") -> bool:
-        for k, v in self._entries.items():
-            w = other._entries.get(k)
-            if w is not None and w != v:
-                return False
-        return True
-
     def join(self, other: "BottomedSeq") -> "BottomedSeq":
         """Least upper bound; raises Incompatible on a digit clash."""
         d = dict(self._entries)

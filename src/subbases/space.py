@@ -1,10 +1,10 @@
 """Computational stand-ins for separable metric spaces.
 
 A space model is a dense finite sample with a metric and a countable
-dense enumeration.  Built-in models cover the unit interval (with the
-exact Gray classifier), the circle, square and torus grids, finite
-metric spaces loaded from JSON, and the two counterexample models from
-the boundary-duplication remark and the one-point compactification.
+dense enumeration.  Built-in models cover the unit interval, the circle,
+square and torus grids, finite metric spaces loaded from JSON, and the
+one-point compactification counterexample.  No subbase is defined here:
+the subbases of these models live in `subbase`.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
-
-from .seq import BD, ONE, ZERO
-from .subbase import OracleSubbase
 
 
 class MetricError(ValueError):
@@ -231,70 +228,13 @@ def validate_metric(d: Sequence[Sequence]) -> np.ndarray:
     return f
 
 
-# -- the Gray classifier of the unit interval ----------------------------
-
-
-def gray_digit(x: Fraction, n: int) -> str:
-    """Exact digit of the n-th Gray pair at a rational x in [0, 1] (or a
-    point holding x alone).
-
-    Computed arithmetically from t = (2^n x) mod 2, which carries the
-    sign of -cos(2^n pi x): the digit is '0' on [0,1/2) u (3/2,2),
-    '1' on (1/2,3/2) and the boundary digit at t in {1/2, 3/2}.
-    """
-    x = _unit_scalar(x)
-    t = (Fraction(2) ** n * x) % 2
-    if t == Fraction(1, 2) or t == Fraction(3, 2):
-        return BD
-    return ONE if Fraction(1, 2) < t < Fraction(3, 2) else ZERO
-
-
 def _as_scalar(x) -> Fraction:
+    """The coordinate of a one-axis point: a rational x, or (x,)."""
     if isinstance(x, tuple) and len(x) == 1:
         x = x[0]
     if isinstance(x, (tuple, InfinityPoint)):
         raise ValueError("expected a scalar point, got %r" % (x,))
     return x if type(x) is Fraction else Fraction(x)
-
-
-def _unit_scalar(p) -> Fraction:
-    """The coordinate of a scalar point p, which must lie in [0, 1]."""
-    x = _as_scalar(p)
-    if not 0 <= x.numerator <= x.denominator:
-        raise ValueError("x must lie in [0, 1]: %s" % x)
-    return x
-
-
-class GraySubbase(OracleSubbase):
-    """The Gray subbase of [0, 1]: `digit` is the exact `gray_digit`, and
-    `digit_row` on a one-axis lattice the same rule in integer arithmetic.
-
-    Sample i of a one-axis lattice of resolution p/q is x = k/Q with
-    k = i p and Q = q.  Then u = 2^n k mod 2Q equals t Q for
-    t = 2^n x mod 2, so the digit is the boundary at 2u in {Q, 3Q}, 1 for
-    Q < 2u < 3Q and 0 otherwise.  Any other model is read point by point.
-    """
-
-    def __init__(self, pairs: int):
-        super().__init__(pairs, lambda n, x: gray_digit(x, n))
-
-    def digit_row(self, n: int, M) -> np.ndarray:
-        if M.lattice is None or len(M.lattice.shape) != 1:
-            return super().digit_row(n, M)
-        self._check_index(n)
-        Q = M.resolution.denominator
-        # ints up to 2 Q^2 occur below; past int64 they are Python ints
-        dtype = np.int64 if 2 * Q * Q <= np.iinfo(np.int64).max else object
-        k = np.arange(len(M), dtype=dtype) * M.resolution.numerator
-        twice_u = 2 * ((pow(2, n, 2 * Q) * k) % (2 * Q))
-        boundary = (twice_u == Q) | (twice_u == 3 * Q)
-        one = (twice_u > Q) & (twice_u < 3 * Q)
-        return np.where(boundary, 2, one).astype(np.int8)
-
-
-def gray_subbase(pairs: int = 8) -> GraySubbase:
-    """The Gray subbase of [0, 1] with the exact digit oracle."""
-    return GraySubbase(pairs)
 
 
 # -- built-in space models ----------------------------------------------
@@ -389,15 +329,11 @@ def builtin_space(name: str, resolution: Fraction, file: str = None) -> SpaceMod
 # -- one-point compactification counterexample ---------------------------
 
 
-def compactified_example(resolution: Fraction = Fraction(1, 256),
-                         pairs: int = 8):
+def compactified_space(resolution: Fraction = Fraction(1, 256)) -> SpaceModel:
     """The one-point compactification of [0,1] minus the two quarter points.
 
     Points are the grid rationals excluding 1/4 and 3/4 plus the added
-    point p.  Digits follow the Gray classifier except that p's code is
-    bottom, bottom, 1, then all zeros; the first two classifications of
-    p report the boundary digit since p lies in neither open set of
-    those pairs.  The metric identifies p with the removed points:
+    point p.  The metric identifies p with the removed points:
     d(x, p) = min(|x - 1/4|, |x - 3/4|), and two ordinary points may be
     connected through p.
     """
@@ -418,12 +354,4 @@ def compactified_example(resolution: Fraction = Fraction(1, 256),
         xa, xb = _as_scalar(a), _as_scalar(b)
         return min(abs(xa - xb), dist_to_p(xa) + dist_to_p(xb))
 
-    def digit_fn(n, x):
-        if x is POINT_AT_INFINITY:
-            if n < 2:
-                return BD
-            return ONE if n == 2 else ZERO
-        return gray_digit(_as_scalar(x), n)
-
-    model = SpaceModel("compactified", pts, metric, resolution)
-    return model, OracleSubbase(pairs, digit_fn)
+    return SpaceModel("compactified", pts, metric, resolution)

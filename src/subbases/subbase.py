@@ -8,7 +8,9 @@ bottom at every 'b' classification.
 The digit code of a sample (int8 0, 1, 2 = boundary) is decided here
 alone: `digit_row` classifies every sample of a space model at once, and
 `digit_table`, which stacks the rows, is read by the checker, the K slices
-and the builder.  Distance cuts classify with `classify`.
+and the builder.  Distance cuts classify with `classify`; the Gray subbase
+of [0, 1] and the one-point compactification's subbase read one integer
+Gray rule, `_gray_codes`.
 
 A K slice is read through one bitset key per element (`_kslice_keys`):
 the order, the cusl check and the Hasse diagram work on the keys, and
@@ -19,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .seq import BD, DIGITS, ONE, ZERO, BottomedSeq, render, sort_key
+from .space import POINT_AT_INFINITY, _as_scalar, compactified_space
 
 BOUNDARY_TOL = 1e-9
 DIGIT_CODE = {ZERO: 0, ONE: 1, BD: 2}
@@ -103,21 +106,6 @@ class DistanceSubbase(DyadicSubbase):
         return classify(M.distance_row(cut.center_index), cut.c)
 
 
-class OracleSubbase(DyadicSubbase):
-    """Subbase given directly by a digit oracle, e.g. Gray or counterexample models."""
-
-    def __init__(self, length: int, digit_fn: Callable):
-        self._length = length
-        self._digit_fn = digit_fn
-
-    def __len__(self) -> int:
-        return self._length
-
-    def digit(self, n: int, x) -> str:
-        self._check_index(n)
-        return self._digit_fn(n, x)
-
-
 class ReindexedSubbase(DyadicSubbase):
     """View of another subbase through an index map (permutation or duplication)."""
 
@@ -152,6 +140,79 @@ def duplicated_subbase(S: DyadicSubbase, n: int) -> DyadicSubbase:
     if not 0 <= n < len(S):
         raise IndexError("pair index %d out of range" % n)
     return ReindexedSubbase(S, list(range(len(S))) + [n])
+
+
+# -- the Gray subbase of [0, 1] and the one-point compactification ------
+
+
+def _gray_codes(k, Q: int, n: int):
+    """Digit codes of the n-th Gray pair at x = k/Q, for an int k or an
+    int array of them.
+
+    With u = 2^n k mod 2Q, u/Q is t = 2^n x mod 2, which carries the sign
+    of -cos(2^n pi x): the code is the boundary 2 at 2u in {Q, 3Q}, 1 for
+    Q < 2u < 3Q and 0 otherwise.  Ints up to 2 Q max(k) occur.
+    """
+    twice_u = 2 * ((pow(2, n, 2 * Q) * k) % (2 * Q))
+    one = (twice_u > Q) & (twice_u < 3 * Q)
+    return one + 2 * ((twice_u == Q) | (twice_u == 3 * Q))
+
+
+def gray_digit(x, n: int) -> str:
+    """Exact digit of the n-th Gray pair at a rational x in [0, 1] (or a
+    point holding x alone)."""
+    x = _as_scalar(x)
+    if not 0 <= x.numerator <= x.denominator:
+        raise ValueError("x must lie in [0, 1]: %s" % x)
+    return CODE_DIGIT[_gray_codes(x.numerator, x.denominator, n)]
+
+
+class GraySubbase(DyadicSubbase):
+    """The Gray subbase of [0, 1]: `digit` is the exact `gray_digit`.
+
+    `digit_row` on a one-axis lattice of resolution p/q reads the same
+    rule on the whole row: sample i is x = i p / q.  Any other model is
+    read point by point.
+    """
+
+    def __init__(self, pairs: int):
+        self.pairs = pairs
+
+    def __len__(self) -> int:
+        return self.pairs
+
+    def digit(self, n: int, x) -> str:
+        self._check_index(n)
+        return gray_digit(x, n)
+
+    def digit_row(self, n: int, M) -> np.ndarray:
+        if M.lattice is None or len(M.lattice.shape) != 1:
+            return super().digit_row(n, M)
+        self._check_index(n)
+        q = M.resolution.denominator
+        # ints up to 2 q^2 occur in the rule; past int64 they are Python ints
+        dtype = np.int64 if 2 * q * q <= np.iinfo(np.int64).max else object
+        k = np.arange(len(M), dtype=dtype) * M.resolution.numerator
+        return _gray_codes(k, q, n).astype(np.int8)
+
+
+class CompactifiedSubbase(GraySubbase):
+    """The Gray digits on the one-point compactification, where the added
+    point p is coded bottom, bottom, 1, then all zeros: p lies in neither
+    open set of the first two pairs."""
+
+    def digit(self, n: int, x) -> str:
+        if x is not POINT_AT_INFINITY:
+            return super().digit(n, x)
+        self._check_index(n)
+        return BD if n < 2 else ONE if n == 2 else ZERO
+
+
+def compactified_example(resolution: Fraction = Fraction(1, 256),
+                         pairs: int = 8):
+    """The model `space.compactified_space` and its subbase: proper, but
+    not strongly proper."""
+    return compactified_space(resolution), CompactifiedSubbase(pairs)
 
 
 # -- coding map and membership ------------------------------------------

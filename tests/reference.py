@@ -5,12 +5,24 @@ the builder work on code classes and bitsets instead.
 """
 
 import itertools
+from fractions import Fraction
 from typing import Iterator, List
 
 import numpy as np
 
-from subbases.seq import BOT, DIGITS, BottomedSeq
+from subbases.seq import BD, BOT, DIGITS, ONE, ZERO, BottomedSeq
 from subbases.subbase import CODE_DIGIT, code_classes, letter_masks
+
+
+def gray_digit(x: Fraction, n: int) -> str:
+    """The digit of the n-th Gray pair at a rational x in [0, 1], as the
+    paper defines it: t = 2^n x mod 2 carries the sign of -cos(2^n pi x),
+    so the digit is '0' on [0, 1/2) u (3/2, 2), '1' on (1/2, 3/2) and the
+    boundary digit at t in {1/2, 3/2}."""
+    t = (Fraction(2) ** n * x) % 2
+    if t == Fraction(1, 2) or t == Fraction(3, 2):
+        return BD
+    return ONE if Fraction(1, 2) < t < Fraction(3, 2) else ZERO
 
 
 def enumerate_sequences(depth: int, alphabet=DIGITS) -> Iterator[BottomedSeq]:

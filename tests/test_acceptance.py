@@ -14,10 +14,10 @@ import pytest
 from subbases.builder import BuilderParams, build
 from subbases.checker import check_proper, check_strong_proper
 from subbases.seq import BD, DIGITS, EMPTY, ONE, ZERO, render
-from subbases.space import (POINT_AT_INFINITY, builtin_space,
-                            compactified_example, gray_subbase)
-from subbases.subbase import (DIGIT_CODE, duplicated_subbase, enumerate_K,
-                              is_cusl, member_open, permute, phi)
+from subbases.space import POINT_AT_INFINITY, builtin_space
+from subbases.subbase import (DIGIT_CODE, GraySubbase, compactified_example,
+                              duplicated_subbase, enumerate_K, is_cusl,
+                              member_open, permute, phi)
 
 from reference import enumerate_sequences
 
@@ -29,7 +29,7 @@ def _report(num, name, started):
 
 def test_criterion_1_gray_code_digits():
     t0 = time.time()
-    G = gray_subbase(8)
+    G = GraySubbase(8)
     assert render(phi(G, (Fraction(1, 4),), 8), width=8) == "0_100000"
     assert render(phi(G, (Fraction(3, 4),), 8), width=8) == "1_100000"
     _report(1, "gray code digits", t0)
@@ -41,7 +41,7 @@ def test_criterion_2_gray_boundary_disjointness():
     pairs."""
     t0 = time.time()
     M = builtin_space("interval", Fraction(1, 2 ** 17))
-    G = gray_subbase(17)
+    G = GraySubbase(17)
     seen = set()
     for n in range(17):
         ks = np.flatnonzero(G.digit_row(n, M) == DIGIT_CODE[BD]).tolist()
@@ -56,7 +56,7 @@ def test_criterion_2_gray_boundary_disjointness():
 def test_criterion_3_gray_strong_properness():
     t0 = time.time()
     M = builtin_space("interval", Fraction(1, 4096))
-    G = gray_subbase(8)
+    G = GraySubbase(8)
     report = check_strong_proper(G, M, 5, Fraction(1, 128))
     assert report.ok
     assert not report.violations
@@ -66,7 +66,7 @@ def test_criterion_3_gray_strong_properness():
 
 def test_criterion_4_duplication_counterexample():
     t0 = time.time()
-    S = duplicated_subbase(gray_subbase(4), 0)
+    S = duplicated_subbase(GraySubbase(4), 0)
     M = builtin_space("interval", Fraction(1, 256))
     report = check_proper(S, M, 5, Fraction(1, 64))
     assert not report.ok
@@ -116,7 +116,7 @@ def test_criterion_6_builder_soundness():
 
 def test_criterion_7_cusl_permutation_link():
     t0 = time.time()
-    G = gray_subbase(8)
+    G = GraySubbase(8)
     M = builtin_space("interval", Fraction(1, 256))
     for pi in itertools.permutations(range(4)):
         full = list(pi) + list(range(4, 8))
@@ -157,10 +157,10 @@ def test_criterion_8_order_theory_suite():
         assert binary.join(bd) == s
 
     shipped = []
-    G = gray_subbase(8)
+    G = GraySubbase(8)
     Mi = builtin_space("interval", Fraction(1, 64))
     shipped.append((G, Mi))
-    shipped.append((duplicated_subbase(gray_subbase(4), 0), Mi))
+    shipped.append((duplicated_subbase(GraySubbase(4), 0), Mi))
     Mc, C = compactified_example(Fraction(1, 64))
     shipped.append((C, Mc))
 

@@ -23,7 +23,7 @@ from subbases.builder import (_EPS, _REGION_BLOCK, AVOID_MARGIN, MAX_RETRIES,
                               positive_rational, separation_fraction, unpair)
 from subbases.checker import check_proper, check_strong_proper
 from subbases.seq import BD, BINARY_DIGITS, ONE, ZERO, BottomedSeq
-from subbases.space import SpaceModel, builtin_space, compactified_example
+from subbases.space import SpaceModel, builtin_space, compactified_space
 from subbases.subbase import DistanceCut, DistanceSubbase
 
 from reference import pattern_masks, table_codes
@@ -500,7 +500,7 @@ def test_models_without_a_lattice_keep_the_row_scan(tmp_path):
     path.write_text(json.dumps({"points": [[i] for i in range(6)], "metric": [
         [abs(i - j) for j in range(6)] for i in range(6)]}))
     finite = builtin_space("finite", Fraction(1), file=str(path))
-    compactified, _ = compactified_example(Fraction(1, 16))
+    compactified = compactified_space(Fraction(1, 16))
     for M, radius in ((finite, Fraction(2)), (compactified, Fraction(1, 8)),
                       (_finite_space([(0, 0), (1, 2), (3, 1)], 1), Fraction(3))):
         assert M.lattice is None
@@ -598,14 +598,17 @@ def test_build_compares_each_centre_with_its_neighbours_once(monkeypatch, count,
 
 def test_import_subbases_loads_no_module():
     """The package itself re-exports nothing: importing it loads neither
-    the builder nor the checker."""
-    code = ("import sys, subbases; "
-            "print(sorted(m for m in sys.modules if m.startswith('subbases')))")
+    the builder nor the checker.  The space models sit below every other
+    layer: importing them loads no subbase and no sequence module."""
     src = str(Path(subbases.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.strip() == "['subbases']"
+    for module, loaded in (("subbases", ["subbases"]),
+                           ("subbases.space", ["subbases", "subbases.space"])):
+        code = ("import sys, %s; print(sorted(m for m in sys.modules "
+                "if m.startswith('subbases')))" % module)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=src)).stdout
+        assert out.strip() == repr(loaded)
 
 
 def test_build_log_shape():

@@ -11,10 +11,10 @@ from subbases.checker import (CheckerError, CheckReport, Violation,
                               check_proper, check_strong_proper, digit_table,
                               report_to_json_file)
 from subbases.seq import BD, BINARY_DIGITS, DIGITS, render
-from subbases.space import (POINT_AT_INFINITY, SpaceModel, builtin_space,
-                            compactified_example, gray_subbase)
+from subbases.space import POINT_AT_INFINITY, SpaceModel, builtin_space
 from subbases.subbase import (CODE_DIGIT, DIGIT_CODE, DistanceCut,
-                              DistanceSubbase, OracleSubbase, ReindexedSubbase,
+                              DistanceSubbase, DyadicSubbase, GraySubbase,
+                              ReindexedSubbase, compactified_example,
                               duplicated_subbase, member_closed, member_open,
                               permute)
 
@@ -23,7 +23,7 @@ from reference import enumerate_sequences
 
 @pytest.fixture(scope="module")
 def gray():
-    return gray_subbase(8)
+    return GraySubbase(8)
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +52,7 @@ def test_delta_precondition(gray):
 
 
 def test_duplication_fails_with_witness_half(gray, grid256):
-    S = duplicated_subbase(gray_subbase(4), 0)
+    S = duplicated_subbase(GraySubbase(4), 0)
     report = check_proper(S, grid256, 5, Fraction(1, 64))
     assert not report.ok
     witnesses = {v.point for v in report.violations}
@@ -63,7 +63,7 @@ def test_duplication_fails_with_witness_half(gray, grid256):
 
 
 def test_violations_are_self_verifying(grid256):
-    S = duplicated_subbase(gray_subbase(4), 0)
+    S = duplicated_subbase(GraySubbase(4), 0)
     delta = Fraction(1, 64)
     report = check_proper(S, grid256, 5, delta)
     for v in report.violations:
@@ -85,7 +85,7 @@ def test_compactified_proper_but_not_strong():
 
 
 def test_monotone_in_delta(grid256):
-    S = duplicated_subbase(gray_subbase(3), 0)
+    S = duplicated_subbase(GraySubbase(3), 0)
     small = check_proper(S, grid256, 4, Fraction(1, 64))
     large = check_proper(S, grid256, 4, Fraction(1, 2))
     assert not small.ok
@@ -94,17 +94,17 @@ def test_monotone_in_delta(grid256):
     assert {v.nearest for v in small.violations} == {None}
     assert {v.nearest for v in large.violations} == {None}
     # and on a proper subbase passes stay passes as delta grows
-    G = gray_subbase(4)
+    G = GraySubbase(4)
     assert check_proper(G, grid256, 3, Fraction(1, 64)).ok
     assert check_proper(G, grid256, 3, Fraction(1, 8)).ok
 
 
 def test_permutation_invariance(grid256):
-    G = gray_subbase(4)
+    G = GraySubbase(4)
     P = permute(G, [2, 0, 3, 1])
     assert check_proper(G, grid256, 4, Fraction(1, 32)).ok
     assert check_proper(P, grid256, 4, Fraction(1, 32)).ok
-    D = duplicated_subbase(gray_subbase(3), 0)
+    D = duplicated_subbase(GraySubbase(3), 0)
     DP = permute(D, [3, 1, 2, 0])
     assert not check_proper(D, grid256, 4, Fraction(1, 32)).ok
     assert not check_proper(DP, grid256, 4, Fraction(1, 32)).ok
@@ -127,18 +127,18 @@ def _count_rows(M):
 def test_checks_read_distance_rows_only_for_violations():
     M = builtin_space("interval", Fraction(1, 4096))
     calls = _count_rows(M)
-    assert check_strong_proper(gray_subbase(9), M, 9, Fraction(1, 512)).ok
+    assert check_strong_proper(GraySubbase(9), M, 9, Fraction(1, 512)).ok
     assert calls == []
     # the duplication demo: every violation has an empty open set
     M = builtin_space("interval", Fraction(1, 256))
     calls = _count_rows(M)
-    report = check_proper(duplicated_subbase(gray_subbase(4), 0), M, 5,
+    report = check_proper(duplicated_subbase(GraySubbase(4), 0), M, 5,
                           Fraction(1, 64))
     assert len(report.violations) == 16 and calls == []
     # a boundary sample 12 steps from the open set of digit 0
     M = builtin_space("interval", Fraction(1, 16))
     calls = _count_rows(M)
-    report = check_proper(table_subbase(M, [[0] * 3 + [1] * 11 + [2, 1, 1]]),
+    report = check_proper(TableSubbase(M, [[0] * 3 + [1] * 11 + [2, 1, 1]]),
                           M, 1, Fraction(1, 8))
     assert [(v.point, v.nearest) for v in report.violations] == [
         ((Fraction(14, 16),), 0.75)]
@@ -146,7 +146,7 @@ def test_checks_read_distance_rows_only_for_violations():
 
 
 def test_report_json(tmp_path, grid256):
-    S = duplicated_subbase(gray_subbase(3), 0)
+    S = duplicated_subbase(GraySubbase(3), 0)
     report = check_proper(S, grid256, 4, Fraction(1, 32))
     path = tmp_path / "report.json"
     report_to_json_file(report, str(path))
@@ -198,11 +198,19 @@ def both_checks(S, M, depth, delta):
              reference_check(S, M, depth, delta, DIGITS, "strong-proper")))
 
 
-def table_subbase(M, rows):
-    """An oracle subbase whose digits at the samples of M are the rows."""
-    index = {x: i for i, x in enumerate(M.sample_points)}
-    return OracleSubbase(len(rows),
-                         lambda n, x: CODE_DIGIT[rows[n][index[x]]])
+class TableSubbase(DyadicSubbase):
+    """A subbase whose digits at the samples of M are the given rows."""
+
+    def __init__(self, M, rows):
+        self.index = {x: i for i, x in enumerate(M.sample_points)}
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def digit(self, n: int, x) -> str:
+        self._check_index(n)
+        return CODE_DIGIT[self.rows[n][self.index[x]]]
 
 
 def grid_space(points):
@@ -244,11 +252,11 @@ def check_cases(draw):
                                       max_size=len(M)),
                              min_size=depth, max_size=depth))
         delta = 2 * M.resolution * draw(st.integers(1, 4))
-        return table_subbase(M, rows), M, depth, delta
+        return TableSubbase(M, rows), M, depth, delta
     if kind == "gray":
         M = builtin_space("interval", Fraction(1, 64))
         index_map = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))
-        S = ReindexedSubbase(gray_subbase(5), index_map)
+        S = ReindexedSubbase(GraySubbase(5), index_map)
         return (S, M, draw(st.integers(0, len(S))),
                 draw(st.sampled_from((Fraction(1, 32), Fraction(1, 8)))))
     points, cuts, depth, delta = draw(distance_cases())
@@ -268,7 +276,7 @@ def test_checks_match_flat_reference(case):
 
 
 def test_truncation_matches_flat_reference(grid256):
-    S = ReindexedSubbase(gray_subbase(8), [0, 0, 1, 1, 2, 2, 3, 3])
+    S = ReindexedSubbase(GraySubbase(8), [0, 0, 1, 1, 2, 2, 3, 3])
     for report, reference in both_checks(S, grid256, 8, Fraction(1, 64)):
         assert report.truncated and len(report.violations) == 100
         assert report.to_json() == reference.to_json()
@@ -277,7 +285,7 @@ def test_truncation_matches_flat_reference(grid256):
 
 
 def test_stats_count_every_pattern(grid256):
-    report = check_strong_proper(gray_subbase(8), grid256, 5, Fraction(1, 32))
+    report = check_strong_proper(GraySubbase(8), grid256, 5, Fraction(1, 32))
     stats = report.stats
     assert stats["patterns_examined"] + stats["patterns_pruned"] == 4 ** 5
     assert stats["patterns_pruned"] > 0
@@ -285,7 +293,7 @@ def test_stats_count_every_pattern(grid256):
     assert stats["code_classes"] == 63
     assert stats["candidates_scanned"] >= stats["patterns_with_candidates"]
     assert "stats" not in report.to_json()
-    proper = check_proper(duplicated_subbase(gray_subbase(4), 0), grid256, 5,
+    proper = check_proper(duplicated_subbase(GraySubbase(4), 0), grid256, 5,
                           Fraction(1, 64))
     assert (proper.stats["patterns_examined"] + proper.stats["patterns_pruned"]
             == 3 ** 5)
@@ -296,7 +304,7 @@ def test_gray_depth_9_stats():
     candidate sample of a passing pattern, 261,632 = 19,682 patterns x
     about 13 samples."""
     M = builtin_space("interval", Fraction(1, 4096))
-    report = check_strong_proper(gray_subbase(12), M, 9, Fraction(1, 512))
+    report = check_strong_proper(GraySubbase(12), M, 9, Fraction(1, 512))
     assert report.verdict == "pass"
     assert report.stats == {"patterns_examined": 38854,
                             "patterns_pruned": 223290,
@@ -309,8 +317,8 @@ def test_checks_leave_no_reference_cycle(grid256):
     """A check's search state is freed by reference counting alone: with
     the cyclic collector off, nothing is left for it to find, after a
     passing check and after one that stops on a full report."""
-    truncating = ReindexedSubbase(gray_subbase(8), [0, 0, 1, 1, 2, 2, 3, 3])
-    cases = ((gray_subbase(8), 5, Fraction(1, 64)),
+    truncating = ReindexedSubbase(GraySubbase(8), [0, 0, 1, 1, 2, 2, 3, 3])
+    cases = ((GraySubbase(8), 5, Fraction(1, 64)),
              (truncating, 8, Fraction(1, 64)))
     for S, depth, delta in cases:
         for check in (check_proper, check_strong_proper):

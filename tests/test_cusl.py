@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subbases.seq import BD, BOT, ONE, ZERO, BottomedSeq, parse, render
-from subbases.space import builtin_space, gray_subbase
-from subbases.subbase import (CuslReport, KSlice, enumerate_K, is_cusl,
-                              kslice_to_dot, sort_key, table_kslice)
+from subbases.space import builtin_space
+from subbases.subbase import (CuslReport, GraySubbase, KSlice, enumerate_K,
+                              is_cusl, kslice_to_dot, sort_key, table_kslice)
 
 
 def reference_is_cusl(K: KSlice) -> CuslReport:
@@ -119,7 +119,7 @@ def _slice(*texts):
 
 
 def test_keyed_slice_makes_no_leq_or_join_call(monkeypatch):
-    gray = enumerate_K(gray_subbase(8),
+    gray = enumerate_K(GraySubbase(8),
                        builtin_space("interval", Fraction(1, 4096)), 8)
     # missing joins "00": bounded by "000" alone, then by "000" and "001"
     least = _slice("", "0", "_0", "000")

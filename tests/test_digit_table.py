@@ -15,13 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 from subbases.builder import BuilderParams, build
 from subbases.files import load_subbase, save_subbase, subbase_to_json
-from subbases.space import (SpaceModel, builtin_space,
-                            compactified_example, gray_digit, gray_subbase)
-from subbases.subbase import (DIGIT_CODE, KSlice, ReindexedSubbase,
-                              code_classes, digit_table, duplicated_subbase,
-                              enumerate_K, permute, phi, table_kslice)
+from subbases.space import SpaceModel, builtin_space
+from subbases.subbase import (DIGIT_CODE, GraySubbase, KSlice,
+                              ReindexedSubbase, code_classes,
+                              compactified_example, digit_table,
+                              duplicated_subbase, enumerate_K, gray_digit,
+                              permute, phi, table_kslice)
 
-from reference import table_codes
+from reference import gray_digit as paper_gray_digit, table_codes
 
 SPACES = (("interval", Fraction(1, 32)), ("circle", Fraction(1, 32)),
           ("square", Fraction(1, 16)), ("torus", Fraction(1, 16)))
@@ -49,7 +50,7 @@ def subbases(draw):
         _, S, M = built(space, resolution, draw(st.integers(0, 3)),
                         draw(st.booleans()))
     elif kind == "gray":
-        S = gray_subbase(8)
+        S = GraySubbase(8)
         M = builtin_space("interval", draw(st.sampled_from(
             (Fraction(1, 64), Fraction(1, 48), Fraction(1, 10)))))
     else:
@@ -124,12 +125,13 @@ def test_builder_table_matches_saved_subbase(space, seed, strong):
                                       len(S)))
 
 
-# -- the integer Gray rows against the per-sample Fraction loop ----------
+# -- the integer Gray rows against the paper's Fraction definition -------
 
 
 def gray_reference_row(n, points):
-    """Pair n's codes at every point through the exact `gray_digit`."""
-    return np.array([DIGIT_CODE[gray_digit(x, n)] for x in points],
+    """Pair n's codes at every one-axis point (x,) through the paper's
+    Fraction definition of the Gray digit."""
+    return np.array([DIGIT_CODE[paper_gray_digit(x, n)] for (x,) in points],
                     dtype=np.int8)
 
 
@@ -145,7 +147,7 @@ RESOLUTIONS = st.one_of(
 @given(st.sampled_from(("interval", "circle")), RESOLUTIONS,
        st.lists(st.integers(0, 69), min_size=1, max_size=6))
 def test_gray_digit_row_matches_gray_digit(space, resolution, rows):
-    G = gray_subbase(70)
+    G = GraySubbase(70)
     M = builtin_space(space, resolution)
     for n in rows:
         assert np.array_equal(G.digit_row(n, M),
@@ -165,7 +167,7 @@ def test_gray_digit_row_on_large_denominators(space, q, data):
         lambda p: Fraction(p, q).denominator == q))
     M = builtin_space(space, Fraction(p, q))
     assert len(M) <= 41
-    G = gray_subbase(80)
+    G = GraySubbase(80)
     rows = data.draw(st.lists(st.integers(0, 79), min_size=1, max_size=6))
     for n in rows + [q.bit_length() - 2]:
         assert np.array_equal(G.digit_row(n, M),
@@ -177,8 +179,8 @@ def test_gray_digit_row_on_large_denominators(space, q, data):
        st.integers(0, 9))
 def test_gray_rows_through_reindexed_views(resolution, index_map, pair):
     M = builtin_space("interval", resolution)
-    for S in (ReindexedSubbase(gray_subbase(10), index_map),
-              duplicated_subbase(gray_subbase(10), pair)):
+    for S in (ReindexedSubbase(GraySubbase(10), index_map),
+              duplicated_subbase(GraySubbase(10), pair)):
         reference = np.array([gray_reference_row(m, M.sample_points)
                               for m in S.index_map])
         table = digit_table(S, M, len(S))
@@ -186,7 +188,7 @@ def test_gray_rows_through_reindexed_views(resolution, index_map, pair):
 
 
 def test_gray_rows_equal_when_models_alternate():
-    G = gray_subbase(12)
+    G = GraySubbase(12)
     fine, coarse = (builtin_space("interval", Fraction(1, q)) for q in (4096, 3))
     for M in (fine, coarse, fine):
         assert np.array_equal(digit_table(G, M, 12), np.array(
@@ -203,9 +205,10 @@ def test_gray_rows_equal_when_models_alternate():
 def test_gray_digit_row_errors_match_the_loop(points, message):
     M = SpaceModel("points", points, None, Fraction(1))
     with pytest.raises(ValueError) as loop:
-        gray_reference_row(0, points)
+        for x in points:
+            gray_digit(x, 0)
     with pytest.raises(ValueError) as row:
-        gray_subbase(4).digit_row(0, M)
+        GraySubbase(4).digit_row(0, M)
     assert str(row.value) == str(loop.value) == message
 
 

@@ -24,6 +24,9 @@ SEQUENCE = (
                     "--permutations", "3", "--seed", "1"], []),
     ("encode", ["encode", "--subbase", "built.json", "--point", "1/4,1/2",
                 "--depth", "8"], []),
+    ("demo-gray", ["demo", "gray"], []),
+    ("encode-gray", ["encode", "--subbase", "gray10.json", "--point", "1/3",
+                     "--depth", "10"], []),
     ("demo-duplication", ["demo", "duplication"], []),
     ("demo-compactification", ["demo", "compactification"], []),
     ("build-criterion-6", ["build", "--space", "square", "--resolution", "1/32",
@@ -49,6 +52,8 @@ GOLDEN = {
                {"k.dot": "28e3f9311d2f06bb5efdc415a49ec3fecea3cb7651a4ea9fb8a5f0639d6f8ed2"}),
     "check-cusl": (0, "87c1309eb225f822e315c95d3d5bbed81967404a07d1de00437a0503afb16931", {}),
     "encode": (0, "6ddb51c31c62367956a68751bff12e19758aa1057f5af5d692a5a6a55e7919f5", {}),
+    "demo-gray": (0, "457c5d83a0c12a6446d273ae6e08aabe0e25b25322b7f1a3633c905236c5ec88", {}),
+    "encode-gray": (0, "0b195d4e9e93cc0043f7826a2e93efd41c23b51edab366817352b08feb1a9e0a", {}),
     "demo-duplication": (1, "1f6859a7e23dfd4fd9236663cfc565dbd91d2113658dd543ba13c74a3edeef10", {}),
     "demo-compactification": (1, "e20d2191670296557c768ab6a38ce06674ae8088f9b7254dbdb34cee453e8e73", {}),
     "build-criterion-6": (0, "19398c6ecebb63db7674bcbecd431dd4e1323012f4e0b487d5f0eb5b21ef0871",

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subbases.files import space_digest
-from subbases.seq import BD, ONE, ZERO
+from subbases.seq import BD, ONE, ZERO, render
 from subbases.space import (MetricError, POINT_AT_INFINITY, _grid,
-                            builtin_space, compactified_example, gray_digit,
-                            gray_subbase, load_finite_space, validate_metric)
-from subbases.subbase import duplicated_subbase, phi
-from subbases.seq import render
+                            builtin_space, load_finite_space, validate_metric)
+from subbases.subbase import (GraySubbase, compactified_example,
+                              duplicated_subbase, gray_digit, phi)
+
+from reference import gray_digit as paper_gray_digit
 
 
 def cosine_sign_digit(x, n):
@@ -31,11 +32,24 @@ def cosine_sign_digit(x, n):
 
 
 def test_gray_digit_examples():
-    assert gray_digit(Fraction(1, 4), 1) == BD
-    assert gray_digit(Fraction(3, 4), 0) == ONE
     # derived: -cos(pi/3) = -1/2 < 0
     assert cosine_sign_digit(Fraction(1, 3), 0) == ZERO
-    assert gray_digit(Fraction(1, 3), 0) == ZERO
+    for digit in (gray_digit, paper_gray_digit):
+        assert digit(Fraction(1, 4), 1) == BD
+        assert digit(Fraction(3, 4), 0) == ONE
+        assert digit(Fraction(1, 3), 0) == ZERO
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(1, 2 ** 70),
+                 st.integers(0, 70).map(lambda m: 2 ** m)).flatmap(
+           lambda q: st.builds(Fraction, st.integers(0, q), st.just(q))),
+       st.integers(0, 79))
+def test_gray_digit_matches_the_paper_definition(x, n):
+    # at q = 2^m an odd numerator is a boundary point of pair m - 1
+    for m in {n, x.denominator.bit_length() - 2} - {-1}:
+        assert (gray_digit(x, m) == gray_digit((x,), m)
+                == paper_gray_digit(x, m))
 
 
 def test_gray_digit_domain_error():
@@ -75,7 +89,7 @@ def test_gray_boundary_disjointness():
 
 
 def test_gray_phi_examples():
-    G = gray_subbase(8)
+    G = GraySubbase(8)
     assert render(phi(G, (Fraction(1, 4),), 4), width=4) == "0_10"
     assert render(phi(G, (Fraction(0),), 4), width=4) == "0000"
     # derived from the floating sign oracle at 1/2
@@ -465,7 +479,7 @@ def test_compactified_model_excludes_quarters():
 
 
 def test_duplicated_subbase():
-    G = gray_subbase(4)
+    G = GraySubbase(4)
     D = duplicated_subbase(G, 0)
     assert len(D) == 5
     for x in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(7, 8)):

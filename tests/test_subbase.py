@@ -4,15 +4,15 @@ from fractions import Fraction
 import pytest
 
 from subbases.seq import BD, EMPTY, ONE, ZERO, BottomedSeq, parse, render
-from subbases.space import (POINT_AT_INFINITY, builtin_space,
-                            compactified_example, gray_subbase)
-from subbases.subbase import (KSlice, enumerate_K, is_cusl, kslice_to_dot,
-                              member_closed, member_open, permute, phi)
+from subbases.space import builtin_space
+from subbases.subbase import (GraySubbase, KSlice, enumerate_K, is_cusl,
+                              kslice_to_dot, member_closed, member_open,
+                              permute, phi)
 
 
 @pytest.fixture(scope="module")
 def gray():
-    return gray_subbase(8)
+    return GraySubbase(8)
 
 
 @pytest.fixture(scope="module")
