@@ -26,10 +26,9 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .seq import BD, BINARY_DIGITS
+from .seq import BD, BINARY_DIGITS, DIGITS
 from .space import SpaceModel
-from .subbase import (DIGIT_CODE, DistanceCut, DistanceSubbase, code_classes,
-                      letter_masks)
+from .subbase import DistanceCut, DistanceSubbase, code_classes, letter_masks
 
 _EPS = 1e-9
 REGION_SUPPORT = 2  # max #fixed digits in enumerated avoid regions
@@ -175,30 +174,21 @@ def _region_extrema(member: np.ndarray, inverse: np.ndarray, nbr: np.ndarray,
     return region, samples[k]
 
 
-def _pattern_index(n: int, d: int) -> np.ndarray:
+def _pattern_index(n: int, digits: Sequence[int]) -> np.ndarray:
     """Every pattern over positions < n fixing at most REGION_SUPPORT
-    digits from an alphabet of d, as a row of letter indices d*k + digit,
-    padded with d*n: the empty pattern first, then by size, positions
-    and digits in itertools order."""
+    digits from `digits`, as a row of letter-table rows 3k + digit, padded
+    with the all-true row 3n: the empty pattern first, then by size,
+    positions and digits in itertools order."""
     blocks = []
     for size in range(REGION_SUPPORT + 1):
         ks = list(itertools.combinations(range(n), size))
-        ds = list(itertools.product(range(d), repeat=size))
-        rows = (d * np.array(ks, dtype=np.intp).reshape(len(ks), 1, size)
+        ds = list(itertools.product(digits, repeat=size))
+        rows = (3 * np.array(ks, dtype=np.intp).reshape(len(ks), 1, size)
                 + np.array(ds, dtype=np.intp).reshape(1, len(ds), size))
         blocks.append(np.pad(rows.reshape(len(ks) * len(ds), size),
                              ((0, 0), (0, REGION_SUPPORT - size)),
-                             constant_values=d * n))
+                             constant_values=3 * n))
     return np.concatenate(blocks)
-
-
-def _compatible(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Codes (columns) of a x codes of b: no position holds 0 in one and 1
-    in the other, where alone two digit codes sum to 1."""
-    clash = np.zeros((a.shape[1], b.shape[1]), dtype=bool)
-    for ra, rb in zip(a, b):
-        clash |= (ra[:, None] + rb[None, :]) == 1
-    return ~clash
 
 
 def collect_avoid(table: np.ndarray, cut: Centre, nbr: np.ndarray, band,
@@ -213,7 +203,9 @@ def collect_avoid(table: np.ndarray, cut: Centre, nbr: np.ndarray, band,
     values of earlier pairs that interact with level sets of f_n.
 
     Membership in a region depends only on a sample's code class, so a
-    family of regions is a regions x classes matrix, built and searched
+    family of regions is a regions x classes matrix: the AND of rows of
+    one letter table, where row 3k + d is the closed set of digit d at
+    position k and row 3n holds every class.  It is built and searched
     _REGION_BLOCK regions at a time by `_region_extrema` on the centre's
     `_steps`.  Each value is tagged with its family: closed, code,
     boundary or interaction.
@@ -221,6 +213,11 @@ def collect_avoid(table: np.ndarray, cut: Centre, nbr: np.ndarray, band,
     avoid = AvoidSet()
     n, f_vals = table.shape[0], cut.row
     codes, inverse = code_classes(table)
+    classes = codes.shape[1]
+    letters = np.ones((3 * n + 1, classes), dtype=bool)
+    for k, row in enumerate(codes):
+        for d in DIGITS:
+            letters[3 * k + d] = letter_masks(row, d)[1]
 
     def add_extrema(kind, regions, member):
         """Add f's local extrema in regions 0..regions-1, region-major,
@@ -231,42 +228,39 @@ def collect_avoid(table: np.ndarray, cut: Centre, nbr: np.ndarray, band,
                 _, sample = _region_extrema(block, inverse, nbr, cut.up, cut.down)
                 avoid.extend(f_vals[sample], kind)
 
-    def patterns(kind, digits, skip=0):
-        """The closed sets of the patterns of `_pattern_index` over
-        `digits`, the first `skip` left out: an AND of letter rows, the
-        pad row all true."""
-        d = len(digits)
-        letters = np.ones((d * n + 1, codes.shape[1]), dtype=bool)
-        for k, row in enumerate(codes):
-            for i, a in enumerate(digits):
-                letters[d * k + i] = letter_masks(row, a)[1]
-        index = _pattern_index(n, d)[skip:]
-        add_extrema(kind, len(index),
-                    lambda lo, hi: letters[index[lo:hi]].all(axis=1))
+    def closed_sets(kind, index):
+        """One region per row of `index`: the AND of the letter rows it
+        names, one column at a time, so a block's work space stays two
+        blocks however wide the rows are."""
+        def member(lo, hi):
+            block = letters[index[lo:hi, 0]]
+            for column in index[lo:hi, 1:].T:
+                block &= letters[column]
+            return block
 
-    patterns("closed", BINARY_DIGITS)
+        add_extrema(kind, len(index), member)
 
-    # regions realized by sampled codes: the closed set of phi(x)|_n.  Two
-    # codes without a boundary digit lie in each other's closed sets only
-    # when equal, so off the diagonal only the rows and the columns of
-    # the classes with a boundary digit are compared.
-    has_bd = (codes == DIGIT_CODE[BD]).any(axis=0)
-    bd = np.flatnonzero(has_bd)
+    closed_sets("closed", _pattern_index(n, BINARY_DIGITS))
 
-    def code_member(lo, hi):
-        member = np.zeros((hi - lo, codes.shape[1]), dtype=bool)
-        member[np.arange(hi - lo), np.arange(lo, hi)] = True
-        member[:, bd] |= _compatible(codes[:, lo:hi], codes[:, bd])
-        rows = np.flatnonzero(has_bd[lo:hi])
-        member[rows] |= _compatible(codes[:, lo + rows], codes)
-        return member
+    # regions realized by sampled codes: the closed set of phi(x)|_n, the
+    # AND of the code's binary letters.  Two codes without a boundary
+    # digit lie in each other's closed sets only when equal, so without
+    # one in the table each region is its own class, set directly.
+    if (codes == BD).any():
+        binary = np.where(codes < BD, 3 * np.arange(n)[:, None] + codes, 3 * n)
+        closed_sets("code", binary.T)
+    else:
+        def own_class(lo, hi):
+            member = np.zeros((hi - lo, classes), dtype=bool)
+            member[np.arange(hi - lo), np.arange(lo, hi)] = True
+            return member
 
-    add_extrema("code", codes.shape[1], code_member)
+        add_extrema("code", classes, own_class)
 
     if strong:
         # sampled boundary regions S(tau), tau over {bd, bot} and not
         # empty; the closed and the open set of tau coincide
-        patterns("boundary", (BD,), skip=1)
+        closed_sets("boundary", _pattern_index(n, (BD,))[1:])
         # earlier cut values with a sampled critical interaction:
         # x extremal for f_k among neighbors on its own f_n level band
         band = float(band)

@@ -27,8 +27,7 @@ import numpy as np
 
 from .seq import BD, BINARY_DIGITS, BOT, DIGITS, BottomedSeq, render
 from .space import SpaceModel
-from .subbase import (DIGIT_CODE, DyadicSubbase, code_classes, digit_table,
-                      letter_masks)
+from .subbase import DyadicSubbase, code_classes, digit_table, letter_masks
 
 _MAX_VIOLATIONS = 100
 
@@ -208,7 +207,7 @@ def _run_check(S: DyadicSubbase, M: SpaceModel, depth: int, delta,
                  candidates_scanned=0)
     word = [BOT] * depth
     # candidates need a boundary digit: elsewhere open and closed masks agree
-    boundary = np.flatnonzero((table == DIGIT_CODE[BD]).any(axis=0))
+    boundary = np.flatnonzero((table == BD).any(axis=0))
     # per boundary sample, the classes of its delta-neighbours
     reach, shift = _class_reach(M.neighbor_lists(delta, rows=boundary),
                                 inverse, n_classes)

@@ -51,17 +51,13 @@ def _load_subbase(args, need_space=False):
     S, M = files.load_subbase(args.subbase, M=M, space_file=args.space_file)
     if (args.resolution is not None and M is not None
             and M.resolution != args.resolution):
-        raise SystemExit2("%s embeds the %s space at resolution %s, but the "
-                          "command line names resolution %s"
-                          % (args.subbase, M.name, M.resolution, args.resolution))
+        raise ValueError("%s embeds the %s space at resolution %s, but the "
+                         "command line names resolution %s"
+                         % (args.subbase, M.name, M.resolution, args.resolution))
     if need_space and M is None:
-        raise SystemExit2("this command needs a space: pass --space or use a "
-                          "subbase file with an embedded space")
+        raise ValueError("this command needs a space: pass --space or use a "
+                         "subbase file with an embedded space")
     return S, M
-
-
-class SystemExit2(Exception):
-    """Usage/configuration error mapped to exit code 2."""
 
 
 def cmd_build(args) -> int:
@@ -134,8 +130,8 @@ def cmd_check_strong(args) -> int:
 
 def cmd_check_cusl(args) -> int:
     if args.permutations < 0:
-        raise SystemExit2("--permutations must be non-negative, got %d"
-                          % args.permutations)
+        raise ValueError("--permutations must be non-negative, got %d"
+                         % args.permutations)
     S, M = _load_subbase(args, need_space=True)
     _header(command="check-cusl", space=M.name, resolution=M.resolution,
             depth=args.depth, permutations=args.permutations, seed=args.seed)
@@ -279,7 +275,7 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
         return args.fn(args)
-    except (SystemExit2, ValueError, OSError, IndexError, KeyError) as exc:
+    except (ValueError, OSError, IndexError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

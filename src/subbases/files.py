@@ -86,6 +86,10 @@ def load_subbase(path: str, M: SpaceModel = None,
         data = _typed(json.load(fh), "a subbase file", dict, "a JSON object")
     kind = data.get("kind")
     if kind == "gray":
+        if M is not None and M.name == "circle":
+            raise ValueError("%s is a Gray subbase of [0, 1], not of the "
+                             "circle: the circle identifies 0 with 1, so "
+                             "S_0^0 = [0, 1/2) is not open there" % path)
         return GraySubbase(_count(data, "pairs", 8)), M
     if kind == "distance":
         if "space" in data:

@@ -1,19 +1,18 @@
 """Bottomed sequences over {0, 1, b, _} with the product order.
 
 A bottomed sequence is a finite-support map from indices to non-bottom
-digits; every index outside the support is implicitly bottom.  The digit
-'b' marks a boundary classification and '_' the bottom (undecided) digit
-in the ASCII codec.
+digits; every index outside the support is implicitly bottom.  A digit is
+its int code: ZERO, ONE, the boundary digit BD and the bottom BOT.  Only
+the ASCII codec, `parse` and `render`, reads letters: `CODEC[code]`, so
+'b' marks a boundary classification and '_' the bottom (undecided) digit.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
-ZERO = "0"
-ONE = "1"
-BD = "b"
-BOT = "_"
+ZERO, ONE, BD, BOT = 0, 1, 2, 3
+CODEC = "01b_"  # the ASCII letter of each code
 
 BINARY_DIGITS = (ZERO, ONE)
 DIGITS = (ZERO, ONE, BD)
@@ -33,12 +32,12 @@ class BottomedSeq:
 
     __slots__ = ("_entries", "_items", "_length", "_hash")
 
-    def __init__(self, entries: Union[Mapping[int, str], Iterable[Tuple[int, str]]] = ()):
+    def __init__(self, entries: Union[Mapping[int, int], Iterable[Tuple[int, int]]] = ()):
         d = dict(entries)
         for k, v in d.items():
             if not isinstance(k, int) or k < 0:
                 raise ValueError("index must be a non-negative integer: %r" % (k,))
-            if v not in DIGITS:
+            if type(v) is not int or v not in DIGITS:
                 raise ValueError("digit must be one of %r: %r" % (DIGITS, v))
         self._entries = d
         self._items = frozenset(d.items())
@@ -53,10 +52,10 @@ class BottomedSeq:
     def dom(self) -> Tuple[int, ...]:
         return tuple(sorted(self._entries))
 
-    def __getitem__(self, k: int) -> str:
+    def __getitem__(self, k: int) -> int:
         return self._entries.get(k, BOT)
 
-    def items(self) -> Iterator[Tuple[int, str]]:
+    def items(self) -> Iterator[Tuple[int, int]]:
         return iter(sorted(self._entries.items()))
 
     def __eq__(self, other) -> bool:
@@ -79,7 +78,7 @@ class BottomedSeq:
 
     # -- operations ------------------------------------------------------
 
-    def update(self, n: int, a: str) -> "BottomedSeq":
+    def update(self, n: int, a: int) -> "BottomedSeq":
         """sigma[n -> a]; a == BOT erases index n."""
         d = dict(self._entries)
         if a == BOT:
@@ -142,18 +141,18 @@ def parse(text: str) -> BottomedSeq:
     """Parse the ASCII codec '0', '1', 'b', '_'; error on any other character."""
     d = {}
     for i, ch in enumerate(text):
-        if ch == BOT:
-            continue
-        if ch not in DIGITS:
+        code = CODEC.find(ch)
+        if code < 0:
             raise ValueError("invalid character %r at position %d" % (ch, i))
-        d[i] = ch
+        if code != BOT:
+            d[i] = code
     return BottomedSeq(d)
 
 
 def render(sigma: BottomedSeq, width: int = None) -> str:
     """Print in the ASCII codec, padded with '_' up to width if given."""
     n = sigma.length if width is None else max(width, sigma.length)
-    return "".join(sigma[k] for k in range(n))
+    return "".join(CODEC[sigma[k]] for k in range(n))
 
 
 def sort_key(sigma: BottomedSeq) -> Tuple[int, str]:

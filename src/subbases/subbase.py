@@ -1,16 +1,16 @@
 """Dyadic subbases as indexed digit classifiers, the coding map, and K slices.
 
 A subbase is a finite enumeration of disjoint open pairs (S_n^0, S_n^1).
-The classifier returns '0' for points of S_n^0, '1' for S_n^1 and 'b' for
-the leftover set S_n^bd = X \\ (S_n^0 u S_n^1).  The coding map reports
-bottom at every 'b' classification.
+The classifier returns the digit code ZERO for points of S_n^0, ONE for
+S_n^1 and BD for the leftover set S_n^bd = X \\ (S_n^0 u S_n^1).  The
+coding map reports bottom at every BD classification.
 
-The digit code of a sample (int8 0, 1, 2 = boundary) is decided here
-alone: `digit_row` classifies every sample of a space model at once, and
-`digit_table`, which stacks the rows, is read by the checker, the K slices
-and the builder.  Distance cuts classify with `classify`; the Gray subbase
-of [0, 1] and the one-point compactification's subbase read one integer
-Gray rule, `_gray_codes`.
+The digit code of a sample (0, 1 or 2 = boundary; int8 in a row) is
+decided here alone: `digit_row` classifies every sample of a space model
+at once, and `digit_table`, which stacks the rows, is read by the
+checker, the K slices and the builder.  Distance cuts classify with
+`classify`; the Gray subbase of [0, 1] and the one-point
+compactification's subbase read one integer Gray rule, `_gray_codes`.
 
 A K slice is read through one bitset key per element (`_kslice_keys`):
 the order, the cusl check and the Hasse diagram work on the keys, and
@@ -25,12 +25,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .seq import BD, DIGITS, ONE, ZERO, BottomedSeq, render, sort_key
+from .seq import BD, ONE, ZERO, BottomedSeq, render, sort_key
 from .space import POINT_AT_INFINITY, _as_scalar, compactified_space
 
 BOUNDARY_TOL = 1e-9
-DIGIT_CODE = {ZERO: 0, ONE: 1, BD: 2}
-CODE_DIGIT = (ZERO, ONE, BD)
 
 
 def classify(values, c) -> np.ndarray:
@@ -48,14 +46,14 @@ class DyadicSubbase:
     def __len__(self) -> int:
         raise NotImplementedError
 
-    def digit(self, n: int, x) -> str:
-        """Classification of x by pair n: ZERO, ONE or BD."""
+    def digit(self, n: int, x) -> int:
+        """Digit code of x under pair n: ZERO, ONE or BD."""
         raise NotImplementedError
 
     def digit_row(self, n: int, M) -> np.ndarray:
         """Digit codes of pair n at every sample of the space model M."""
         self._check_index(n)
-        return np.array([DIGIT_CODE[self.digit(n, x)] for x in M.sample_points],
+        return np.array([self.digit(n, x) for x in M.sample_points],
                         dtype=np.int8)
 
     def _check_index(self, n: int):
@@ -92,11 +90,11 @@ class DistanceSubbase(DyadicSubbase):
     def __len__(self) -> int:
         return len(self.cuts)
 
-    def digit(self, n: int, x) -> str:
+    def digit(self, n: int, x) -> int:
         self._check_index(n)
         cut = self.cuts[n]
         center = self.space.sample_points[cut.center_index]
-        return CODE_DIGIT[classify(float(self.space.metric(center, x)), cut.c)]
+        return int(classify(float(self.space.metric(center, x)), cut.c))
 
     def digit_row(self, n: int, M) -> np.ndarray:
         if M is not self.space:
@@ -119,7 +117,7 @@ class ReindexedSubbase(DyadicSubbase):
     def __len__(self) -> int:
         return len(self.index_map)
 
-    def digit(self, n: int, x) -> str:
+    def digit(self, n: int, x) -> int:
         self._check_index(n)
         return self.base.digit(self.index_map[n], x)
 
@@ -158,13 +156,13 @@ def _gray_codes(k, Q: int, n: int):
     return one + 2 * ((twice_u == Q) | (twice_u == 3 * Q))
 
 
-def gray_digit(x, n: int) -> str:
-    """Exact digit of the n-th Gray pair at a rational x in [0, 1] (or a
-    point holding x alone)."""
+def gray_digit(x, n: int) -> int:
+    """Exact digit code of the n-th Gray pair at a rational x in [0, 1] (or
+    a point holding x alone)."""
     x = _as_scalar(x)
     if not 0 <= x.numerator <= x.denominator:
         raise ValueError("x must lie in [0, 1]: %s" % x)
-    return CODE_DIGIT[_gray_codes(x.numerator, x.denominator, n)]
+    return _gray_codes(x.numerator, x.denominator, n)
 
 
 class GraySubbase(DyadicSubbase):
@@ -181,7 +179,7 @@ class GraySubbase(DyadicSubbase):
     def __len__(self) -> int:
         return self.pairs
 
-    def digit(self, n: int, x) -> str:
+    def digit(self, n: int, x) -> int:
         self._check_index(n)
         return gray_digit(x, n)
 
@@ -201,7 +199,7 @@ class CompactifiedSubbase(GraySubbase):
     point p is coded bottom, bottom, 1, then all zeros: p lies in neither
     open set of the first two pairs."""
 
-    def digit(self, n: int, x) -> str:
+    def digit(self, n: int, x) -> int:
         if x is not POINT_AT_INFINITY:
             return super().digit(n, x)
         self._check_index(n)
@@ -218,16 +216,20 @@ def compactified_example(resolution: Fraction = Fraction(1, 256),
 # -- coding map and membership ------------------------------------------
 
 
-def phi(S: DyadicSubbase, x, depth: int) -> BottomedSeq:
-    """Length-depth prefix of the code of x; boundary digits become bottom."""
+def _check_depth(S: DyadicSubbase, depth: int):
     if depth < 0:
         raise ValueError("depth must be non-negative, got %d" % depth)
     if depth > len(S):
         raise IndexError("depth %d exceeds number of cuts %d" % (depth, len(S)))
+
+
+def phi(S: DyadicSubbase, x, depth: int) -> BottomedSeq:
+    """Length-depth prefix of the code of x; boundary digits become bottom."""
+    _check_depth(S, depth)
     entries = {}
     for n in range(depth):
         d = S.digit(n, x)
-        if d in (ZERO, ONE):
+        if d != BD:
             entries[n] = d
     return BottomedSeq(entries)
 
@@ -253,10 +255,7 @@ def member_closed(S: DyadicSubbase, sigma: BottomedSeq, x) -> bool:
 
 def digit_table(S: DyadicSubbase, M, depth: int) -> np.ndarray:
     """depth x n_samples int8 table of digit codes (0, 1, 2=boundary)."""
-    if depth < 0:
-        raise ValueError("depth must be non-negative, got %d" % depth)
-    if depth > len(S):
-        raise IndexError("depth %d exceeds number of cuts %d" % (depth, len(S)))
+    _check_depth(S, depth)
     table = np.empty((depth, len(M.sample_points)), dtype=np.int8)
     for k in range(depth):
         table[k] = S.digit_row(k, M)
@@ -279,11 +278,11 @@ def code_classes(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return ordered[:, new], inverse
 
 
-def letter_masks(row: np.ndarray, a: str):
+def letter_masks(row: np.ndarray, a: int):
     """Where a row of digit codes puts the open set of digit a, and where
     its closed set (digit a or, for a binary digit, the boundary)."""
-    hit = row == DIGIT_CODE[a]
-    return hit, hit if a == BD else hit | (row == DIGIT_CODE[BD])
+    hit = row == a
+    return hit, hit if a == BD else hit | (row == BD)
 
 
 # -- K slices ------------------------------------------------------------
@@ -324,10 +323,10 @@ def table_kslice(table: np.ndarray) -> KSlice:
     for column in code_classes(table)[0].T.tolist():
         key, entries = 0, {}
         for k, code in enumerate(column):
-            if code == DIGIT_CODE[BD]:
+            if code == BD:
                 continue  # the same element as the prefix before it
             key |= 1 << (2 * k + code)
-            entries[k] = CODE_DIGIT[code]
+            entries[k] = code
             if key not in elems:
                 elems[key] = BottomedSeq(entries)  # copies entries
     return KSlice(depth=table.shape[0], elements=frozenset(elems.values()))
@@ -347,16 +346,15 @@ class CuslReport:
 
 
 def _kslice_keys(elems: Sequence[BottomedSeq]):
-    """One int key per element over the slice's width w: bit k, w+k or
-    2w+k is set when the element has digit 0, 1 or b at position k.
+    """One int key per element over the slice's width w: bit a*w + k is
+    set when the element has digit a (0, 1 or b) at position k.
     u <= v iff key(u) is a subset of key(v), and a pair whose OR puts no
     two digits at one position is compatible, with the OR as the key of
     its join.  Returns the keys (uint64 while a key fits, Python ints
     otherwise), the defined-entry counts and w."""
     width = max((e.length for e in elems), default=0)
     dtype = np.uint64 if 3 * width <= 64 else object
-    shift = {a: DIGIT_CODE[a] * width for a in DIGITS}
-    key = np.array([sum(1 << (shift[a] + k) for k, a in e.items())
+    key = np.array([sum(1 << (a * width + k) for k, a in e.items())
                     for e in elems], dtype=dtype)
     count = np.array([len(e.dom) for e in elems], dtype=np.intp)
     return key, count, width

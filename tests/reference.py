@@ -11,13 +11,13 @@ from typing import Iterator, List
 import numpy as np
 
 from subbases.seq import BD, BOT, DIGITS, ONE, ZERO, BottomedSeq
-from subbases.subbase import CODE_DIGIT, code_classes, letter_masks
+from subbases.subbase import code_classes, letter_masks
 
 
-def gray_digit(x: Fraction, n: int) -> str:
+def gray_digit(x: Fraction, n: int) -> int:
     """The digit of the n-th Gray pair at a rational x in [0, 1], as the
     paper defines it: t = 2^n x mod 2 carries the sign of -cos(2^n pi x),
-    so the digit is '0' on [0, 1/2) u (3/2, 2), '1' on (1/2, 3/2) and the
+    so the digit is ZERO on [0, 1/2) u (3/2, 2), ONE on (1/2, 3/2) and the
     boundary digit at t in {1/2, 3/2}."""
     t = (Fraction(2) ** n * x) % 2
     if t == Fraction(1, 2) or t == Fraction(3, 2):
@@ -36,8 +36,8 @@ def enumerate_sequences(depth: int, alphabet=DIGITS) -> Iterator[BottomedSeq]:
 
 def table_codes(table: np.ndarray) -> List[BottomedSeq]:
     """The distinct codes among the table's columns, boundary read as bottom."""
-    return [BottomedSeq({k: CODE_DIGIT[c] for k, c in enumerate(column.tolist())
-                         if c != 2})
+    return [BottomedSeq({k: c for k, c in enumerate(column.tolist())
+                         if c != BD})
             for column in code_classes(table)[0].T]
 
 

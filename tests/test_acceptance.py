@@ -15,7 +15,7 @@ from subbases.builder import BuilderParams, build
 from subbases.checker import check_proper, check_strong_proper
 from subbases.seq import BD, DIGITS, EMPTY, ONE, ZERO, render
 from subbases.space import POINT_AT_INFINITY, builtin_space
-from subbases.subbase import (DIGIT_CODE, GraySubbase, compactified_example,
+from subbases.subbase import (GraySubbase, compactified_example,
                               duplicated_subbase, enumerate_K, is_cusl,
                               member_open, permute, phi)
 
@@ -44,7 +44,7 @@ def test_criterion_2_gray_boundary_disjointness():
     G = GraySubbase(17)
     seen = set()
     for n in range(17):
-        ks = np.flatnonzero(G.digit_row(n, M) == DIGIT_CODE[BD]).tolist()
+        ks = np.flatnonzero(G.digit_row(n, M) == BD).tolist()
         assert len(ks) == 2 ** n
         assert [M.sample_points[k] for k in ks] == [
             (Fraction(2 * j + 1, 2 ** (n + 1)),) for j in range(2 ** n)]

@@ -10,13 +10,12 @@ from hypothesis import given, settings, strategies as st
 from subbases.checker import (CheckerError, CheckReport, Violation,
                               check_proper, check_strong_proper, digit_table,
                               report_to_json_file)
-from subbases.seq import BD, BINARY_DIGITS, DIGITS, render
+from subbases.seq import BD, BINARY_DIGITS, DIGITS, ZERO, render
 from subbases.space import POINT_AT_INFINITY, SpaceModel, builtin_space
-from subbases.subbase import (CODE_DIGIT, DIGIT_CODE, DistanceCut,
-                              DistanceSubbase, DyadicSubbase, GraySubbase,
-                              ReindexedSubbase, compactified_example,
-                              duplicated_subbase, member_closed, member_open,
-                              permute)
+from subbases.subbase import (DistanceCut, DistanceSubbase, DyadicSubbase,
+                              GraySubbase, ReindexedSubbase,
+                              compactified_example, duplicated_subbase,
+                              member_closed, member_open, permute)
 
 from reference import enumerate_sequences
 
@@ -79,7 +78,7 @@ def test_compactified_proper_but_not_strong():
     report = check_strong_proper(S, M, 3, Fraction(1, 32))
     assert not report.ok
     hits = [v for v in report.violations
-            if v.sigma[0] == "b" and v.sigma[1] == "0"
+            if v.sigma[0] == BD and v.sigma[1] == ZERO
             and v.point is POINT_AT_INFINITY]
     assert hits
 
@@ -173,9 +172,8 @@ def reference_check(S, M, depth, delta, alphabet, kind):
         open_mask = np.ones(len(M), dtype=bool)
         closed_mask = np.ones(len(M), dtype=bool)
         for k, a in sigma.items():
-            open_mask &= table[k] == DIGIT_CODE[a]
-            closed_mask &= (table[k] == DIGIT_CODE[a]) | (
-                (table[k] == DIGIT_CODE[BD]) & (a != BD))
+            open_mask &= table[k] == a
+            closed_mask &= (table[k] == a) | ((table[k] == BD) & (a != BD))
         candidates = np.nonzero(closed_mask & ~open_mask)[0]
         stats["patterns_with_candidates"] += bool(len(candidates))
         for i in candidates:
@@ -208,9 +206,9 @@ class TableSubbase(DyadicSubbase):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def digit(self, n: int, x) -> str:
+    def digit(self, n: int, x) -> int:
         self._check_index(n)
-        return CODE_DIGIT[self.rows[n][self.index[x]]]
+        return int(self.rows[n][self.index[x]])
 
 
 def grid_space(points):

@@ -255,6 +255,21 @@ def test_gray_subbase_on_the_square_exits_2(gray_file, capsys):
                                        "(Fraction(0, 1), Fraction(0, 1))\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["encode", "--point", "1/4"], ["kslice"],
+    ["check-strong", "--delta", "1/32"], ["check-cusl"],
+])
+def test_gray_subbase_on_the_circle_exits_2(gray_file, capsys, command):
+    # the circle identifies 0 with 1: Gray's first pair is not open there
+    assert run(command + ["--subbase", gray_file, "--space", "circle",
+                          "--resolution", "1/64", "--depth", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: %s is a Gray subbase of [0, 1], not of the circle: "
+                   "the circle identifies 0 with 1, so S_0^0 = [0, 1/2) is "
+                   "not open there\n" % gray_file)
+
+
 def test_gray_subbase_on_a_point_outside_the_unit_interval_exits_2(
         gray_file, tmp_path, capsys):
     space = tmp_path / "far.json"

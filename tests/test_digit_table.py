@@ -16,9 +16,8 @@ from hypothesis import given, settings, strategies as st
 from subbases.builder import BuilderParams, build
 from subbases.files import load_subbase, save_subbase, subbase_to_json
 from subbases.space import SpaceModel, builtin_space
-from subbases.subbase import (DIGIT_CODE, GraySubbase, KSlice,
-                              ReindexedSubbase, code_classes,
-                              compactified_example, digit_table,
+from subbases.subbase import (GraySubbase, KSlice, ReindexedSubbase,
+                              code_classes, compactified_example, digit_table,
                               duplicated_subbase, enumerate_K, gray_digit,
                               permute, phi, table_kslice)
 
@@ -67,8 +66,9 @@ def subbases(draw):
 @given(subbases())
 def test_digit_table_matches_per_sample_digits(case):
     S, M, depth = case
-    reference = np.array([[DIGIT_CODE[S.digit(k, x)] for x in M.sample_points]
-                          for k in range(depth)], dtype=np.int8)
+    digits = [[S.digit(k, x) for x in M.sample_points] for k in range(depth)]
+    assert all(type(d) is int for row in digits for d in row)
+    reference = np.array(digits, dtype=np.int8)
     table = digit_table(S, M, depth)
     assert table.shape == (depth, len(M.sample_points))
     assert np.array_equal(table, reference.reshape(table.shape))
@@ -131,8 +131,7 @@ def test_builder_table_matches_saved_subbase(space, seed, strong):
 def gray_reference_row(n, points):
     """Pair n's codes at every one-axis point (x,) through the paper's
     Fraction definition of the Gray digit."""
-    return np.array([DIGIT_CODE[paper_gray_digit(x, n)] for (x,) in points],
-                    dtype=np.int8)
+    return np.array([paper_gray_digit(x, n) for (x,) in points], dtype=np.int8)
 
 
 RESOLUTIONS = st.one_of(

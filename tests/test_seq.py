@@ -103,6 +103,8 @@ def test_codec_roundtrip_and_errors():
         parse("02")
     with pytest.raises(ValueError):
         parse("0 1")
+    with pytest.raises(ValueError):
+        BottomedSeq({0: "0"})  # a letter, not a digit code
 
 
 def test_empty_sequence_is_least():
