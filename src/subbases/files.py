@@ -80,7 +80,7 @@ def load_subbase(path: str, M: SpaceModel = None,
 
     A distance subbase's embedded space wins: a space M named besides it
     must have the same name and resolution, and a finite space the same
-    digest, or the load fails.
+    digest, or the load fails.  A Gray subbase is refused on the circle.
     """
     with open(path) as fh:
         data = _typed(json.load(fh), "a subbase file", dict, "a JSON object")
