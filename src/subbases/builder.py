@@ -350,7 +350,7 @@ def build(M: SpaceModel, params: BuilderParams) -> BuildResult:
     rng = random.Random(params.rng_seed)
     band = 2 * M.resolution
     nbr = M.neighbor_lists(band)
-    table = np.empty((params.count, len(M.sample_points)), dtype=np.int8)
+    table = np.empty((params.count, len(M)), dtype=np.int8)
     subbase = DistanceSubbase(M, [])
     centres = {}  # sample index -> Centre: a centre recurs, its record is made once
     earlier: List[Tuple[float, Centre]] = []

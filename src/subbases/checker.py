@@ -233,7 +233,7 @@ def _run_check(S: DyadicSubbase, M: SpaceModel, depth: int, delta,
         i = int(boundary[rows[far]])
         target = _unbits(open_bits, n_classes)[inverse]
         sigma = BottomedSeq({k: a for k, a in enumerate(word) if a != BOT})
-        return report.add(Violation(sigma, M.sample_points[i],
+        return report.add(Violation(sigma, M.point(i),
                                     _nearest(M, i, target)))
 
     _search(steps, 0, everything, everything, word, stats, complete)

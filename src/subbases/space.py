@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,13 +92,17 @@ class SpaceModel:
     Distance rows come from the `lattice` of a grid model, else from the
     read-only float64 `distances` matrix, else from the exact metric.  A
     finite space loaded from a file also keeps its `exact` matrix.
+
+    A lattice model is given no sample list: sample i is made from its
+    grid position by `point(i)`, and `sample_points` lists them all only
+    when it is first read.
     """
 
-    def __init__(self, name: str, sample_points: Sequence, metric: Callable,
-                 resolution: Fraction, distances: np.ndarray = None,
-                 lattice: Lattice = None):
+    def __init__(self, name: str, sample_points: Optional[Sequence],
+                 metric: Callable, resolution: Fraction,
+                 distances: np.ndarray = None, lattice: Lattice = None):
         self.name = name
-        self.sample_points = list(sample_points)
+        self._points = None if sample_points is None else list(sample_points)
         self.metric = metric
         self.resolution = Fraction(resolution)
         self.distances = distances
@@ -107,7 +111,26 @@ class SpaceModel:
         self._dense_mindist = None
 
     def __len__(self) -> int:
-        return len(self.sample_points)
+        if self.lattice is not None:
+            return math.prod(self.lattice.shape)
+        return len(self._points)
+
+    def point(self, i: int):
+        """Sample i; on a lattice the tuple of its rational coordinates,
+        k p / q along each axis at grid position k for resolution p/q."""
+        if self.lattice is None:
+            return self._points[i]
+        p, q = self.resolution.numerator, self.resolution.denominator
+        return tuple(Fraction(int(k) * p, q)
+                     for k in np.unravel_index(i, self.lattice.shape))
+
+    @property
+    def sample_points(self) -> list:
+        """Every sample, in index order."""
+        if self._points is None:
+            self._points = list(itertools.product(
+                *(_grid(self.resolution, w) for w in self.lattice.wrap)))
+        return self._points
 
     def distance_row(self, i: int) -> np.ndarray:
         """Distances from sample i to every sample, as floats: a read-only
@@ -147,7 +170,7 @@ class SpaceModel:
         than one step); other models scan one distance row per sample of
         `rows`.  Either way memory is linear in the number of rows."""
         r = float(radius) + 1e-9
-        n = len(self.sample_points)
+        n = len(self)
         rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
         if self.lattice is not None:
             return self.lattice.neighbor_lists(
@@ -162,7 +185,7 @@ class SpaceModel:
     # -- dense enumeration: greedy farthest-point order over the samples --
 
     def _extend_dense_order(self, upto: int):
-        n = len(self.sample_points)
+        n = len(self)
         if not self._dense_order:
             self._dense_order.append(0)
             self._dense_mindist = self.distance_row(0).copy()
@@ -174,7 +197,7 @@ class SpaceModel:
 
     def dense_index(self, i: int) -> int:
         """Sample index of the i-th point of the dense enumeration."""
-        n = len(self.sample_points)
+        n = len(self)
         self._extend_dense_order(min(i, n - 1))
         return self._dense_order[i % n]
 
@@ -240,13 +263,20 @@ def _as_scalar(x) -> Fraction:
 # -- built-in space models ----------------------------------------------
 
 
-def _grid(resolution: Fraction, half_open: bool = False) -> List[Fraction]:
+def _grid_size(resolution: Fraction, half_open: bool = False) -> int:
+    """The number of multiples k p / q of the resolution p/q in [0, 1],
+    or in [0, 1) when half open."""
     res = Fraction(resolution)
     if res <= 0 or res > 1:
         raise ValueError("resolution must be in (0, 1]: %s" % res)
     p, q = res.numerator, res.denominator
-    n = -(-q // p) if half_open else q // p + 1
-    return [Fraction(k * p, q) for k in range(n)]
+    return -(-q // p) if half_open else q // p + 1
+
+
+def _grid(resolution: Fraction, half_open: bool = False) -> List[Fraction]:
+    res = Fraction(resolution)
+    p, q = res.numerator, res.denominator
+    return [Fraction(k * p, q) for k in range(_grid_size(res, half_open))]
 
 
 def _lattice_space(name: str, resolution: Fraction, dims: int,
@@ -255,11 +285,19 @@ def _lattice_space(name: str, resolution: Fraction, dims: int,
     every axis periodic.  In one dimension the metric is the exact
     |a - b| (with the ring minimum); in two it is the float hypot of the
     coordinate differences.  The lattice reads the same distances in
-    float64 from coordinates converted once per grid value."""
-    g = _grid(resolution, half_open=wrap)
-    axis = np.array([float(x) for x in g])
+    float64 from coordinates made once per grid value."""
+    res = Fraction(resolution)
+    size = _grid_size(res, half_open=wrap)
+    p, q = res.numerator, res.denominator
+    # every k p <= q is exact in float64 below 2^53, so k p / q is the
+    # correctly rounded float(Fraction(k p, q)); past it, convert exactly.
+    # A float arange: int64 ufunc loops used only here cost a check job
+    # about 0.1 MB of peak RSS
+    axis = (np.arange(size, dtype=float) * p / q if q < 2 ** 53
+            else np.array([float(x) for x in _grid(res, wrap)]))
     coords = axis if dims == 1 else np.stack(
-        np.meshgrid(*[axis] * dims, indexing="ij"), axis=-1).reshape(-1, dims)
+        np.meshgrid(*[axis] * dims, indexing="ij", copy=False),
+        axis=-1).reshape(-1, dims)
 
     def dist(a, b):
         d = np.abs(a - b)
@@ -278,9 +316,9 @@ def _lattice_space(name: str, resolution: Fraction, dims: int,
                 d = [min(v, 1 - v) for v in d]
             return math.hypot(*d)
 
-    return SpaceModel(name, list(itertools.product(g, repeat=dims)), metric,
-                      resolution, lattice=Lattice((len(g),) * dims,
-                                                  (wrap,) * dims, coords, dist))
+    return SpaceModel(name, None, metric, res,
+                      lattice=Lattice((size,) * dims, (wrap,) * dims, coords,
+                                      dist))
 
 
 def load_finite_space(path: str, resolution: Fraction = Fraction(1)) -> SpaceModel:

@@ -80,10 +80,10 @@ class DistanceSubbase(DyadicSubbase):
 
     def __init__(self, space, cuts: Sequence[DistanceCut]):
         for cut in cuts:
-            if not 0 <= cut.center_index < len(space.sample_points):
+            if not 0 <= cut.center_index < len(space):
                 raise ValueError("center_index %d out of range for the %s space "
                                  "of %d samples" % (cut.center_index, space.name,
-                                                    len(space.sample_points)))
+                                                    len(space)))
         self.space = space
         self.cuts = list(cuts)
 
@@ -93,7 +93,7 @@ class DistanceSubbase(DyadicSubbase):
     def digit(self, n: int, x) -> int:
         self._check_index(n)
         cut = self.cuts[n]
-        center = self.space.sample_points[cut.center_index]
+        center = self.space.point(cut.center_index)
         return int(classify(float(self.space.metric(center, x)), cut.c))
 
     def digit_row(self, n: int, M) -> np.ndarray:
@@ -256,7 +256,7 @@ def member_closed(S: DyadicSubbase, sigma: BottomedSeq, x) -> bool:
 def digit_table(S: DyadicSubbase, M, depth: int) -> np.ndarray:
     """depth x n_samples int8 table of digit codes (0, 1, 2=boundary)."""
     _check_depth(S, depth)
-    table = np.empty((depth, len(M.sample_points)), dtype=np.int8)
+    table = np.empty((depth, len(M)), dtype=np.int8)
     for k in range(depth):
         table[k] = S.digit_row(k, M)
     return table
@@ -332,6 +332,12 @@ def table_kslice(table: np.ndarray) -> KSlice:
     return KSlice(depth=table.shape[0], elements=frozenset(elems.values()))
 
 
+# a block of the cusl scan: about this many (sigma, tau) cells, and at
+# least this many sigma rows however long the slice
+_CUSL_CELLS = 1 << 12
+_CUSL_MIN_ROWS = 8
+
+
 @dataclass(frozen=True)
 class CuslReport:
     """Verdict of the conditional-upper-semilattice check, with witness on failure."""
@@ -389,30 +395,43 @@ def is_cusl(K: KSlice) -> CuslReport:
     """Every bounded pair must have a least upper bound within the slice.
 
     On failure reports the first offending pair (in (length, rendering)
-    order) together with its minimal upper bounds.  For each sigma one
-    row of joined keys over the tau at or after it finds the compatible
-    pairs whose join is not in the slice; only those are searched for
+    order) together with its minimal upper bounds.  A block of sigma rows
+    at a time is tested against every tau from the block's first row on.
+    Of the compatible pairs only those whose join differs from both, the
+    incomparable ones, can miss their join, so only their joins are
+    looked up.  Pairs whose join is not in the slice are searched for
     upper bounds, all on the keys.
     """
     elems = K.sorted_elements()
     key, count, width = _kslice_keys(elems)
     keys = np.sort(key)
-    for i, sigma in enumerate(elems):
-        join_key = key[i:] | key[i]
-        # a sorted lookup: np.isin re-sorts the slice's keys on every row
-        slot = np.minimum(np.searchsorted(keys, join_key), len(keys) - 1)
-        compatible = (key[i:] & _clash_bits(key[i], width)) == 0
-        outside = compatible & (keys[slot] != join_key)
-        for h in np.flatnonzero(outside):
-            j = join_key[h]  # a compatible pair's join, missing from the slice
+    n = len(elems)
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + max(_CUSL_MIN_ROWS, _CUSL_CELLS // (n - lo)))
+        # a tau before its sigma repeats a pair of an earlier row with the
+        # roles swapped; a failure is symmetric and was reported there, so
+        # these pairs are not masked out
+        pair = (key[lo:] & _clash_bits(key[lo:hi, None], width)) == 0
+        # row-major, so (sigma, tau) pairs come in scan order
+        sigma, tau = (lo + a for a in np.nonzero(pair))
+        join = key[sigma] | key[tau]
+        apart = (join != key[sigma]) & (join != key[tau])
+        sigma, tau, join = sigma[apart], tau[apart], join[apart]
+        # a sorted lookup: np.isin re-sorts the slice's keys on every call
+        slot = np.minimum(np.searchsorted(keys, join), n - 1)
+        missing = keys[slot] != join
+        for i, t, j in zip(sigma[missing].tolist(), tau[missing].tolist(),
+                           join[missing]):
             ubs = np.flatnonzero((key & j) == j)
             if not len(ubs):
                 continue  # unbounded within the slice
             minimal = _minimal(key, count, ubs)
             if len(minimal) >= 2:
-                return CuslReport(False, sigma, elems[i + h],
+                return CuslReport(False, elems[i], elems[t],
                                   tuple(elems[m] for m in minimal))
             # unique minimal element of a finite set of upper bounds is least
+        lo = hi
     return CuslReport(True)
 
 

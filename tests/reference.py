@@ -11,6 +11,7 @@ from typing import Iterator, List
 import numpy as np
 
 from subbases.seq import BD, BOT, DIGITS, ONE, ZERO, BottomedSeq
+from subbases.space import _LATTICES, _grid
 from subbases.subbase import code_classes, letter_masks
 
 
@@ -23,6 +24,13 @@ def gray_digit(x: Fraction, n: int) -> int:
     if t == Fraction(1, 2) or t == Fraction(3, 2):
         return BD
     return ONE if Fraction(1, 2) < t < Fraction(3, 2) else ZERO
+
+
+def lattice_points(name: str, resolution: Fraction) -> list:
+    """The samples of a built-in lattice model as tuples of rationals, by
+    the product of one grid per axis (the first axis slowest)."""
+    dims, wrap = _LATTICES[name]
+    return list(itertools.product(_grid(resolution, wrap), repeat=dims))
 
 
 def enumerate_sequences(depth: int, alphabet=DIGITS) -> Iterator[BottomedSeq]:

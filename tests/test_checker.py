@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -17,7 +18,7 @@ from subbases.subbase import (DistanceCut, DistanceSubbase, DyadicSubbase,
                               compactified_example, duplicated_subbase,
                               member_closed, member_open, permute)
 
-from reference import enumerate_sequences
+from reference import enumerate_sequences, lattice_points
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +156,33 @@ def test_report_json(tmp_path, grid256):
     assert data["violations"]
     first = data["violations"][0]
     assert set(first) == {"sigma", "point", "nearest"}
+
+
+@pytest.mark.parametrize("name", ["square", "torus"])
+def test_lattice_violation_names_its_exact_sample(tmp_path, name):
+    """A duplicated cut of radius 1/4 around (1/2, 1/2) at 1/16: four grid
+    samples lie exactly on its sphere, and the patterns 01 and 10 have an
+    empty open set.  Each violation names the first of them in sample
+    order, as the tuple of Fractions the sample list holds."""
+    res = Fraction(1, 16)
+    M = builtin_space(name, res)
+    points = lattice_points(name, res)
+    centre = points.index((Fraction(1, 2), Fraction(1, 2)))
+    S = duplicated_subbase(DistanceSubbase(M, [DistanceCut(centre,
+                                                           Fraction(1, 4))]), 0)
+    report = check_proper(S, M, 2, 2 * res)
+    assert not report.ok
+    on_sphere = [x for x in points
+                 if sum((c - Fraction(1, 2)) ** 2 for c in x) == Fraction(1, 16)]
+    assert len(on_sphere) == 4
+    assert [render(v.sigma) for v in report.violations] == ["01", "10"]
+    for v in report.violations:
+        assert v.point == on_sphere[0] == (Fraction(1, 4), Fraction(1, 2))
+        assert all(type(c) is Fraction for c in v.point)
+    path = tmp_path / "report.json"
+    report_to_json_file(report, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "ad6657e51ef7291c208bf5fa49b85c770eb1c9955c161f4ccff1978940ab9cee")
 
 
 # -- the pruned pattern search against the flat 4^depth loop ---------------

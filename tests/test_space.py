@@ -4,8 +4,10 @@ import math
 import pathlib
 import random
 import tempfile
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +18,7 @@ from subbases.space import (MetricError, POINT_AT_INFINITY, _grid,
 from subbases.subbase import (GraySubbase, compactified_example,
                               duplicated_subbase, gray_digit, phi)
 
-from reference import gray_digit as paper_gray_digit
+from reference import gray_digit as paper_gray_digit, lattice_points
 
 
 def cosine_sign_digit(x, n):
@@ -227,6 +229,46 @@ def test_lattice_arrays_are_pinned(name, q):
            _array_digest(M.neighbor_lists(Fraction(2, q))),
            *(_array_digest(M.distance_row(i)) for i in (0, n // 3, n - 1)))
     assert got == LATTICE_DIGESTS[name, q]
+
+
+# steps p/q with p > 1 and steps that do not divide 1, and steps whose
+# denominator is past 2^53 (a grid of at most nine values per axis)
+resolutions = st.one_of(
+    st.integers(1, 48).flatmap(
+        lambda q: st.builds(Fraction, st.integers(1, q), st.just(q))),
+    st.integers(2 ** 53, 2 ** 70).flatmap(
+        lambda q: st.builds(Fraction, st.integers(q // 8, q), st.just(q))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(LATTICES)), resolutions)
+def test_lattice_points_match_the_product_construction(name, res):
+    M = builtin_space(name, res)
+    reference = lattice_points(name, res)
+    assert len(M) == len(reference)
+    points = [M.point(i) for i in range(len(M))]
+    assert points == reference
+    assert all(type(c) is Fraction for x in points for c in x)
+    floats = np.array([[float(c) for c in x] for x in reference])
+    assert M.lattice.coords.tobytes() == floats.reshape(
+        M.lattice.coords.shape).tobytes()
+    assert M.sample_points == reference
+
+
+@pytest.mark.parametrize("name, q, bound", [("square", 256, 1.25e6),
+                                            ("interval", 4096, 0.1e6)])
+def test_lattice_models_hold_no_per_sample_objects(name, q, bound):
+    """What a lattice model holds is its float coordinates, 16 bytes per
+    square sample: a tuple of Fractions per sample held 5.3 MB at 1/256."""
+    builtin_space(name, Fraction(1, 4))  # any first-call set-up
+    tracemalloc.start()
+    try:
+        M = builtin_space(name, Fraction(1, q))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(M) == (q + 1) ** LATTICES[name][0]
+    assert held <= bound, held
 
 
 def test_unknown_space():
