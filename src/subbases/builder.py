@@ -26,7 +26,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .seq import BD, BINARY_DIGITS, DIGITS
+from .seq import BD, BINARY_DIGITS, DIGITS, ONE
 from .space import SpaceModel
 from .subbase import DistanceCut, DistanceSubbase, code_classes, letter_masks
 
@@ -205,10 +205,10 @@ def collect_avoid(table: np.ndarray, cut: Centre, nbr: np.ndarray, band,
     Membership in a region depends only on a sample's code class, so a
     family of regions is a regions x classes matrix: the AND of rows of
     one letter table, where row 3k + d is the closed set of digit d at
-    position k and row 3n holds every class.  It is built and searched
-    _REGION_BLOCK regions at a time by `_region_extrema` on the centre's
-    `_steps`.  Each value is tagged with its family: closed, code,
-    boundary or interaction.
+    position k and row 3n holds every class.  Each region family is one
+    index of such rows, built and searched _REGION_BLOCK regions at a
+    time by `_region_extrema` on the centre's `_steps`.  Each value is
+    tagged with its family: closed, code, boundary or interaction.
     """
     avoid = AvoidSet()
     n, f_vals = table.shape[0], cut.row
@@ -219,43 +219,28 @@ def collect_avoid(table: np.ndarray, cut: Centre, nbr: np.ndarray, band,
         for d in DIGITS:
             letters[3 * k + d] = letter_masks(row, d)[1]
 
-    def add_extrema(kind, regions, member):
-        """Add f's local extrema in regions 0..regions-1, region-major,
-        tagged kind; member(lo, hi) holds the rows of regions lo..hi-1."""
-        for lo in range(0, regions, _REGION_BLOCK):
-            block = member(lo, min(lo + _REGION_BLOCK, regions))
+    def closed_sets(kind, index):
+        """One region per row of `index`: the AND of the letter rows it
+        names, from all-true one column at a time, so a block's work
+        space stays two blocks however wide the rows are.  Adds f's local
+        extrema in each region, region-major, tagged kind."""
+        for lo in range(0, len(index), _REGION_BLOCK):
+            rows = index[lo:lo + _REGION_BLOCK]
+            block = np.ones((len(rows), classes), dtype=bool)
+            for column in rows.T:
+                block &= letters[column]
             if block.any():
                 _, sample = _region_extrema(block, inverse, nbr, cut.up, cut.down)
                 avoid.extend(f_vals[sample], kind)
 
-    def closed_sets(kind, index):
-        """One region per row of `index`: the AND of the letter rows it
-        names, one column at a time, so a block's work space stays two
-        blocks however wide the rows are."""
-        def member(lo, hi):
-            block = letters[index[lo:hi, 0]]
-            for column in index[lo:hi, 1:].T:
-                block &= letters[column]
-            return block
-
-        add_extrema(kind, len(index), member)
-
     closed_sets("closed", _pattern_index(n, BINARY_DIGITS))
 
     # regions realized by sampled codes: the closed set of phi(x)|_n, the
-    # AND of the code's binary letters.  Two codes without a boundary
-    # digit lie in each other's closed sets only when equal, so without
-    # one in the table each region is its own class, set directly.
-    if (codes == BD).any():
-        binary = np.where(codes < BD, 3 * np.arange(n)[:, None] + codes, 3 * n)
-        closed_sets("code", binary.T)
-    else:
-        def own_class(lo, hi):
-            member = np.zeros((hi - lo, classes), dtype=bool)
-            member[np.arange(hi - lo), np.arange(lo, hi)] = True
-            return member
-
-        add_extrema("code", classes, own_class)
+    # AND of the code's binary letters, one row per code class.
+    # Built from masks: an int8 -> int64 cast of codes costs ~0.1 MB peak RSS
+    code = 3 * np.arange(n)[:, None] + (codes == ONE)
+    code[codes == BD] = 3 * n
+    closed_sets("code", code.T)
 
     if strong:
         # sampled boundary regions S(tau), tau over {bd, bot} and not

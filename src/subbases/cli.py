@@ -215,9 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_space(sp):
-        sp.add_argument("--space", choices=("interval", "circle", "square",
-                                            "torus"), required=False)
-        sp.add_argument("--space-file", help="finite space JSON file")
+        where = sp.add_mutually_exclusive_group()
+        where.add_argument("--space", choices=("interval", "circle", "square",
+                                               "torus"))
+        where.add_argument("--space-file", help="finite space JSON file")
         sp.add_argument("--resolution", type=Fraction,
                         help="grid step, e.g. 1/256 (the default)")
 

@@ -80,7 +80,8 @@ def load_subbase(path: str, M: SpaceModel = None,
 
     A distance subbase's embedded space wins: a space M named besides it
     must have the same name and resolution, and a finite space the same
-    digest, or the load fails.  A Gray subbase is refused on the circle.
+    digest, or the load fails.  A Gray subbase is refused on the circle
+    and on every lattice of more than one axis.
     """
     with open(path) as fh:
         data = _typed(json.load(fh), "a subbase file", dict, "a JSON object")
@@ -90,6 +91,11 @@ def load_subbase(path: str, M: SpaceModel = None,
             raise ValueError("%s is a Gray subbase of [0, 1], not of the "
                              "circle: the circle identifies 0 with 1, so "
                              "S_0^0 = [0, 1/2) is not open there" % path)
+        if M is not None and M.lattice is not None and len(M.lattice.shape) > 1:
+            raise ValueError("%s is a Gray subbase of [0, 1], not of the %s: "
+                             "its digits read scalar points, and the %s's "
+                             "points have %d coordinates"
+                             % (path, M.name, M.name, len(M.lattice.shape)))
         return GraySubbase(_count(data, "pairs", 8)), M
     if kind == "distance":
         if "space" in data:

@@ -87,21 +87,6 @@ class BottomedSeq:
             d[n] = a
         return BottomedSeq(d)
 
-    def concat(self, other: "BottomedSeq") -> "BottomedSeq":
-        """Append other after this sequence's length."""
-        d = dict(self._entries)
-        off = self._length
-        for k, v in other._entries.items():
-            d[k + off] = v
-        return BottomedSeq(d)
-
-    def repeat(self, n: int) -> "BottomedSeq":
-        """n-fold self concatenation."""
-        out = EMPTY
-        for _ in range(n):
-            out = out.concat(self)
-        return out
-
     def leq(self, other: "BottomedSeq") -> bool:
         """Product order: every defined entry agrees with other."""
         return self._items <= other._items

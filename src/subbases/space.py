@@ -325,8 +325,11 @@ def load_finite_space(path: str, resolution: Fraction = Fraction(1)) -> SpaceMod
     """Finite space from JSON {"points": [[...], ...], "metric": [[row-major]]}.
 
     Integer entries stay ints, the others become Fractions.  All metric
-    axioms are validated eagerly; a bad matrix raises MetricError.
+    axioms are validated eagerly; a bad matrix raises MetricError.  A
+    resolution that is not positive is refused before the file is read.
     """
+    if resolution <= 0:
+        raise ValueError("resolution must be positive: %s" % resolution)
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or "points" not in data or "metric" not in data:

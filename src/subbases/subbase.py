@@ -170,7 +170,8 @@ class GraySubbase(DyadicSubbase):
 
     `digit_row` on a one-axis lattice of resolution p/q reads the same
     rule on the whole row: sample i is x = i p / q.  Any other model is
-    read point by point.
+    read point by point, but a lattice of more than one axis is refused
+    before any sample is read.
     """
 
     def __init__(self, pairs: int):
@@ -184,8 +185,12 @@ class GraySubbase(DyadicSubbase):
         return gray_digit(x, n)
 
     def digit_row(self, n: int, M) -> np.ndarray:
-        if M.lattice is None or len(M.lattice.shape) != 1:
+        if M.lattice is None:
             return super().digit_row(n, M)
+        if len(M.lattice.shape) != 1:
+            raise ValueError("the Gray subbase reads scalar points, but the "
+                             "%s's points have %d coordinates"
+                             % (M.name, len(M.lattice.shape)))
         self._check_index(n)
         q = M.resolution.denominator
         # ints up to 2 q^2 occur in the rule; past int64 they are Python ints

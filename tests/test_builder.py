@@ -287,8 +287,21 @@ def test_local_extrema_matches_per_sample_loop(M, data):
         [_reference_extrema(f_vals, row[inverse], neighbors) for row in member]
 
 
+def _binary_case(n):
+    """An avoid case on the 1/8 interval whose n-row table holds no
+    boundary digit, so each code's closed set is its own class."""
+    M = builtin_space("interval", Fraction(1, 8))
+    table = np.array([[0, 0, 1, 1, 0, 1, 0, 1, 1],
+                      [1, 0, 0, 1, 1, 0, 0, 1, 0],
+                      [0, 0, 0, 0, 1, 1, 1, 1, 0]], dtype=np.int8)[:n]
+    cut_vals = [M.distance_row(k) for k in (2, 5, 7)[:n]]
+    return M, table, M.distance_row(3), n, [float(g[0]) for g in cut_vals], cut_vals
+
+
 @settings(max_examples=60, deadline=None)
 @given(avoid_cases(), st.booleans())
+@example(_binary_case(3), True)
+@example(_binary_case(0), False)
 def test_collect_avoid_matches_per_sample_loops(case, strong):
     M, table, f_vals, n, chosen, cut_vals = case
     nbr = M.neighbor_lists(2 * M.resolution)

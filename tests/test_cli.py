@@ -7,6 +7,7 @@ from subbases.cli import run
 from subbases.files import (load_subbase, parse_point, parse_rational,
                             save_subbase)
 from subbases.space import builtin_space
+from subbases.subbase import GraySubbase
 
 
 @pytest.fixture()
@@ -238,6 +239,48 @@ def test_check_cusl_rejects_negative_permutations(gray_file, capsys):
 
 
 @pytest.mark.parametrize("command", [
+    ["build", "--pairs", "1"],
+    ["encode", "--point", "1"],
+    ["kslice", "--depth", "1"],
+    ["check-proper", "--depth", "1", "--delta", "2"],
+    ["check-strong", "--depth", "1", "--delta", "2"],
+    ["check-cusl", "--depth", "1"],
+], ids=lambda command: command[0])
+def test_space_and_space_file_together_exit_2(gray_file, tmp_path, capsys,
+                                              command):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"points": [[0], [1]], "metric": [[0, 1], [1, 0]]}))
+    built = tmp_path / "built.json"
+    target = ["--out", str(built)] if command[0] == "build" else [
+        "--subbase", gray_file]
+    assert run(command + target + ["--space", "interval", "--space-file",
+                                   str(space), "--resolution", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --space-file: not allowed with argument --space" in err
+    assert not built.exists()
+
+
+@pytest.mark.parametrize("resolution", ["-1", "0"])
+def test_finite_resolution_not_positive_exits_2(gray_file, tmp_path, capsys,
+                                                resolution):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"points": [[0], [1]], "metric": [[0, 1], [1, 0]]}))
+    # a delta of twice the resolution passes check_delta
+    assert run(["check-strong", "--subbase", gray_file, "--space-file",
+                str(space), "--resolution", resolution, "--depth", "1",
+                "--delta", str(2 * int(resolution))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: resolution must be positive: %s\n" % resolution
+    # refused before the file is read: a missing file gives the same error
+    assert run(["build", "--space-file", str(tmp_path / "missing.json"),
+                "--resolution", resolution, "--pairs", "1",
+                "--out", str(tmp_path / "built.json")]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("command", [
     ["check-strong", "--delta", "1/32"], ["check-proper", "--delta", "1/32"],
     ["kslice"], ["check-cusl"],
 ])
@@ -249,10 +292,26 @@ def test_negative_depth_exits_2_naming_it(gray_file, capsys, command):
 
 
 def test_gray_subbase_on_the_square_exits_2(gray_file, capsys):
-    assert run(["check-strong", "--subbase", gray_file, "--space", "square",
-                "--resolution", "1/4", "--depth", "2", "--delta", "1/2"]) == 2
-    assert capsys.readouterr().err == ("error: expected a scalar point, got "
-                                       "(Fraction(0, 1), Fraction(0, 1))\n")
+    # a Gray digit reads one coordinate: the load refuses a plane lattice
+    # before any header, on every command that reads a subbase
+    for space in ("square", "torus"):
+        for command in (["encode", "--point", "1/4,1/4"], ["kslice"],
+                        ["check-strong", "--delta", "1/2"], ["check-cusl"]):
+            assert run(command + ["--subbase", gray_file, "--space", space,
+                                  "--resolution", "1/4", "--depth", "2"]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == ("error: %s is a Gray subbase of [0, 1], not of the "
+                           "%s: its digits read scalar points, and the %s's "
+                           "points have 2 coordinates\n"
+                           % (gray_file, space, space))
+
+
+def test_gray_digit_row_refuses_a_plane_lattice():
+    M = builtin_space("square", Fraction(1, 4))
+    with pytest.raises(ValueError, match="the Gray subbase reads scalar "
+                       "points, but the square's points have 2 coordinates"):
+        GraySubbase(8).digit_row(0, M)
 
 
 @pytest.mark.parametrize("command", [

@@ -22,23 +22,6 @@ def test_update_inverse():
             assert s.update(n, a).update(n, s[n]) == s
 
 
-def test_concat():
-    # the offset is len(sigma): trailing bottoms carry no content
-    assert parse("0_").concat(parse("1")) == parse("01")
-    assert parse("0b").concat(parse("1")) == parse("0b1")
-    assert EMPTY.concat(parse("1b0")) == parse("1b0")
-    assert parse("0b").repeat(2) == parse("0b0b")
-
-
-def test_concat_associative_and_length():
-    pool = [parse(t) for t in ("", "0", "_1", "b0", "01")]
-    for a, b, c in itertools.product(pool, repeat=3):
-        assert a.concat(b).concat(c) == a.concat(b.concat(c))
-    for a, b in itertools.product(pool, repeat=2):
-        if not b.is_empty():
-            assert a.concat(b).length == a.length + b.length
-
-
 def test_leq():
     assert EMPTY.leq(parse("01"))
     assert not parse("0_").leq(parse("1_"))
