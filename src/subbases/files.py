@@ -7,7 +7,8 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .space import POINT_AT_INFINITY, SpaceModel, builtin_space
-from .subbase import DistanceCut, DistanceSubbase, DyadicSubbase, GraySubbase
+from .subbase import (DistanceCut, DistanceSubbase, DyadicSubbase, GraySubbase,
+                      gray_digit)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -80,8 +81,9 @@ def load_subbase(path: str, M: SpaceModel = None,
 
     A distance subbase's embedded space wins: a space M named besides it
     must have the same name and resolution, and a finite space the same
-    digest, or the load fails.  A Gray subbase is refused on the circle
-    and on every lattice of more than one axis.
+    digest, or the load fails.  A Gray subbase is refused on the circle,
+    on every lattice of more than one axis, and on a finite space with a
+    point that is not a scalar in [0, 1].
     """
     with open(path) as fh:
         data = _typed(json.load(fh), "a subbase file", dict, "a JSON object")
@@ -96,6 +98,9 @@ def load_subbase(path: str, M: SpaceModel = None,
                              "its digits read scalar points, and the %s's "
                              "points have %d coordinates"
                              % (path, M.name, M.name, len(M.lattice.shape)))
+        if M is not None and M.lattice is None:
+            for x in M.sample_points:
+                gray_digit(x, 0)  # raises the error the first digit would
         return GraySubbase(_count(data, "pairs", 8)), M
     if kind == "distance":
         if "space" in data:

@@ -12,9 +12,10 @@ checker, the K slices and the builder.  Distance cuts classify with
 `classify`; the Gray subbase of [0, 1] and the one-point
 compactification's subbase read one integer Gray rule, `_gray_codes`.
 
-A K slice is read through one bitset key per element (`_kslice_keys`):
-the order, the cusl check and the Hasse diagram work on the keys, and
-`BottomedSeq`s are only rendered for output.
+A K slice is one sorted array of bitset keys, one per element, read
+straight off the code classes: the order, the cusl check and the Hasse
+diagram work on the keys, and `BottomedSeq`s are made only for output:
+a failing pair's report and the DOT labels.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .seq import BD, ONE, ZERO, BottomedSeq, render, sort_key
+from .seq import BD, DIGITS, ONE, ZERO, BottomedSeq, render
 from .space import POINT_AT_INFINITY, _as_scalar, compactified_space
 
 BOUNDARY_TOL = 1e-9
@@ -293,22 +294,18 @@ def letter_masks(row: np.ndarray, a: int):
 # -- K slices ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KSlice:
-    """Finite depth slice of K_S sampled from a space model."""
+    """Finite depth slice of K_S sampled from a space model: one key per
+    element, in (length, rendering) order.  Bit a*width + k of a key is
+    set when the element has digit a at position k < width (the longest
+    element's length): u <= v iff key(u) is a subset of key(v), and the
+    OR of a pair with no two digits at one position is its join's key.
+    Keys are uint64 while 3 * width <= 64, Python ints (object) past it."""
 
     depth: int
-    elements: frozenset
-
-    def sorted_elements(self) -> List[BottomedSeq]:
-        return sorted(self.elements, key=sort_key)
-
-    def is_downward_closed(self) -> bool:
-        for sigma in self.elements:
-            for m in range(self.depth + 1):
-                if sigma.restrict(m) not in self.elements:
-                    return False
-        return True
+    width: int
+    elements: np.ndarray
 
 
 def enumerate_K(S: DyadicSubbase, M, depth: int) -> KSlice:
@@ -321,20 +318,39 @@ def table_kslice(table: np.ndarray) -> KSlice:
     digits read as bottom.  Row k of the table of a permuted subbase is
     row pi[k] of the original's, so one table serves every permutation.
 
-    The prefix of length m of a code class is keyed by one int, with bit
-    2k + d set for each binary digit d at a position k < m, and a
-    `BottomedSeq` is built only for each new key."""
-    elems = {0: BottomedSeq()} if table.shape[1] else {}
-    for column in code_classes(table)[0].T.tolist():
-        key, entries = 0, {}
-        for k, code in enumerate(column):
-            if code == BD:
-                continue  # the same element as the prefix before it
-            key |= 1 << (2 * k + code)
-            entries[k] = code
-            if key not in elems:
-                elems[key] = BottomedSeq(entries)  # copies entries
-    return KSlice(depth=table.shape[0], elements=frozenset(elems.values()))
+    The elements are the empty prefix and every prefix that ends at a
+    binary digit of a code class.  `code_classes` sorts the classes by
+    column, 0 < 1 < 2 as the rendering's '0' < '1' < '_': the prefixes
+    ending at row k come in rendering order, and the classes that share
+    one are adjacent, so the first of them is kept.  No sort is needed."""
+    classes = code_classes(table)[0]
+    defined = np.flatnonzero((classes != BD).any(axis=1))
+    width = int(defined[-1]) + 1 if len(defined) else 0
+    dtype = np.uint64 if 3 * width <= 64 else object
+    key = np.zeros(classes.shape[1], dtype=dtype)
+    # changed[j]: class j differs from class j - 1 in the rows read so far
+    changed = np.zeros(classes.shape[1], dtype=bool)
+    changed[:1] = True
+    out = [key[:1].copy()]  # the empty element, if there is a sample
+    for k, row in enumerate(classes[:width]):
+        key[row == ZERO] |= 1 << k
+        key[row == ONE] |= 1 << (width + k)
+        changed[1:] |= row[1:] != row[:-1]
+        out.append(key[changed & (row != BD)])
+    return KSlice(depth=table.shape[0], width=width,
+                  elements=np.concatenate(out))
+
+
+def _element(key, width: int) -> BottomedSeq:
+    """The element of a K-slice key, for output."""
+    key = int(key)
+    return BottomedSeq({k: a for a in DIGITS for k in range(width)
+                        if key >> (a * width + k) & 1})
+
+
+def _counts(keys: np.ndarray) -> np.ndarray:
+    """The number of defined entries of each K-slice key: its set bits."""
+    return np.array([k.bit_count() for k in keys.tolist()], dtype=np.intp)
 
 
 # a block of the cusl scan: about this many (sigma, tau) cells, and at
@@ -354,21 +370,6 @@ class CuslReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _kslice_keys(elems: Sequence[BottomedSeq]):
-    """One int key per element over the slice's width w: bit a*w + k is
-    set when the element has digit a (0, 1 or b) at position k.
-    u <= v iff key(u) is a subset of key(v), and a pair whose OR puts no
-    two digits at one position is compatible, with the OR as the key of
-    its join.  Returns the keys (uint64 while a key fits, Python ints
-    otherwise), the defined-entry counts and w."""
-    width = max((e.length for e in elems), default=0)
-    dtype = np.uint64 if 3 * width <= 64 else object
-    key = np.array([sum(1 << (a * width + k) for k, a in e.items())
-                    for e in elems], dtype=dtype)
-    count = np.array([len(e.dom) for e in elems], dtype=np.intp)
-    return key, count, width
 
 
 def _clash_bits(k, width: int):
@@ -407,10 +408,9 @@ def is_cusl(K: KSlice) -> CuslReport:
     looked up.  Pairs whose join is not in the slice are searched for
     upper bounds, all on the keys.
     """
-    elems = K.sorted_elements()
-    key, count, width = _kslice_keys(elems)
-    keys = np.sort(key)
-    n = len(elems)
+    key, width = K.elements, K.width
+    keys, count = np.sort(key), _counts(key)
+    n = len(key)
     lo = 0
     while lo < n:
         hi = min(n, lo + max(_CUSL_MIN_ROWS, _CUSL_CELLS // (n - lo)))
@@ -433,8 +433,10 @@ def is_cusl(K: KSlice) -> CuslReport:
                 continue  # unbounded within the slice
             minimal = _minimal(key, count, ubs)
             if len(minimal) >= 2:
-                return CuslReport(False, elems[i], elems[t],
-                                  tuple(elems[m] for m in minimal))
+                return CuslReport(False, _element(key[i], width),
+                                  _element(key[t], width),
+                                  tuple(_element(key[m], width)
+                                        for m in minimal))
             # unique minimal element of a finite set of upper bounds is least
         lo = hi
     return CuslReport(True)
@@ -446,12 +448,12 @@ def is_cusl(K: KSlice) -> CuslReport:
 def kslice_to_dot(K: KSlice) -> str:
     """DOT digraph of the covering relation, nodes sorted by (length, label).
     The covers of u are the minimal elements of its strict up-set."""
-    elems = K.sorted_elements()
-    key, count, _width = _kslice_keys(elems)
+    key, width = K.elements, K.width
+    count = _counts(key)
     lines = ["digraph kslice {", '  rankdir="BT";']
-    lines.extend('  n%d [label="%s"];' % (i, render(e))
-                 for i, e in enumerate(elems))
-    for u in range(len(elems)):
+    lines.extend('  n%d [label="%s"];' % (i, render(_element(k, width)))
+                 for i, k in enumerate(key.tolist()))
+    for u in range(len(key)):
         up = (key & key[u]) == key[u]
         up[u] = False
         lines.extend("  n%d -> n%d;" % (u, v)

@@ -331,13 +331,24 @@ def test_gray_subbase_on_the_circle_exits_2(gray_file, capsys, command):
 
 def test_gray_subbase_on_a_point_outside_the_unit_interval_exits_2(
         gray_file, tmp_path, capsys):
-    space = tmp_path / "far.json"
-    space.write_text(json.dumps({"points": [[0], [1], [2]], "metric": [
-        [abs(i - j) for j in range(3)] for i in range(3)]}))
-    assert run(["check-strong", "--subbase", gray_file, "--space-file",
-                str(space), "--resolution", "1", "--depth", "2",
-                "--delta", "2"]) == 2
-    assert capsys.readouterr().err == "error: x must lie in [0, 1]: 2\n"
+    # the load reads every finite point as a Gray digit would, so a point
+    # outside [0, 1] or of two coordinates is refused before any header
+    for points, point, message in (
+            ([[0], [1], [2]], "1", "x must lie in [0, 1]: 2"),
+            ([[0, 0], [1, 0]], "1,0", "expected a scalar point, got "
+             "(Fraction(0, 1), Fraction(0, 1))")):
+        space = tmp_path / "space.json"
+        n = len(points)
+        space.write_text(json.dumps({"points": points, "metric": [
+            [abs(i - j) for j in range(n)] for i in range(n)]}))
+        for command in (["encode", "--point", point], ["kslice"],
+                        ["check-strong", "--delta", "2"], ["check-cusl"]):
+            assert run(command + ["--subbase", gray_file, "--space-file",
+                                  str(space), "--resolution", "1",
+                                  "--depth", "2"]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: %s\n" % message
 
 
 def test_encode_the_added_point_without_a_space_exits_2(gray_file, capsys):

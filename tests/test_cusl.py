@@ -1,28 +1,33 @@
-"""The keyed `is_cusl` and `kslice_to_dot` against the pairwise references
-they replaced."""
+"""The keyed K slices, `is_cusl` and `kslice_to_dot` against the
+sequence oracle and the pairwise references they replaced."""
 
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subbases.seq import BD, BOT, ONE, ZERO, BottomedSeq, parse, render
 from subbases.space import builtin_space
-from subbases.subbase import (CuslReport, GraySubbase, KSlice, enumerate_K,
-                              is_cusl, kslice_to_dot, sort_key, table_kslice)
+from subbases.subbase import (CuslReport, GraySubbase, enumerate_K,
+                              is_cusl, kslice_to_dot, table_kslice)
+
+from reference import (is_downward_closed, kslice_keys, kslice_of,
+                       kslice_sequences, sorted_elements,
+                       table_kslice_sequences)
 
 
-def reference_is_cusl(K: KSlice) -> CuslReport:
-    """Every pair through `try_join`, in (length, rendering) order."""
-    elems = K.sorted_elements()
+def reference_is_cusl(elems) -> CuslReport:
+    """Every pair of a sorted list of sequences through `try_join`, in
+    (length, rendering) order."""
+    members = set(elems)
     for i, sigma in enumerate(elems):
         for tau in elems[i:]:
             j = sigma.try_join(tau)
             if j is None:
                 continue
-            if j in K.elements:
+            if j in members:
                 continue
             ubs = [u for u in elems if j.leq(u)]
             if not ubs:
@@ -31,13 +36,13 @@ def reference_is_cusl(K: KSlice) -> CuslReport:
                        if not any(v is not u and v.leq(u) for v in ubs)]
             if len(minimal) >= 2:
                 return CuslReport(False, sigma, tau,
-                                  tuple(sorted(minimal, key=sort_key)))
+                                  tuple(sorted_elements(minimal)))
     return CuslReport(True)
 
 
-def reference_kslice_to_dot(K: KSlice, name: str = "kslice") -> str:
-    """Every cover through `leq`: u < v with no w strictly between."""
-    elems = K.sorted_elements()
+def reference_kslice_to_dot(elems, name: str = "kslice") -> str:
+    """Every cover of a sorted list of sequences through `leq`: u < v
+    with no w strictly between."""
     index = {e: i for i, e in enumerate(elems)}
     lines = ["digraph %s {" % name, '  rankdir="BT";']
     for e in elems:
@@ -87,14 +92,50 @@ def kslices(draw):
         join = sigma.join(tau)
         uppers = {join.update(join.length, a) for a in (ZERO, ONE)}
         elems = (elems | {sigma, tau} | uppers) - {join}
-    return KSlice(depth=depth + 1, elements=frozenset(elems))
+    return kslice_of(elems, depth=depth + 1)
 
 
 @settings(max_examples=300, deadline=None)
 @given(kslices())
 def test_is_cusl_matches_pairwise_reference(K):
-    assert is_cusl(K) == reference_is_cusl(K)
-    assert kslice_to_dot(K) == reference_kslice_to_dot(K)
+    elems = sorted_elements(kslice_sequences(K))
+    assert is_cusl(K) == reference_is_cusl(elems)
+    assert kslice_to_dot(K) == reference_kslice_to_dot(elems)
+
+
+@st.composite
+def digit_tables(draw):
+    """Random digit tables: up to 6 rows, or 22 to 26 rows (keys past
+    uint64); 0 rows and 1 column included; with and without boundary
+    digits, and some with boundary digits alone."""
+    depth = draw(st.one_of(st.integers(0, 6), st.integers(22, 26)))
+    n = draw(st.integers(1, 12 if depth <= 6 else 5))
+    digits = draw(st.sampled_from(((ZERO, ONE, BD), (ZERO, ONE), (ZERO, BD),
+                                   (BD,))))
+    cells = draw(st.lists(st.sampled_from(digits), min_size=depth * n,
+                          max_size=depth * n))
+    return np.array(cells, dtype=np.int8).reshape(depth, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(digit_tables())
+@example(np.zeros((0, 3), dtype=np.int8))
+@example(np.zeros((3, 0), dtype=np.int8))
+@example(np.array([[BD], [ONE], [BD]], dtype=np.int8))
+@example(np.full((22, 2), BD, dtype=np.int8))
+@example(np.array([[ZERO, ONE, BD, BD]] * 22, dtype=np.int8))
+def test_table_kslice_matches_the_sequence_oracle(table):
+    """Keys, their order and width, `is_cusl`'s report and the DOT text
+    equal those of the sequences that `table_kslice` used to build."""
+    K = table_kslice(table)
+    elems = sorted_elements(table_kslice_sequences(table))
+    key, width = kslice_keys(elems)
+    assert (K.depth, K.width) == (table.shape[0], width)
+    assert K.elements.dtype == key.dtype
+    assert K.elements.tolist() == key.tolist()
+    assert kslice_sequences(K) == elems
+    assert is_cusl(K) == reference_is_cusl(elems)
+    assert kslice_to_dot(K) == reference_kslice_to_dot(elems)
 
 
 def test_kslices_cover_failing_and_boundary_cases():
@@ -103,10 +144,11 @@ def test_kslices_cover_failing_and_boundary_cases():
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(kslices())
     def record(K):
-        seen["fail" if not reference_is_cusl(K).ok else "pass"] += 1
-        seen["not downward closed"] += not K.is_downward_closed()
-        seen["boundary digits"] += any(not e.is_binary() for e in K.elements)
-        seen["wide"] += any(e.length > 21 for e in K.elements)
+        elems = sorted_elements(kslice_sequences(K))
+        seen["fail" if not reference_is_cusl(elems).ok else "pass"] += 1
+        seen["not downward closed"] += not is_downward_closed(K)
+        seen["boundary digits"] += any(not e.is_binary() for e in elems)
+        seen["wide"] += K.width > 21
 
     record()
     assert min(seen[k] for k in ("fail", "pass", "not downward closed",
@@ -114,8 +156,7 @@ def test_kslices_cover_failing_and_boundary_cases():
 
 
 def _slice(*texts):
-    elems = frozenset(parse(t) for t in texts)
-    return KSlice(depth=max(e.length for e in elems), elements=elems)
+    return kslice_of(parse(t) for t in texts)
 
 
 def test_keyed_slice_makes_no_leq_or_join_call(monkeypatch):
@@ -135,8 +176,10 @@ def test_keyed_slice_makes_no_leq_or_join_call(monkeypatch):
     assert calls == Counter()
     monkeypatch.undo()
     assert [r.ok for r in reports] == [True, True, False]
-    assert reports == [reference_is_cusl(K) for K in (gray, least, failing)]
-    assert dots == [reference_kslice_to_dot(K) for K in (gray, least, failing)]
+    sorted_slices = [sorted_elements(kslice_sequences(K))
+                     for K in (gray, least, failing)]
+    assert reports == [reference_is_cusl(e) for e in sorted_slices]
+    assert dots == [reference_kslice_to_dot(e) for e in sorted_slices]
 
 
 @pytest.mark.parametrize("K, sigma, tau, bounds", [
@@ -151,6 +194,6 @@ def test_keyed_slice_makes_no_leq_or_join_call(monkeypatch):
 ])
 def test_is_cusl_reports_the_first_failing_pair(K, sigma, tau, bounds):
     report = is_cusl(K)
-    assert report == reference_is_cusl(K)
+    assert report == reference_is_cusl(sorted_elements(kslice_sequences(K)))
     assert (render(report.sigma), render(report.tau)) == (sigma, tau)
     assert [render(u) for u in report.minimal_upper_bounds] == bounds

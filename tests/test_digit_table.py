@@ -16,12 +16,13 @@ from hypothesis import given, settings, strategies as st
 from subbases.builder import BuilderParams, build
 from subbases.files import load_subbase, save_subbase, subbase_to_json
 from subbases.space import SpaceModel, builtin_space
-from subbases.subbase import (GraySubbase, KSlice, ReindexedSubbase,
+from subbases.subbase import (GraySubbase, ReindexedSubbase,
                               code_classes, compactified_example, digit_table,
                               duplicated_subbase, enumerate_K, gray_digit,
                               permute, phi, table_kslice)
 
-from reference import gray_digit as paper_gray_digit, table_codes
+from reference import (gray_digit as paper_gray_digit, kslice_sequences,
+                       table_codes)
 
 SPACES = (("interval", Fraction(1, 32)), ("circle", Fraction(1, 32)),
           ("square", Fraction(1, 16)), ("torus", Fraction(1, 16)))
@@ -80,7 +81,7 @@ def test_enumerate_K_matches_restricted_codes(case):
     S, M, depth = case
     reference = {phi(S, x, depth).restrict(m)
                  for x in M.sample_points for m in range(depth + 1)}
-    assert enumerate_K(S, M, depth).elements == reference
+    assert frozenset(kslice_sequences(enumerate_K(S, M, depth))) == reference
 
 
 @settings(max_examples=40, deadline=None)
@@ -91,15 +92,15 @@ def test_permuted_table_rows_give_permuted_kslice(case, data):
     full = list(pi) + list(range(depth, len(S)))
     reference = enumerate_K(permute(S, full), M, depth)
     K = table_kslice(digit_table(S, M, depth)[list(pi)])
-    assert K == reference
+    assert ((K.depth, K.width, K.elements.tolist())
+            == (reference.depth, reference.width, reference.elements.tolist()))
 
 
 def reference_table_kslice(table):
-    """table_kslice by restricting every distinct code to every length."""
-    depth = table.shape[0]
-    return KSlice(depth=depth, elements=frozenset(
-        code.restrict(m) for code in table_codes(table)
-        for m in range(depth + 1)))
+    """The elements of table_kslice by restricting every distinct code to
+    every length."""
+    return frozenset(code.restrict(m) for code in table_codes(table)
+                     for m in range(table.shape[0] + 1))
 
 
 @settings(max_examples=150, deadline=None)
@@ -112,7 +113,9 @@ def test_table_kslice_matches_restricted_codes(depth, samples, digits, data):
     cells = data.draw(st.lists(st.sampled_from(digits), min_size=depth * samples,
                                max_size=depth * samples))
     table = np.array(cells, dtype=np.int8).reshape(depth, samples)
-    assert table_kslice(table) == reference_table_kslice(table)
+    K = table_kslice(table)
+    assert K.depth == depth
+    assert frozenset(kslice_sequences(K)) == reference_table_kslice(table)
 
 
 @settings(max_examples=12, deadline=None)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subbases.files import space_digest
 from subbases.seq import BD, ONE, ZERO, render
@@ -18,7 +18,8 @@ from subbases.space import (MetricError, POINT_AT_INFINITY, _grid,
 from subbases.subbase import (GraySubbase, compactified_example,
                               duplicated_subbase, gray_digit, phi)
 
-from reference import gray_digit as paper_gray_digit, lattice_points
+from reference import (gray_digit as paper_gray_digit, lattice_points,
+                       unpruned_neighbor_lists)
 
 
 def cosine_sign_digit(x, n):
@@ -253,6 +254,34 @@ def test_lattice_points_match_the_product_construction(name, res):
     assert M.lattice.coords.tobytes() == floats.reshape(
         M.lattice.coords.shape).tobytes()
     assert M.sample_points == reference
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(LATTICES)),
+       st.integers(1, 24).flatmap(
+           lambda q: st.builds(Fraction, st.integers(1, q), st.just(q))),
+       st.integers(1, 16), st.integers(1, 4),
+       st.one_of(st.none(), st.sets(st.integers(0, 10 ** 6), min_size=1,
+                                    max_size=20)))
+# at step 2/5 the circle's and the torus's seam spans 1/5: the one offset
+# of a step holds a neighbour at radius 1/5 through the seam alone
+@example("circle", Fraction(2, 5), 1, 2, None)
+@example("torus", Fraction(2, 5), 1, 2, None)
+@example("torus", Fraction(2, 5), 3, 4, None)
+def test_neighbor_lists_skip_only_offsets_out_of_reach(name, res, a, b, rows):
+    """Skipping the offsets whose nearest pair lies beyond the radius
+    leaves the neighbour array as testing every offset makes it: radii
+    up to 16 steps, at and between grid distances, and steps p/q that do
+    not divide 1, whose seam on the circle and the torus is shorter."""
+    M = builtin_space(name, res)
+    radius = res * Fraction(a, b)
+    rows = (np.arange(len(M)) if rows is None
+            else np.array(sorted({i % len(M) for i in rows}), dtype=np.intp))
+    got = M.neighbor_lists(radius, rows)
+    want = unpruned_neighbor_lists(M.lattice, math.floor(radius / res) + 1,
+                                   float(radius) + 1e-9, rows)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("name, q, bound", [("square", 256, 1.25e6),

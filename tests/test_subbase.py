@@ -5,9 +5,11 @@ import pytest
 
 from subbases.seq import BD, EMPTY, ONE, ZERO, BottomedSeq, parse, render
 from subbases.space import builtin_space
-from subbases.subbase import (GraySubbase, KSlice, enumerate_K, is_cusl,
+from subbases.subbase import (GraySubbase, enumerate_K, is_cusl,
                               kslice_to_dot, member_closed, member_open,
                               permute, phi)
+
+from reference import is_downward_closed, kslice_of, kslice_sequences
 
 
 @pytest.fixture(scope="module")
@@ -81,12 +83,13 @@ def test_member_open_implies_closed(gray, interval16):
 
 def test_enumerate_K_depth1(gray, interval16):
     K = enumerate_K(gray, interval16, 1)
-    assert K.elements == frozenset({EMPTY, parse("0"), parse("1")})
+    assert frozenset(kslice_sequences(K)) == frozenset(
+        {EMPTY, parse("0"), parse("1")})
 
 
 def test_enumerate_K_depth0(gray, interval16):
     K = enumerate_K(gray, interval16, 0)
-    assert K.elements == frozenset({EMPTY})
+    assert frozenset(kslice_sequences(K)) == frozenset({EMPTY})
 
 
 def test_enumerate_K_single_point(gray):
@@ -94,21 +97,21 @@ def test_enumerate_K_single_point(gray):
     M = SpaceModel("one", [(Fraction(1, 3),)],
                    lambda a, b: abs(a[0] - b[0]), Fraction(1))
     K = enumerate_K(gray, M, 3)
-    chain = sorted(K.elements, key=lambda s: s.length)
+    chain = sorted(kslice_sequences(K), key=lambda s: s.length)
     code = phi(gray, (Fraction(1, 3),), 3)
     assert chain == [code.restrict(m) for m in range(4)]
 
 
 def test_K_downward_closed_and_bottom(gray, interval16):
     K = enumerate_K(gray, interval16, 3)
-    assert EMPTY in K.elements
-    assert K.is_downward_closed()
+    assert EMPTY in kslice_sequences(K)
+    assert is_downward_closed(K)
 
 
 def test_is_cusl_constructed_failure():
     elems = frozenset({EMPTY, parse("0"), parse("_0"), parse("000"),
                        parse("001")})
-    rep = is_cusl(KSlice(depth=3, elements=elems))
+    rep = is_cusl(kslice_of(elems, depth=3))
     assert not rep.ok
     assert {render(rep.sigma), render(rep.tau)} == {"0", "_0"}
     assert [render(u) for u in rep.minimal_upper_bounds] == ["000", "001"]
@@ -116,7 +119,7 @@ def test_is_cusl_constructed_failure():
 
 def test_is_cusl_constructed_pass():
     elems = frozenset({EMPTY, parse("0"), parse("_0"), parse("00")})
-    assert is_cusl(KSlice(depth=2, elements=elems)).ok
+    assert is_cusl(kslice_of(elems, depth=2)).ok
 
 
 def test_is_cusl_gray(gray):
@@ -131,8 +134,8 @@ def test_is_cusl_isomorphism_invariance():
     perm = (2, 0, 1)
     relabeled = frozenset(
         BottomedSeq({perm[k]: v for k, v in s.items()}) for s in elems)
-    a = is_cusl(KSlice(depth=3, elements=frozenset(elems)))
-    b = is_cusl(KSlice(depth=3, elements=relabeled))
+    a = is_cusl(kslice_of(elems, depth=3))
+    b = is_cusl(kslice_of(relabeled, depth=3))
     assert a.ok == b.ok is False
 
 
