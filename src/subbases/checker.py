@@ -7,17 +7,20 @@ certifies the absence of violations at resolution delta only; a failure
 carries self-verifying witnesses.
 
 The checks read the digit code of every sample from `subbase.digit_table`
-(re-exported here), the one place where classification is decided.  The
-closure checks work over code classes, the distinct columns of the table,
-and extend patterns depth-first, cutting every branch whose closed set is
-already empty.  A complete pattern is decided per code class: each
-boundary sample carries the bitset of the classes among its
-delta-neighbours, and a candidate sample is far when that bitset misses
-the pattern's open classes.
+(re-exported here), the one place where classification is decided.
+Refining sigma only shrinks S(sigma), so a sample violates some sigma iff
+it violates a total one: a sigma that fixes every position, copies the
+sample's binary digits and puts letters at its boundary positions, not
+all of them b.  Such a sigma's open set holds a delta-neighbour iff the
+neighbour agrees with the sample on its binary positions and shows
+sigma's letters at its boundary positions.  So the checks make one cover
+test per boundary sample, with no search over patterns, and a failure
+lists the violated total sigmas.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +30,7 @@ import numpy as np
 
 from .seq import BD, BINARY_DIGITS, BOT, DIGITS, BottomedSeq, render
 from .space import SpaceModel
-from .subbase import DyadicSubbase, code_classes, digit_table, letter_masks
+from .subbase import DyadicSubbase, digit_table
 
 _MAX_VIOLATIONS = 100
 
@@ -61,8 +64,8 @@ class CheckReport:
     resolution: Fraction
     violations: List[Violation] = field(default_factory=list)
     truncated: bool = False
-    # work counts of the run, up to where a truncated run stopped; not part
-    # of to_json() or to_text()
+    # the boundary and failing samples of the run; not part of to_json()
+    # or to_text()
     stats: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -71,15 +74,6 @@ class CheckReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-    def add(self, violation: Violation) -> bool:
-        """Record a violation; False once the list is full and truncated."""
-        self.verdict = "fail"
-        if len(self.violations) < _MAX_VIOLATIONS:
-            self.violations.append(violation)
-            return True
-        self.truncated = True
-        return False
 
     def to_json(self) -> dict:
         return {
@@ -133,111 +127,76 @@ def _nearest(M: SpaceModel, i: int, target: np.ndarray) -> Optional[float]:
     return float(M.distance_row(i)[target].min()) if target.any() else None
 
 
-def _bits(mask: np.ndarray) -> int:
-    """A boolean array as an int bitset: bit j is mask[j]."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
-
-
-def _unbits(bits: int, n: int) -> np.ndarray:
-    """The first n bits of an int bitset as a boolean array."""
-    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
-
-
-def _class_reach(near: np.ndarray, inverse: np.ndarray, n_classes: int):
-    """Per row of a padded neighbour array, the code classes of its
-    neighbours as an int bitset shifted down by the lowest of them: two
-    lists, the shifted bitsets and the shifts.  Neighbours of one sample
-    mostly fall in a narrow range of classes, so the shifted bitsets stay
-    small however many classes there are.  Built one slot at a time; a
-    row without neighbours holds no class (at most the bit past the last
-    one, which no set of classes holds)."""
-    classes = np.append(inverse, n_classes)
-    low = np.full(len(near), n_classes)
-    for col in near.T:
-        np.minimum(low, classes[col], out=low)
-    bits = [0] * len(near)
-    for col in near.T:
-        # a pad sets the bit of its row's lowest class again
-        offsets = np.where(col < len(inverse), classes[col] - low, 0)
-        for p, r in enumerate(offsets.tolist()):
-            bits[p] |= 1 << r
-    return bits, low.tolist()
-
-
-def _search(steps, k: int, open_bits: int, closed_bits: int, word: list,
-            stats: dict, complete) -> bool:
-    """Extend word[:k] by the letters of steps[k:] in itertools.product
-    order and call complete(open bits, closed bits) on each full pattern;
-    a branch whose closed set is empty is cut and counted.  False once
-    complete returns False.  Being a module function, the recursion
-    leaves no reference cycle behind."""
-    if k == len(steps):
-        return complete(open_bits, closed_bits)
-    for a, open_k, closed_k in steps[k]:
-        closed = closed_bits & closed_k
-        if not closed:
-            stats["patterns_pruned"] += len(steps[k]) ** (len(steps) - k - 1)
-            continue
-        word[k] = a
-        if not _search(steps, k + 1, open_bits & open_k, closed, word, stats,
-                       complete):
-            return False
-    return True
-
-
 def _run_check(S: DyadicSubbase, M: SpaceModel, depth: int, delta,
                alphabet, kind: str) -> CheckReport:
-    """Every pattern over alphabet + bottom, in itertools.product order
-    (position 0 slowest), with the first far candidate sample of each
-    recorded.  Branches with an empty closed set are cut, since no
-    extension of them has a candidate."""
+    """A sample fails iff its agreeing neighbours do not show every
+    assignment of alphabet letters, all-b excluded, at its boundary
+    positions.  The report lists the violated total sigmas in
+    itertools.product order (position 0 slowest), each with its first far
+    sample in sample order."""
     check_delta(M.resolution, delta)
     table = digit_table(S, M, depth)
-    codes, inverse = code_classes(table)
-    n_classes = codes.shape[1]
-    everything = (1 << n_classes) - 1
-    # per position: (letter, open bitset, closed bitset) over code classes
-    steps = [[(a, *map(_bits, letter_masks(row, a))) for a in alphabet]
-             + [(BOT, everything, everything)] for row in codes]
-    report = CheckReport("pass", kind, depth, delta, M.resolution)
-    stats = report.stats
-    stats.update(patterns_examined=0, patterns_pruned=0,
-                 patterns_with_candidates=0, code_classes=n_classes,
-                 candidates_scanned=0)
-    word = [BOT] * depth
-    # candidates need a boundary digit: elsewhere open and closed masks agree
+    # only a sample with a boundary digit can fail: elsewhere open and
+    # closed sets agree
     boundary = np.flatnonzero((table == BD).any(axis=0))
-    # per boundary sample, the classes of its delta-neighbours
-    reach, shift = _class_reach(M.neighbor_lists(delta, rows=boundary),
-                                inverse, n_classes)
-    owner = inverse[boundary]
-
-    def complete(open_bits: int, closed_bits: int) -> bool:
-        stats["patterns_examined"] += 1
-        candidate_bits = closed_bits & ~open_bits
-        if not candidate_bits:
-            return True
-        stats["patterns_with_candidates"] += 1
-        # the ascending positions in `boundary` of the candidate classes'
-        # samples: each of them has a boundary digit
-        rows = _unbits(candidate_bits, n_classes)[owner].nonzero()[0].tolist()
-        # first violation per sigma only: the first candidate, in sample
-        # order, with no neighbour in an open class
-        far = next((k for k, p in enumerate(rows)
-                    if not (reach[p] << shift[p]) & open_bits), None)
-        if far is None:
-            stats["candidates_scanned"] += len(rows)
-            return True
-        stats["candidates_scanned"] += far + 1
-        i = int(boundary[rows[far]])
-        target = _unbits(open_bits, n_classes)[inverse]
-        sigma = BottomedSeq({k: a for k, a in enumerate(word) if a != BOT})
-        return report.add(Violation(sigma, M.point(i),
-                                    _nearest(M, i, target)))
-
-    _search(steps, 0, everything, everything, word, stats, complete)
-    return report
+    near = M.neighbor_lists(delta, rows=boundary)
+    base, width = len(alphabet), near.shape[1]
+    # per sample, the number of assignments it needs shown: every word of
+    # letters at its m boundary positions but all-b; or width + 1, more
+    # than it has neighbours, so it fails without a key
+    m = (table[:, boundary] == BD).sum(axis=0)
+    needed = np.array([min(base ** k - (BD in alphabet), width + 1)
+                       for k in range(depth + 1)])[m]
+    keyed = needed <= width
+    # one pass per digit row: whether each neighbour agrees (the sample's
+    # binary digit, or a letter at its boundary positions), and the word
+    # it shows as a base-`base` key, first position most significant; a
+    # key is below base ** m <= width + 1
+    agree = np.ones(near.shape, dtype=bool)
+    key = np.zeros(near.shape, dtype=np.int64)
+    for row in table:
+        row = np.append(row, BOT)  # the pad of `near` agrees with nothing
+        x, y = row[boundary], row[near]
+        on = x == BD
+        agree &= np.where(on[:, None], y < base, y == x[:, None])
+        grow = on & keyed
+        key *= np.where(grow, base, 1)[:, None]
+        key += y * grow[:, None]
+    # drop the disagreeing neighbours and the all-b key, 3 ** m - 1
+    key[~agree | (key >= needed[:, None])] = -1
+    key.sort(axis=1)
+    shown = (key[:, :1] >= 0).sum(axis=1) + (
+        (key[:, 1:] != key[:, :-1]) & (key[:, 1:] >= 0)).sum(axis=1)
+    failing = np.flatnonzero(shown < needed)
+    # per violated total sigma, as its bytes of digit codes (whose order
+    # is sigma's), its first sample: a failing sample's uncovered sigmas
+    # in order, at most one more than the report keeps, as no later one
+    # of them can be among that many first overall
+    first = {}
+    for p in failing.tolist():
+        i = int(boundary[p])
+        column = table[:, i].copy()
+        at = np.flatnonzero(column == BD)
+        seen = set(map(tuple, table[np.ix_(at, near[p][agree[p]])].T.tolist()))
+        seen.add((BD,) * len(at))
+        words = (w for w in itertools.product(alphabet, repeat=len(at))
+                 if w not in seen)
+        for w in itertools.islice(words, _MAX_VIOLATIONS + 1):
+            column[at] = w
+            first.setdefault(column.tobytes(), i)
+    patterns = sorted(first)
+    violations = []
+    for pattern in patterns[:_MAX_VIOLATIONS]:
+        i = first[pattern]
+        letters = np.frombuffer(pattern, dtype=table.dtype)
+        target = (table == letters[:, None]).all(axis=0)  # open set of sigma
+        violations.append(Violation(BottomedSeq(enumerate(letters.tolist())),
+                                    M.point(i), _nearest(M, i, target)))
+    return CheckReport("fail" if patterns else "pass", kind, depth, delta,
+                       M.resolution, violations,
+                       truncated=len(patterns) > _MAX_VIOLATIONS,
+                       stats={"boundary_samples": len(boundary),
+                              "failing_samples": len(failing)})
 
 
 def check_proper(S: DyadicSubbase, M: SpaceModel, depth: int, delta) -> CheckReport:

@@ -10,9 +10,9 @@ from __future__ import annotations
 # cache, importing argparse first raised a CLI's peak RSS by 0.1-0.3 MB
 from .seq import render
 from .space import POINT_AT_INFINITY, SpaceModel, builtin_space
-from .subbase import (GraySubbase, compactified_example, digit_table,
-                      duplicated_subbase, enumerate_K, is_cusl, kslice_to_dot,
-                      phi, table_kslice)
+from .subbase import (GraySubbase, check_depth, compactified_example,
+                      digit_table, duplicated_subbase, enumerate_K, is_cusl,
+                      kslice_to_dot, phi, table_kslice)
 from . import checker as checker_mod
 from .builder import BuilderParams, build
 from . import files
@@ -90,6 +90,7 @@ def cmd_encode(args) -> int:
 
 def cmd_kslice(args) -> int:
     S, M = _load_subbase(args, need_space=True)
+    check_depth(S, args.depth)  # before the header
     _header(command="kslice", space=M.name, resolution=M.resolution,
             depth=args.depth)
     K = enumerate_K(S, M, args.depth)
@@ -108,6 +109,7 @@ def _run_closure_check(args, strong: bool) -> int:
     if args.space or args.space_file:  # a bad delta exits before the load
         checker_mod.check_delta(_resolution(args), delta)
     S, M = _load_subbase(args, need_space=True)
+    check_depth(S, args.depth)  # before the header
     _header(command="check-strong" if strong else "check-proper",
             space=M.name, resolution=M.resolution, depth=args.depth,
             delta=delta)
@@ -133,6 +135,7 @@ def cmd_check_cusl(args) -> int:
         raise ValueError("--permutations must be non-negative, got %d"
                          % args.permutations)
     S, M = _load_subbase(args, need_space=True)
+    check_depth(S, args.depth)  # before the header
     _header(command="check-cusl", space=M.name, resolution=M.resolution,
             depth=args.depth, permutations=args.permutations, seed=args.seed)
     rng = random.Random(args.seed)

@@ -222,7 +222,7 @@ def compactified_example(resolution: Fraction = Fraction(1, 256),
 # -- coding map and membership ------------------------------------------
 
 
-def _check_depth(S: DyadicSubbase, depth: int):
+def check_depth(S: DyadicSubbase, depth: int):
     if depth < 0:
         raise ValueError("depth must be non-negative, got %d" % depth)
     if depth > len(S):
@@ -231,7 +231,7 @@ def _check_depth(S: DyadicSubbase, depth: int):
 
 def phi(S: DyadicSubbase, x, depth: int) -> BottomedSeq:
     """Length-depth prefix of the code of x; boundary digits become bottom."""
-    _check_depth(S, depth)
+    check_depth(S, depth)
     entries = {}
     for n in range(depth):
         d = S.digit(n, x)
@@ -261,7 +261,7 @@ def member_closed(S: DyadicSubbase, sigma: BottomedSeq, x) -> bool:
 
 def digit_table(S: DyadicSubbase, M, depth: int) -> np.ndarray:
     """depth x n_samples int8 table of digit codes (0, 1, 2=boundary)."""
-    _check_depth(S, depth)
+    check_depth(S, depth)
     table = np.empty((depth, len(M)), dtype=np.int8)
     for k in range(depth):
         table[k] = S.digit_row(k, M)

@@ -57,9 +57,10 @@ def test_duplication_fails_with_witness_half(gray, grid256):
     assert not report.ok
     witnesses = {v.point for v in report.violations}
     assert (Fraction(1, 2),) in witnesses
-    # the canonical pattern: 0 at the first copy, 1 at the second
+    # the canonical pattern, total: 0 at the first copy, 1 at the second,
+    # and the binary digits of 1/2 at the other positions
     sigmas = {render(v.sigma, width=5) for v in report.violations}
-    assert "0___1" in sigmas
+    assert "01001" in sigmas
 
 
 def test_violations_are_self_verifying(grid256):
@@ -134,7 +135,7 @@ def test_checks_read_distance_rows_only_for_violations():
     calls = _count_rows(M)
     report = check_proper(duplicated_subbase(GraySubbase(4), 0), M, 5,
                           Fraction(1, 64))
-    assert len(report.violations) == 16 and calls == []
+    assert len(report.violations) == 2 and calls == []
     # a boundary sample 12 steps from the open set of digit 0
     M = builtin_space("interval", Fraction(1, 16))
     calls = _count_rows(M)
@@ -185,43 +186,53 @@ def test_lattice_violation_names_its_exact_sample(tmp_path, name):
         "ad6657e51ef7291c208bf5fa49b85c770eb1c9955c161f4ccff1978940ab9cee")
 
 
-# -- the pruned pattern search against the flat 4^depth loop ---------------
+# -- the per-sample cover test against the flat 4^depth loop --------------
 
 
-def reference_check(S, M, depth, delta, alphabet, kind):
+def reference_check(S, M, depth, delta, alphabet, kind, total=False):
     """The closure check without pruning: every pattern in
     enumerate_sequences order, masked over every sample, with the first
-    candidate sample that has no open sample within delta recorded."""
+    candidate sample that has no open sample within delta recorded; with
+    `total`, only the patterns that fix every position are recorded.  The
+    failing samples are the far candidates of every pattern."""
     table = digit_table(S, M, depth)
     report = CheckReport("pass", kind, depth, delta, M.resolution)
-    stats = report.stats
-    stats.update(patterns_with_candidates=0, candidates_scanned=0)
+    failing = set()
     for sigma in enumerate_sequences(depth, alphabet):
         open_mask = np.ones(len(M), dtype=bool)
         closed_mask = np.ones(len(M), dtype=bool)
         for k, a in sigma.items():
             open_mask &= table[k] == a
             closed_mask &= (table[k] == a) | ((table[k] == BD) & (a != BD))
-        candidates = np.nonzero(closed_mask & ~open_mask)[0]
-        stats["patterns_with_candidates"] += bool(len(candidates))
-        for i in candidates:
-            stats["candidates_scanned"] += 1
+        far = []
+        for i in np.nonzero(closed_mask & ~open_mask)[0]:
             nearest = None
             if open_mask.any():
                 nearest = float(M.distance_row(int(i))[open_mask].min())
                 if nearest <= float(delta) + 1e-9:
                     continue
-            if not report.add(Violation(sigma, M.sample_points[i], nearest)):
-                return report
-            break
+            far.append((int(i), nearest))
+        failing.update(i for i, _ in far)
+        if far and (not total or len(sigma.dom) == depth):
+            report.verdict = "fail"
+            if len(report.violations) == 100:
+                report.truncated = True
+            else:
+                i, nearest = far[0]
+                report.violations.append(Violation(sigma, M.sample_points[i],
+                                                   nearest))
+    report.stats.update(boundary_samples=int((table == BD).any(axis=0).sum()),
+                        failing_samples=len(failing))
     return report
 
 
-def both_checks(S, M, depth, delta):
+def both_checks(S, M, depth, delta, total=True):
     return ((check_proper(S, M, depth, delta),
-             reference_check(S, M, depth, delta, BINARY_DIGITS, "proper")),
+             reference_check(S, M, depth, delta, BINARY_DIGITS, "proper",
+                             total)),
             (check_strong_proper(S, M, depth, delta),
-             reference_check(S, M, depth, delta, DIGITS, "strong-proper")))
+             reference_check(S, M, depth, delta, DIGITS, "strong-proper",
+                             total)))
 
 
 class TableSubbase(DyadicSubbase):
@@ -297,53 +308,86 @@ def test_checks_match_flat_reference(case):
     for report, reference in both_checks(S, M, depth, delta):
         assert report.to_json() == reference.to_json()
         assert report.to_text() == reference.to_text()
-        for key, count in reference.stats.items():
-            assert report.stats[key] == count
+        assert report.stats == reference.stats
+    for report, reference in both_checks(S, M, depth, delta, total=False):
+        assert report.verdict == reference.verdict
 
 
-def test_truncation_matches_flat_reference(grid256):
-    S = ReindexedSubbase(GraySubbase(8), [0, 0, 1, 1, 2, 2, 3, 3])
-    for report, reference in both_checks(S, grid256, 8, Fraction(1, 64)):
+def test_truncation_matches_flat_reference():
+    """Two isolated samples, each with six boundary positions and its own
+    last binary digit: 63 binary and 727 strong uncovered total patterns
+    each, which interleave in pattern order."""
+    M = builtin_space("interval", Fraction(1, 16))
+    rows = [[BD if i in (4, 12) else 0 for i in range(17)]] * 6
+    S = TableSubbase(M, rows + [[0] * 9 + [1] * 8])
+    for report, reference in both_checks(S, M, 7, Fraction(1, 8)):
         assert report.truncated and len(report.violations) == 100
         assert report.to_json() == reference.to_json()
-        for key, count in reference.stats.items():
-            assert report.stats[key] == count
+        assert report.stats == reference.stats == {"boundary_samples": 2,
+                                                   "failing_samples": 2}
+        assert [v.point for v in report.violations[:2]] == [
+            (Fraction(4, 16),), (Fraction(12, 16),)]
 
 
-def test_stats_count_every_pattern(grid256):
+def test_lone_sample_truncates():
+    """Eight copies of Gray digit 0: 1/2 alone has boundary digits, and
+    254 binary total patterns that its neighbours do not show."""
+    M = builtin_space("interval", Fraction(1, 256))
+    S = ReindexedSubbase(GraySubbase(8), [0] * 8)
+    for report, reference in both_checks(S, M, 8, Fraction(1, 64)):
+        assert report.truncated and len(report.violations) == 100
+        assert report.stats == {"boundary_samples": 1, "failing_samples": 1}
+        assert report.to_json() == reference.to_json()
+
+
+def test_deep_check_is_exact(grid256):
+    """Depth 82, 41 copies each of Gray digits 1 and 0: 1/4 and 3/4 have
+    41 boundary positions, and 3^41 words overflow an int64.  Their
+    neighbours show only the constant words, so the k-th uncovered word
+    is k in base 2 or 3; the two samples' patterns alternate, with 1/4's
+    binary tail of zeros first."""
+    S = ReindexedSubbase(GraySubbase(8), [1] * 41 + [0] * 41)
+    for check, base in ((check_proper, 2), (check_strong_proper, 3)):
+        report = check(S, grid256, 82, Fraction(1, 64))
+        assert report.stats == {"boundary_samples": 3, "failing_samples": 3}
+        assert report.truncated
+        words = [np.base_repr(k, base).zfill(41).replace("2", "b")
+                 for k in range(1, 51)]
+        assert [(render(v.sigma), v.point) for v in report.violations] == [
+            (w + tail, (x,)) for w in words
+            for tail, x in (("0" * 41, Fraction(1, 4)),
+                            ("1" * 41, Fraction(3, 4)))]
+        assert {v.nearest for v in report.violations} == {None}
+
+
+def test_stats_count_boundary_and_failing_samples(grid256):
     report = check_strong_proper(GraySubbase(8), grid256, 5, Fraction(1, 32))
-    stats = report.stats
-    assert stats["patterns_examined"] + stats["patterns_pruned"] == 4 ** 5
-    assert stats["patterns_pruned"] > 0
-    assert 0 < stats["patterns_with_candidates"] <= stats["patterns_examined"]
-    assert stats["code_classes"] == 63
-    assert stats["candidates_scanned"] >= stats["patterns_with_candidates"]
+    assert report.stats == {"boundary_samples": 31, "failing_samples": 0}
     assert "stats" not in report.to_json()
     proper = check_proper(duplicated_subbase(GraySubbase(4), 0), grid256, 5,
                           Fraction(1, 64))
-    assert (proper.stats["patterns_examined"] + proper.stats["patterns_pruned"]
-            == 3 ** 5)
+    assert proper.stats == {"boundary_samples": 15, "failing_samples": 1}
 
 
 def test_gray_depth_9_stats():
-    """Gray at 1/4096 with delta = 1/512: candidates_scanned counts every
-    candidate sample of a passing pattern, 261,632 = 19,682 patterns x
-    about 13 samples."""
+    """Gray at 1/4096 with delta = 1/512: the 511 samples with a boundary
+    digit in the first 9 positions all pass.  At depth 12 every sample but
+    0 and 1 has one, and each fails: no sample lies inside a cell of
+    width 1/4096, so no total pattern's open set holds one."""
     M = builtin_space("interval", Fraction(1, 4096))
     report = check_strong_proper(GraySubbase(12), M, 9, Fraction(1, 512))
     assert report.verdict == "pass"
-    assert report.stats == {"patterns_examined": 38854,
-                            "patterns_pruned": 223290,
-                            "patterns_with_candidates": 19682,
-                            "code_classes": 1023,
-                            "candidates_scanned": 261632}
+    assert report.stats == {"boundary_samples": 511, "failing_samples": 0}
+    report = check_strong_proper(GraySubbase(12), M, 12, Fraction(1, 512))
+    assert report.verdict == "fail" and report.truncated
+    assert report.stats == {"boundary_samples": 4095, "failing_samples": 4095}
 
 
 def test_checks_leave_no_reference_cycle(grid256):
     """A check's search state is freed by reference counting alone: with
     the cyclic collector off, nothing is left for it to find, after a
     passing check and after one that stops on a full report."""
-    truncating = ReindexedSubbase(GraySubbase(8), [0, 0, 1, 1, 2, 2, 3, 3])
+    truncating = ReindexedSubbase(GraySubbase(8), [0] * 8)
     cases = ((GraySubbase(8), 5, Fraction(1, 64)),
              (truncating, 8, Fraction(1, 64)))
     for S, depth, delta in cases:

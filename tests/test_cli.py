@@ -285,10 +285,12 @@ def test_finite_resolution_not_positive_exits_2(gray_file, tmp_path, capsys,
     ["kslice"], ["check-cusl"],
 ])
 def test_negative_depth_exits_2_naming_it(gray_file, capsys, command):
-    assert run(command + ["--subbase", gray_file, "--space", "interval",
-                          "--resolution", "1/64", "--depth", "-3"]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: depth must be non-negative, got -3\n"
+    # refused before the header, as is a depth past the 8 pairs
+    for depth, error in (("-3", "depth must be non-negative, got -3"),
+                         ("9", "depth 9 exceeds number of cuts 8")):
+        assert run(command + ["--subbase", gray_file, "--space", "interval",
+                              "--resolution", "1/64", "--depth", depth]) == 2
+        assert capsys.readouterr() == ("", "error: %s\n" % error)
 
 
 def test_gray_subbase_on_the_square_exits_2(gray_file, capsys):

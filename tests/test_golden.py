@@ -54,8 +54,8 @@ GOLDEN = {
     "encode": (0, "6ddb51c31c62367956a68751bff12e19758aa1057f5af5d692a5a6a55e7919f5", {}),
     "demo-gray": (0, "457c5d83a0c12a6446d273ae6e08aabe0e25b25322b7f1a3633c905236c5ec88", {}),
     "encode-gray": (0, "0b195d4e9e93cc0043f7826a2e93efd41c23b51edab366817352b08feb1a9e0a", {}),
-    "demo-duplication": (1, "1f6859a7e23dfd4fd9236663cfc565dbd91d2113658dd543ba13c74a3edeef10", {}),
-    "demo-compactification": (1, "e20d2191670296557c768ab6a38ce06674ae8088f9b7254dbdb34cee453e8e73", {}),
+    "demo-duplication": (1, "3b7640aeebe60d8572f959ad87fe2476aefca9dc1ec84abc8c254b790e2541cd", {}),
+    "demo-compactification": (1, "a74d865b1e9919aed956b00c3ebeb92b60e3c26945e633504750a053a137c57d", {}),
     "build-criterion-6": (0, "19398c6ecebb63db7674bcbecd431dd4e1323012f4e0b487d5f0eb5b21ef0871",
                           {"built42.json": "f0acb593f7c60b19f1db269f3d310665b810b9dfb19b070a03cd457c7bfcffd2"}),
     "check-strong-depth-10": (0, "7ad599a835f0cf6a2fb56eb8b0eff7e75a51e21225f6a7fb0dc722a1967edc48",
