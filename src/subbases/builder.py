@@ -28,7 +28,7 @@ import numpy as np
 
 from .seq import BD, BINARY_DIGITS, DIGITS, ONE
 from .space import SpaceModel
-from .subbase import DistanceCut, DistanceSubbase, code_classes, letter_masks
+from .subbase import DistanceCut, DistanceSubbase, code_classes
 
 _EPS = 1e-9
 REGION_SUPPORT = 2  # max #fixed digits in enumerated avoid regions
@@ -217,7 +217,7 @@ def collect_avoid(table: np.ndarray, cut: Centre, nbr: np.ndarray, band,
     letters = np.ones((3 * n + 1, classes), dtype=bool)
     for k, row in enumerate(codes):
         for d in DIGITS:
-            letters[3 * k + d] = letter_masks(row, d)[1]
+            letters[3 * k + d] = (row == d) | (row == BD)
 
     def closed_sets(kind, index):
         """One region per row of `index`: the AND of the letter rows it

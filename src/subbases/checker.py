@@ -28,7 +28,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .seq import BD, BINARY_DIGITS, BOT, DIGITS, BottomedSeq, render
+from .seq import BD, BINARY_DIGITS, BOT, DIGITS, ZERO, BottomedSeq, render
 from .space import SpaceModel
 from .subbase import DyadicSubbase, digit_table
 
@@ -169,21 +169,30 @@ def _run_check(S: DyadicSubbase, M: SpaceModel, depth: int, delta,
         (key[:, 1:] != key[:, :-1]) & (key[:, 1:] >= 0)).sum(axis=1)
     failing = np.flatnonzero(shown < needed)
     # per violated total sigma, as its bytes of digit codes (whose order
-    # is sigma's), its first sample: a failing sample's uncovered sigmas
-    # in order, at most one more than the report keeps, as no later one
-    # of them can be among that many first overall
-    first = {}
+    # is sigma's), its first sample.  After each failing sample only the
+    # `keep` smallest sigmas stay, one more than the report lists: a
+    # sigma cut has `keep` smaller ones for good.  So a sample's
+    # uncovered sigmas, which come in order, are read `keep` at most, and
+    # none when its least sigma, 0 at every boundary position, is past
+    # the largest kept
+    first, keep, largest = {}, _MAX_VIOLATIONS + 1, None
     for p in failing.tolist():
         i = int(boundary[p])
         column = table[:, i].copy()
         at = np.flatnonzero(column == BD)
+        column[at] = ZERO
+        if largest is not None and column.tobytes() > largest:
+            continue
         seen = set(map(tuple, table[np.ix_(at, near[p][agree[p]])].T.tolist()))
         seen.add((BD,) * len(at))
         words = (w for w in itertools.product(alphabet, repeat=len(at))
                  if w not in seen)
-        for w in itertools.islice(words, _MAX_VIOLATIONS + 1):
+        for w in itertools.islice(words, keep):
             column[at] = w
             first.setdefault(column.tobytes(), i)
+        if len(first) > keep:
+            kept = sorted(first)[:keep]
+            first, largest = {q: first[q] for q in kept}, kept[-1]
     patterns = sorted(first)
     violations = []
     for pattern in patterns[:_MAX_VIOLATIONS]:

@@ -127,13 +127,6 @@ class ReindexedSubbase(DyadicSubbase):
         return self.base.digit_row(self.index_map[n], M)
 
 
-def permute(S: DyadicSubbase, pi: Sequence[int]) -> DyadicSubbase:
-    """Reorder the enumeration: digit(permute(S, pi), n, x) = digit(S, pi[n], x)."""
-    if sorted(pi) != list(range(len(S))):
-        raise ValueError("pi must be a bijection on {0..%d}" % (len(S) - 1))
-    return ReindexedSubbase(S, pi)
-
-
 def duplicated_subbase(S: DyadicSubbase, n: int) -> DyadicSubbase:
     """Append a second copy of pair n at the end of the enumeration."""
     if not 0 <= n < len(S):
@@ -219,7 +212,7 @@ def compactified_example(resolution: Fraction = Fraction(1, 256),
     return compactified_space(resolution), CompactifiedSubbase(pairs)
 
 
-# -- coding map and membership ------------------------------------------
+# -- coding map ----------------------------------------------------------
 
 
 def check_depth(S: DyadicSubbase, depth: int):
@@ -238,22 +231,6 @@ def phi(S: DyadicSubbase, x, depth: int) -> BottomedSeq:
         if d != BD:
             entries[n] = d
     return BottomedSeq(entries)
-
-
-def member_open(S: DyadicSubbase, sigma: BottomedSeq, x) -> bool:
-    """x in S(sigma): the digit equals sigma(k) at every defined index."""
-    for k, a in sigma.items():
-        if S.digit(k, x) != a:
-            return False
-    return True
-
-
-def member_closed(S: DyadicSubbase, sigma: BottomedSeq, x) -> bool:
-    """x in S-bar(sigma): the digit is sigma(k) or the boundary digit."""
-    for k, a in sigma.items():
-        if S.digit(k, x) not in (a, BD):
-            return False
-    return True
 
 
 # -- the digit table -----------------------------------------------------
@@ -282,13 +259,6 @@ def code_classes(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(table.shape[1], dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return ordered[:, new], inverse
-
-
-def letter_masks(row: np.ndarray, a: int):
-    """Where a row of digit codes puts the open set of digit a, and where
-    its closed set (digit a or, for a binary digit, the boundary)."""
-    hit = row == a
-    return hit, hit if a == BD else hit | (row == BD)
 
 
 # -- K slices ------------------------------------------------------------

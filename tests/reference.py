@@ -1,20 +1,161 @@
 """Slow reference definitions that the tests compare the package against.
 
 None of them is used by the package itself: the checker, the K slices and
-the builder work on code classes and bitsets instead.  The K-slice
-oracle keeps the representation the keys replaced: a set of
-`BottomedSeq`s, sorted by `sort_key`.
+the builder work on code classes and bitsets instead.  Here live the
+order on bottomed sequences as plain functions of `BottomedSeq` values
+(`leq`, `join`, `restrict` and the rest), the membership of a point in
+S(sigma) and S-bar(sigma), the ASCII parser, and permuted views.  The
+package computes that order only on K-slice keys, and the tests check
+the keys against these functions.  The K-slice oracle keeps the
+representation the keys replaced: a set of `BottomedSeq`s, sorted by
+`sort_key`.
 """
 
+import functools
 import itertools
 from fractions import Fraction
-from typing import Iterator, List
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from subbases.seq import BD, BOT, DIGITS, ONE, ZERO, BottomedSeq, sort_key
+from subbases.seq import BD, BOT, CODEC, DIGITS, ONE, ZERO, BottomedSeq, render
 from subbases.space import _LATTICES, _grid
-from subbases.subbase import KSlice, code_classes, letter_masks
+from subbases.subbase import (DyadicSubbase, KSlice, ReindexedSubbase,
+                              _clash_bits, code_classes)
+
+EMPTY = BottomedSeq()
+
+
+# -- the order on bottomed sequences -------------------------------------
+
+
+def parse(text: str) -> BottomedSeq:
+    """Parse the ASCII codec '0', '1', 'b', '_'; error on any other character."""
+    d = {}
+    for i, ch in enumerate(text):
+        code = CODEC.find(ch)
+        if code < 0:
+            raise ValueError("invalid character %r at position %d" % (ch, i))
+        if code != BOT:
+            d[i] = code
+    return BottomedSeq(d)
+
+
+def sort_key(sigma: BottomedSeq) -> Tuple[int, str]:
+    """The K-slice order: by length, then ASCII rendering."""
+    return (sigma.length, render(sigma))
+
+
+def dom(sigma: BottomedSeq) -> Tuple[int, ...]:
+    """The defined indices, ascending."""
+    return tuple(k for k, _ in sigma.items())
+
+
+def is_binary(sigma: BottomedSeq) -> bool:
+    """True iff no entry is the boundary digit."""
+    return all(a != BD for _, a in sigma.items())
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def graph(sigma: BottomedSeq) -> frozenset:
+    """The set of (index, digit) entries of sigma."""
+    return frozenset(sigma.items())
+
+
+def leq(u: BottomedSeq, v: BottomedSeq) -> bool:
+    """Product order: every defined entry of u is an entry of v."""
+    return graph(u) <= graph(v)
+
+
+def join(u: BottomedSeq, v: BottomedSeq) -> Optional[BottomedSeq]:
+    """Least upper bound, or None when the two clash at an index."""
+    d = dict(graph(u))
+    for k, a in graph(v):
+        if d.setdefault(k, a) != a:
+            return None
+    return BottomedSeq(d)
+
+
+def restrict(sigma: BottomedSeq, n: int) -> BottomedSeq:
+    """Keep the entries with index < n."""
+    return BottomedSeq((k, a) for k, a in sigma.items() if k < n)
+
+
+def update(sigma: BottomedSeq, n: int, a: int) -> BottomedSeq:
+    """sigma[n -> a]; a == BOT erases index n."""
+    d = dict(sigma.items())
+    d.pop(n, None)
+    if a != BOT:
+        d[n] = a
+    return BottomedSeq(d)
+
+
+def decompose(sigma: BottomedSeq) -> Tuple[BottomedSeq, BottomedSeq]:
+    """Split into the {0,1} part and the boundary part; their join is sigma."""
+    return (BottomedSeq((k, a) for k, a in sigma.items() if a != BD),
+            BottomedSeq((k, a) for k, a in sigma.items() if a == BD))
+
+
+def seq_key(sigma: BottomedSeq, width: int) -> int:
+    """The K-slice key of sigma over width w: bit a*w + k for digit a at k."""
+    return sum(1 << (a * width + k) for k, a in sigma.items())
+
+
+def assert_keys_follow_the_order(elems: List[BottomedSeq]):
+    """The package's order on the K-slice keys of the elements, checked
+    pair by pair against `leq` and `join`: key(u) is a subset of key(v)
+    iff u <= v, u and v have no `_clash_bits` in common iff they join,
+    and then the OR of their keys is the key of the join.  A pair with
+    no join has no common upper bound among the elements, by `leq`.
+    Then, on the keys alone: the pair relations are symmetric, a join's
+    key is an element's whose up-set is the pair's common up-set (the
+    least upper bound law), and a clashing pair has no common upper
+    key."""
+    key, width = kslice_keys(elems)
+    u, v = key[:, None], key[None, :]
+    subset = (u & v) == u
+    apart = (u & _clash_bits(v, width)) == 0
+    joined = u | v
+    below = np.zeros(subset.shape, dtype=np.int64)
+    for (i, a), (j, b) in itertools.product(enumerate(elems), repeat=2):
+        below[i, j] = leq(a, b)
+        assert subset[i, j] == below[i, j], (a, b)
+        c = join(a, b)
+        assert apart[i, j] == (c is not None), (a, b)
+        if c is not None:
+            assert joined[i, j] == seq_key(c, width), (a, b)
+    # the number of common upper bounds of each pair, by `leq`
+    assert not (below @ below.T)[~apart].any()
+    assert (apart == apart.T).all() and (joined == joined.T).all()
+    assert np.isin(joined[apart], key).all()
+    for i in range(len(key)):
+        above = (joined[i][:, None] & key) == joined[i][:, None]
+        common = subset[i] & subset
+        assert (above == common)[apart[i]].all(), elems[i]
+        assert not common[~apart[i]].any(), elems[i]
+
+
+# -- subbases: membership and permuted views -----------------------------
+
+
+def member_open(S: DyadicSubbase, sigma: BottomedSeq, x) -> bool:
+    """x in S(sigma): the digit equals sigma(k) at every defined index."""
+    return all(S.digit(k, x) == a for k, a in sigma.items())
+
+
+def member_closed(S: DyadicSubbase, sigma: BottomedSeq, x) -> bool:
+    """x in S-bar(sigma): the digit is sigma(k) or the boundary digit."""
+    return all(S.digit(k, x) in (a, BD) for k, a in sigma.items())
+
+
+def permute(S: DyadicSubbase, pi: Sequence[int]) -> DyadicSubbase:
+    """Reorder the enumeration: digit(permute(S, pi), n, x) = digit(S, pi[n], x)."""
+    if sorted(pi) != list(range(len(S))):
+        raise ValueError("pi must be a bijection on {0..%d}" % (len(S) - 1))
+    return ReindexedSubbase(S, pi)
+
+
+# -- digits, lattices and tables -----------------------------------------
 
 
 def gray_digit(x: Fraction, n: int) -> int:
@@ -93,9 +234,8 @@ def pattern_masks(table: np.ndarray, sigma: BottomedSeq):
     open_mask = np.ones(table.shape[1], dtype=bool)
     closed_mask = np.ones(table.shape[1], dtype=bool)
     for k, a in sigma.items():
-        hit, near = letter_masks(table[k], a)
-        open_mask &= hit
-        closed_mask &= near
+        open_mask &= table[k] == a
+        closed_mask &= (table[k] == a) | (table[k] == BD)
     return open_mask, closed_mask
 
 
@@ -130,8 +270,7 @@ def kslice_keys(elems: List[BottomedSeq]):
     (uint64 while 3w <= 64, Python ints otherwise) and w."""
     width = max((e.length for e in elems), default=0)
     dtype = np.uint64 if 3 * width <= 64 else object
-    key = np.array([sum(1 << (a * width + k) for k, a in e.items())
-                    for e in elems], dtype=dtype)
+    key = np.array([seq_key(e, width) for e in elems], dtype=dtype)
     return key, width
 
 
@@ -154,5 +293,5 @@ def kslice_sequences(K: KSlice) -> List[BottomedSeq]:
 def is_downward_closed(K: KSlice) -> bool:
     """Every restriction of every element is an element."""
     elems = set(kslice_sequences(K))
-    return all(sigma.restrict(m) in elems
+    return all(restrict(sigma, m) in elems
                for sigma in elems for m in range(K.depth + 1))

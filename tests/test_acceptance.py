@@ -13,13 +13,14 @@ import pytest
 
 from subbases.builder import BuilderParams, build
 from subbases.checker import check_proper, check_strong_proper
-from subbases.seq import BD, DIGITS, EMPTY, ONE, ZERO, render
+from subbases.seq import BD, DIGITS, ONE, ZERO, render
 from subbases.space import POINT_AT_INFINITY, builtin_space
 from subbases.subbase import (GraySubbase, compactified_example,
-                              duplicated_subbase, enumerate_K, is_cusl,
-                              member_open, permute, phi)
+                              duplicated_subbase, enumerate_K, is_cusl, phi)
 
-from reference import enumerate_sequences, is_downward_closed, kslice_sequences
+from reference import (EMPTY, assert_keys_follow_the_order, decompose,
+                       enumerate_sequences, is_downward_closed, join,
+                       kslice_sequences, leq, member_open, permute, seq_key)
 
 
 def _report(num, name, started):
@@ -138,23 +139,18 @@ def test_criterion_7_cusl_permutation_link():
 def test_criterion_8_order_theory_suite():
     t0 = time.time()
 
-    # join least-upper-bound law, exhaustive over length <= 5 binary patterns
-    elems = list(enumerate_sequences(5, (ZERO, ONE)))
-    by_items = {s: s for s in elems}
-    for a, b in itertools.product(elems, repeat=2):
-        j = a.try_join(b)
-        if j is None:
-            continue
-        assert a.leq(j) and b.leq(j)
-        assert j in by_items  # the pointwise join is itself a valid pattern
-        for u in elems:
-            if a.leq(u) and b.leq(u):
-                assert j.leq(u)
+    # the order as the K slices run it, on bitset keys: subset, clash and
+    # OR against the reference leq and join on every pair, and the least
+    # upper bound law, exhaustive over length <= 5 binary patterns
+    binary_patterns = list(enumerate_sequences(5, (ZERO, ONE)))
+    assert_keys_follow_the_order(binary_patterns)
 
-    # decomposition round-trip, exhaustive over length <= 5 with boundaries
+    # decomposition round-trip, exhaustive over length <= 5 with boundaries:
+    # the parts' keys never clash and their OR is the sequence's key
     for s in enumerate_sequences(5, DIGITS):
-        binary, bd = s.decompose()
-        assert binary.join(bd) == s
+        binary, bd = decompose(s)
+        assert join(binary, bd) == s
+        assert seq_key(binary, 5) | seq_key(bd, 5) == seq_key(s, 5)
 
     shipped = []
     G = GraySubbase(8)
@@ -168,9 +164,14 @@ def test_criterion_8_order_theory_suite():
         K = enumerate_K(S, M, min(5, len(S)))
         assert EMPTY in kslice_sequences(K)
         assert is_downward_closed(K)
-        for sigma in enumerate_sequences(5, (ZERO, ONE)):
-            for x in M.sample_points:
-                assert member_open(S, sigma, x) == sigma.leq(phi(S, x, 5))
+        codes = [phi(S, x, 5) for x in M.sample_points]
+        code_keys = [seq_key(code, 5) for code in codes]
+        for sigma in binary_patterns:
+            key = seq_key(sigma, 5)
+            for x, code, code_key in zip(M.sample_points, codes, code_keys):
+                inside = member_open(S, sigma, x)
+                assert inside == leq(sigma, code)
+                assert inside == (key & code_key == key)
 
     assert time.time() - t0 < 30
     _report(8, "order-theory suite", t0)

@@ -194,7 +194,7 @@ def _reference_avoid(M, table, f_vals, n, strong, neighbors, chosen, cut_vals):
     if strong:
         for tau in _small_support(n, (BD,), REGION_SUPPORT):
             _, mask = pattern_masks(table, tau)
-            if not tau.is_empty() and mask.any():
+            if tau.length and mask.any():
                 out.extend((v, "boundary")
                            for v in _reference_extrema(f_vals, mask, neighbors))
         band = 2 * float(M.resolution)

@@ -19,10 +19,10 @@ from subbases.space import SpaceModel, builtin_space
 from subbases.subbase import (GraySubbase, ReindexedSubbase,
                               code_classes, compactified_example, digit_table,
                               duplicated_subbase, enumerate_K, gray_digit,
-                              permute, phi, table_kslice)
+                              phi, table_kslice)
 
 from reference import (gray_digit as paper_gray_digit, kslice_sequences,
-                       table_codes)
+                       permute, restrict, table_codes)
 
 SPACES = (("interval", Fraction(1, 32)), ("circle", Fraction(1, 32)),
           ("square", Fraction(1, 16)), ("torus", Fraction(1, 16)))
@@ -79,7 +79,7 @@ def test_digit_table_matches_per_sample_digits(case):
 @given(subbases())
 def test_enumerate_K_matches_restricted_codes(case):
     S, M, depth = case
-    reference = {phi(S, x, depth).restrict(m)
+    reference = {restrict(phi(S, x, depth), m)
                  for x in M.sample_points for m in range(depth + 1)}
     assert frozenset(kslice_sequences(enumerate_K(S, M, depth))) == reference
 
@@ -99,7 +99,7 @@ def test_permuted_table_rows_give_permuted_kslice(case, data):
 def reference_table_kslice(table):
     """The elements of table_kslice by restricting every distinct code to
     every length."""
-    return frozenset(code.restrict(m) for code in table_codes(table)
+    return frozenset(restrict(code, m) for code in table_codes(table)
                      for m in range(table.shape[0] + 1))
 
 

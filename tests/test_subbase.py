@@ -1,15 +1,21 @@
+"""Subbases, the coding map and K slices.  Membership and permuted views
+are the reference's; the tests tie them to the package's digit table and
+K-slice keys."""
+
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from subbases.seq import BD, EMPTY, ONE, ZERO, BottomedSeq, parse, render
+from subbases.seq import BD, ONE, BottomedSeq, render
 from subbases.space import builtin_space
-from subbases.subbase import (GraySubbase, enumerate_K, is_cusl,
-                              kslice_to_dot, member_closed, member_open,
-                              permute, phi)
+from subbases.subbase import (GraySubbase, digit_table, enumerate_K, is_cusl,
+                              kslice_to_dot, phi)
 
-from reference import is_downward_closed, kslice_of, kslice_sequences
+from reference import (EMPTY, decompose, is_downward_closed, kslice_of,
+                       kslice_sequences, leq, member_closed, member_open,
+                       parse, pattern_masks, permute, restrict, seq_key)
 
 
 @pytest.fixture(scope="module")
@@ -52,10 +58,18 @@ def test_member_closed(gray):
 
 
 def test_member_open_iff_prefix_order(gray, interval16):
-    # definitional equivalence for binary patterns
+    """Definitional equivalence for binary patterns: x in S(sigma) iff
+    sigma <= phi(x), iff the key of sigma is a subset of phi(x)'s, iff
+    the digit table's open mask of sigma holds x."""
+    table = digit_table(gray, interval16, 4)
+    codes = [seq_key(phi(gray, x, 4), 4) for x in interval16.sample_points]
     for sigma in _binary_patterns(4):
-        for x in interval16.sample_points:
-            assert member_open(gray, sigma, x) == sigma.leq(phi(gray, x, 4))
+        key = seq_key(sigma, 4)
+        open_mask, _ = pattern_masks(table, sigma)
+        for i, x in enumerate(interval16.sample_points):
+            inside = member_open(gray, sigma, x)
+            assert inside == leq(sigma, phi(gray, x, 4))
+            assert inside == (key & codes[i] == key) == open_mask[i]
 
 
 def _binary_patterns(depth):
@@ -68,15 +82,20 @@ def _binary_patterns(depth):
 def test_member_decomposition_law(gray, interval16):
     pats = [parse(s) for s in ("0b", "b1", "0b1", "__b", "01b0")]
     for sigma in pats:
-        binary, bd = sigma.decompose()
+        binary, bd = decompose(sigma)
+        assert seq_key(binary, 4) | seq_key(bd, 4) == seq_key(sigma, 4)
         for x in interval16.sample_points:
             assert member_open(gray, sigma, x) == (
                 member_open(gray, binary, x) and member_open(gray, bd, x))
 
 
 def test_member_open_implies_closed(gray, interval16):
+    table = digit_table(gray, interval16, 3)
     for sigma in _binary_patterns(3) + [parse("0b"), parse("b")]:
-        for x in interval16.sample_points:
+        open_mask, closed_mask = pattern_masks(table, sigma)
+        for i, x in enumerate(interval16.sample_points):
+            assert member_open(gray, sigma, x) == open_mask[i]
+            assert member_closed(gray, sigma, x) == closed_mask[i]
             if member_open(gray, sigma, x):
                 assert member_closed(gray, sigma, x)
 
@@ -99,7 +118,7 @@ def test_enumerate_K_single_point(gray):
     K = enumerate_K(gray, M, 3)
     chain = sorted(kslice_sequences(K), key=lambda s: s.length)
     code = phi(gray, (Fraction(1, 3),), 3)
-    assert chain == [code.restrict(m) for m in range(4)]
+    assert chain == [restrict(code, m) for m in range(4)]
 
 
 def test_K_downward_closed_and_bottom(gray, interval16):
@@ -155,11 +174,15 @@ def test_permute(gray):
 
 
 def test_permute_digit_relation(gray, interval16):
+    """A permuted view's digit table is the original's with its rows
+    permuted: `check-cusl` reads permutations that way."""
     pi = [3, 1, 0, 2] + list(range(4, 8))
     P = permute(gray, pi)
     for n in range(8):
         for x in interval16.sample_points:
             assert P.digit(n, x) == gray.digit(pi[n], x)
+    assert np.array_equal(digit_table(P, interval16, 8),
+                          digit_table(gray, interval16, 8)[pi])
 
 
 def test_dot_export(gray, interval16):
