@@ -105,12 +105,12 @@ class AvoidSet:
 
 
 def _pack_slots(nbr: np.ndarray, test) -> np.ndarray:
-    """Slots x samples bits, bit (slot, i) = test(nbr[:, slot])[i], packed
-    as by `np.packbits(bits, axis=0, bitorder="little")`, slot by slot: a
-    samples x slots gather adds about 10 MB to a call's peak allocation on
-    the 1/256 square (66,049 samples x 12 slots)."""
-    bits = np.zeros((-(-nbr.shape[1] // 8), nbr.shape[0]), dtype=np.uint8)
-    for slot, col in enumerate(nbr.T):
+    """Slots x samples bits, bit (slot, i) = test(nbr[slot])[i], packed as
+    by `np.packbits(bits, axis=0, bitorder="little")`, one contiguous slot
+    row of `nbr` at a time: a samples x slots gather adds about 10 MB to a
+    call's peak allocation on the 1/256 square (12 slots x 66,049 samples)."""
+    bits = np.zeros((-(-nbr.shape[0] // 8), nbr.shape[1]), dtype=np.uint8)
+    for slot, col in enumerate(nbr):
         byte = bits[slot // 8]
         np.bitwise_or(byte, np.uint8(1 << slot % 8), out=byte, where=test(col))
     return bits
@@ -149,7 +149,7 @@ def _region_extrema(member: np.ndarray, inverse: np.ndarray, nbr: np.ndarray,
     `member` is regions x code classes and `inverse` gives each sample's
     class; `up` and `down` are `_steps` of f.  The regions are packed into
     64-bit words, one row per class and a zero row for the pad of `nbr`.
-    Over the slots of `nbr` the neighbours' words are OR-ed into `above`
+    Over the slot rows of `nbr` the neighbours' words are OR-ed into `above`
     where the neighbour lies above the sample and into `below` where it
     lies below.  A sample of a region is a local extremum there unless
     the region holds a neighbour of each kind; isolated samples count.
@@ -162,7 +162,7 @@ def _region_extrema(member: np.ndarray, inverse: np.ndarray, nbr: np.ndarray,
     words = packed.view(np.uint64)[np.append(inverse, classes)]
     above = np.zeros_like(words[:-1])
     below = np.zeros_like(above)
-    for slot, col in enumerate(nbr.T):  # each slot's bits as it is reached
+    for slot, col in enumerate(nbr):  # each slot's bits as it is reached
         nb, byte, bit = words[col], slot // 8, np.uint8(1 << slot % 8)
         np.bitwise_or(above, nb, out=above, where=(up[byte] & bit)[:, None] > 0)
         np.bitwise_or(below, nb, out=below, where=(down[byte] & bit)[:, None] > 0)

@@ -139,7 +139,7 @@ def _run_check(S: DyadicSubbase, M: SpaceModel, depth: int, delta,
     # only a sample with a boundary digit can fail: elsewhere open and
     # closed sets agree
     boundary = np.flatnonzero((table == BD).any(axis=0))
-    near = M.neighbor_lists(delta, rows=boundary)
+    near = M.neighbor_lists(delta, rows=boundary).T
     base, width = len(alphabet), near.shape[1]
     # per sample, the number of assignments it needs shown: every word of
     # letters at its m boundary positions but all-b; or width + 1, more
@@ -151,9 +151,9 @@ def _run_check(S: DyadicSubbase, M: SpaceModel, depth: int, delta,
     # one pass per digit row: whether each neighbour agrees (the sample's
     # binary digit, or a letter at its boundary positions), and the word
     # it shows as a base-`base` key, first position most significant; a
-    # key is below base ** m <= width + 1
+    # key is below base ** m <= width + 1, so int32 holds it exactly
     agree = np.ones(near.shape, dtype=bool)
-    key = np.zeros(near.shape, dtype=np.int64)
+    key = np.zeros(near.shape, dtype=np.int32)
     for row in table:
         row = np.append(row, BOT)  # the pad of `near` agrees with nothing
         x, y = row[boundary], row[near]

@@ -50,10 +50,11 @@ class Lattice:
         return self.dist(self.coords, self.coords[i])
 
     def neighbor_lists(self, steps: int, r: float, rows: np.ndarray) -> np.ndarray:
-        """The padded neighbour array of `SpaceModel.neighbor_lists` for
-        distance <= r, from the offsets of at most `steps` grid steps per
-        axis, one offset at a time: temporaries are O(rows) and the result
-        O(rows x width)."""
+        """The slot array of `SpaceModel.neighbor_lists` for distance <= r,
+        from the offsets of at most `steps` grid steps per axis: slot k
+        holds, for each of `rows`, the sample at the k-th offset in reach
+        if it lies inside the grid and within r, else the pad.  One offset
+        at a time: temporaries are O(rows) and the result O(slots x rows)."""
         n = len(self.coords)
         pos = np.unravel_index(rows, self.shape)
         # an open axis needs no offset past its length; on a periodic axis
@@ -86,9 +87,8 @@ class Lattice:
                        dtype=float).reshape(len(offsets), dims)
         reach = self.dist(np.zeros(low.shape), low).reshape(len(offsets))
         offsets = [o for o, g in zip(offsets, reach) if g <= r]
-        out = np.full((len(rows), min(len(offsets), 16)), n, dtype=np.intp)
-        count = np.zeros(len(rows), dtype=np.intp)
-        for off in offsets:
+        out = np.full((len(offsets), len(rows)), n, dtype=np.int32)
+        for slot, off in zip(out, offsets):
             inside = np.ones(len(rows), dtype=bool)
             axes = []
             for p, d, size, wrap in zip(pos, off, self.shape, self.wrap):
@@ -101,12 +101,8 @@ class Lattice:
             src = np.flatnonzero(inside)
             cand = np.ravel_multi_index([q[src] for q in axes], self.shape)
             keep = self.dist(self.coords[cand], self.coords[rows[src]]) <= r
-            src, cand = src[keep], cand[keep]
-            if src.size and count[src].max() == out.shape[1]:
-                out = np.concatenate([out, np.full_like(out, n)], axis=1)
-            out[src, count[src]] = cand
-            count[src] += 1
-        return np.sort(out[:, :int(count.max(initial=0))], axis=1)
+            slot[src[keep]] = cand[keep]
+        return out
 
 
 class SpaceModel:
@@ -185,13 +181,15 @@ class SpaceModel:
 
     def neighbor_lists(self, radius, rows=None) -> np.ndarray:
         """Indices of the samples within radius of each sample in `rows`
-        (default: all), excluding itself, as a (len(rows), width) intp array,
-        each row ascending and padded on the right with len(self).
+        (default: all), excluding itself, as a (slots, len(rows)) int32
+        array padded with len(self): each column lists one sample's
+        neighbours, in no set order, and each slot row is contiguous.
 
         A lattice model tests only the offsets of at most radius/resolution
         + 1 steps per axis (the extra step covers a periodic seam shorter
-        than one step); other models scan one distance row per sample of
-        `rows`.  Either way memory is linear in the number of rows."""
+        than one step), one slot per offset in reach; other models scan one
+        distance row per sample of `rows`, and slot k holds each sample's
+        k-th neighbour.  Either way memory is linear in the number of rows."""
         r = float(radius) + 1e-9
         n = len(self)
         rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
@@ -200,9 +198,9 @@ class SpaceModel:
                 math.floor(Fraction(radius) / self.resolution) + 1, r, rows)
         nbs = [np.flatnonzero(self.distance_row(i) <= r) for i in rows]
         nbs = [nb[nb != i] for i, nb in zip(rows, nbs)]
-        out = np.full((len(rows), max(map(len, nbs), default=0)), n, dtype=np.intp)
+        out = np.full((max(map(len, nbs), default=0), len(rows)), n, dtype=np.int32)
         for k, nb in enumerate(nbs):
-            out[k, :len(nb)] = nb
+            out[:len(nb), k] = nb
         return out
 
     # -- dense enumeration: greedy farthest-point order over the samples --

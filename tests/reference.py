@@ -8,7 +8,9 @@ S(sigma) and S-bar(sigma), the ASCII parser, and permuted views.  The
 package computes that order only on K-slice keys, and the tests check
 the keys against these functions.  The K-slice oracle keeps the
 representation the keys replaced: a set of `BottomedSeq`s, sorted by
-`sort_key`.
+`sort_key`.  The lattice neighbour oracle keeps the samples x width
+layout that the slot rows replaced, and `per_sample` reads slot rows in
+that layout.
 """
 
 import functools
@@ -178,8 +180,9 @@ def lattice_points(name: str, resolution: Fraction) -> list:
 
 def unpruned_neighbor_lists(lattice, steps: int, r: float,
                             rows: np.ndarray) -> np.ndarray:
-    """`Lattice.neighbor_lists` testing every offset of at most `steps`
-    grid steps per axis, none skipped, one offset at a time."""
+    """`Lattice.neighbor_lists` in the layout of `per_sample`, testing
+    every offset of at most `steps` grid steps per axis, none skipped,
+    one offset at a time."""
     n = len(lattice.coords)
     pos = np.unravel_index(rows, lattice.shape)
     # an open axis needs no offset past its length; on a periodic axis
@@ -211,6 +214,15 @@ def unpruned_neighbor_lists(lattice, steps: int, r: float,
         out[src, count[src]] = cand
         count[src] += 1
     return np.sort(out[:, :int(count.max(initial=0))], axis=1)
+
+
+def per_sample(slots: np.ndarray, n: int) -> np.ndarray:
+    """The samples x width layout of a slots x samples neighbour array:
+    each sample's neighbours ascending, padded on the right with n, as
+    wide as the most neighbours a sample has, intp.  The pad n is past
+    every index, so it sorts last."""
+    rows = np.sort(slots.T.astype(np.intp), axis=1)
+    return rows[:, :int((rows < n).sum(axis=1).max(initial=0))]
 
 
 def enumerate_sequences(depth: int, alphabet=DIGITS) -> Iterator[BottomedSeq]:

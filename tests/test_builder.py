@@ -26,7 +26,7 @@ from subbases.seq import BD, BINARY_DIGITS, ONE, ZERO, BottomedSeq
 from subbases.space import SpaceModel, builtin_space, compactified_space
 from subbases.subbase import DistanceCut, DistanceSubbase
 
-from reference import pattern_masks, table_codes
+from reference import pattern_masks, per_sample, table_codes
 
 
 def test_unpair_convention():
@@ -116,7 +116,7 @@ def test_collect_avoid_distance_endpoints():
     M = builtin_space("interval", Fraction(1, 16))
     table = np.empty((0, len(M.sample_points)), dtype=np.int8)
     nbr = M.neighbor_lists(2 * M.resolution)
-    assert nbr.shape == (17, 4) and nbr.dtype == np.intp
+    assert nbr.shape == (4, 17) and nbr.dtype == np.int32
     f_vals = M.distance_row(M.dense_index(unpair(0)[0]))
     avoid = collect_avoid(table, _centre(f_vals, nbr), nbr, 2 * M.resolution, False)
     # the minimum 0 at the center and the maximum 1 at the far endpoint,
@@ -282,7 +282,8 @@ def test_local_extrema_matches_per_sample_loop(M, data):
         st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)))
     nbr = M.neighbor_lists(2 * M.resolution)
     neighbors = _reference_neighbors(M, 2 * M.resolution)
-    assert [list(row[row < npts]) for row in nbr] == [list(nb) for nb in neighbors]
+    assert [list(row[row < npts]) for row in per_sample(nbr, npts)] == \
+        [list(nb) for nb in neighbors]
     assert _extrema_by_region(f_vals, member, inverse, nbr) == \
         [_reference_extrema(f_vals, row[inverse], neighbors) for row in member]
 
@@ -370,7 +371,7 @@ def test_extremal_matches_the_gathered_reduction(samples, width, data):
     lo = gathered.min(axis=1, where=mask, initial=np.inf)
     reference = (v >= hi - _EPS) | (v <= lo + _EPS)
     level = np.packbits(mask.T, axis=0, bitorder="little")
-    assert np.array_equal(_extremal(*_steps(v, nbr), level), reference)
+    assert np.array_equal(_extremal(*_steps(v, nbr.T), level), reference)
 
 
 @settings(max_examples=80, deadline=None)
@@ -390,8 +391,8 @@ def test_packed_extremal_matches_the_boolean_rule(slots, samples, data):
     assert np.array_equal(_extremal(pack(up), pack(down), pack(level)), rule)
     f_vals = np.array(data.draw(st.lists(st.integers(0, 3), min_size=samples,
                                          max_size=samples)), dtype=float)
-    nbr = draw(st.integers(0, samples)).astype(np.intp).T  # pad: samples
-    nb_vals = np.append(f_vals, 0.0)[nbr.T]
+    nbr = draw(st.integers(0, samples)).astype(np.int32)  # pad: samples
+    nb_vals = np.append(f_vals, 0.0)[nbr]
     got_up, got_down = _steps(f_vals, nbr)
     assert np.array_equal(got_up, pack(f_vals < nb_vals - _EPS))
     assert np.array_equal(got_down, pack(f_vals > nb_vals + _EPS))
@@ -437,7 +438,7 @@ def test_interaction_test_gathers_no_samples_x_slots_floats():
     M = builtin_space("square", Fraction(1, 128))
     nbr = M.neighbor_lists(2 * M.resolution)
     table = np.zeros((3, len(M)), dtype=np.int8)
-    assert nbr.shape == (16641, 12)
+    assert nbr.shape == (12, 16641)
     tracemalloc.start()
     try:
         cut, *cuts = (_centre(M.distance_row(i), nbr) for i in (5, 0, 100, 500))
@@ -453,12 +454,12 @@ def test_neighbor_lists_padded_and_uncached():
     M = builtin_space("square", Fraction(1, 4))
     calls = _count_rows(M)
     nbr = M.neighbor_lists(2 * M.resolution)
-    assert nbr.dtype == np.intp and nbr.shape[0] == 25
+    assert nbr.dtype == np.int32 and nbr.shape == (12, 25)
     assert calls == []
-    corner = nbr[0]
+    corner = per_sample(nbr, 25)[0]
     assert corner[corner < 25].tolist() == [1, 2, 5, 6, 10]
     assert (corner[5:] == 25).all()
-    assert M.neighbor_lists(Fraction(1, 8)).shape == (25, 0)
+    assert M.neighbor_lists(Fraction(1, 8)).shape == (0, 25)
 
 
 def _assert_same_array(a, b):
@@ -483,13 +484,13 @@ def test_lattice_neighbor_lists_match_the_row_scan(name, res, steps, stride):
     # a non-dividing resolution leaves a periodic seam shorter than a step:
     # at 2/7 the circle's samples 6/7 and 0 lie 1/7 apart
     M = builtin_space(name, res)
-    full = M.neighbor_lists(steps * res)
+    full = per_sample(M.neighbor_lists(steps * res), len(M))
     _assert_same_array(full, reference_neighbor_lists(M, steps * res))
     # a subset of rows, in descending order, gives the same neighbourhoods
     rows = np.arange(len(M) - 1, -1, -stride)
     subset = M.neighbor_lists(steps * res, rows=rows)
-    assert subset.dtype == np.intp and len(subset) == len(rows)
-    for got, i in zip(subset, rows):
+    assert subset.dtype == np.int32 and subset.shape[1] == len(rows)
+    for got, i in zip(per_sample(subset, len(M)), rows):
         assert np.array_equal(got[got < len(M)], full[i][full[i] < len(M)])
 
 
@@ -504,8 +505,8 @@ def test_lattice_neighbor_lists_read_no_distance_row():
     M = builtin_space("square", Fraction(1, 128))
     calls = _count_rows(M)
     nbr = M.neighbor_lists(2 * M.resolution)
-    assert calls == [] and nbr.shape == (16641, 12)
-    assert nbr[0].tolist() == [1, 2, 129, 130, 258] + [16641] * 7
+    assert calls == [] and nbr.shape == (12, 16641)
+    assert per_sample(nbr, 16641)[0].tolist() == [1, 2, 129, 130, 258] + [16641] * 7
 
 
 def test_models_without_a_lattice_keep_the_row_scan(tmp_path):
@@ -520,7 +521,11 @@ def test_models_without_a_lattice_keep_the_row_scan(tmp_path):
         calls = _count_rows(M)
         nbr = M.neighbor_lists(radius)
         assert sorted(calls) == list(range(len(M)))
-        _assert_same_array(nbr, reference_neighbor_lists(M, radius))
+        _assert_same_array(per_sample(nbr, len(M)),
+                           reference_neighbor_lists(M, radius))
+        # slot k holds each sample's k-th neighbour
+        assert nbr.dtype == np.int32
+        assert np.array_equal(nbr.T, reference_neighbor_lists(M, radius))
 
 
 def test_build_reads_only_centre_and_dense_order_rows():

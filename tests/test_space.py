@@ -19,7 +19,7 @@ from subbases.subbase import (GraySubbase, compactified_example,
                               duplicated_subbase, gray_digit, phi)
 
 from reference import (gray_digit as paper_gray_digit, lattice_points,
-                       unpruned_neighbor_lists)
+                       per_sample, unpruned_neighbor_lists)
 
 
 def cosine_sign_digit(x, n):
@@ -165,8 +165,9 @@ def _array_digest(a):
     return h.hexdigest()
 
 
-# sha256 of the lattice coordinates, neighbor_lists(2 res) and the
-# distance rows of samples 0, n // 3 and n - 1, each with dtype and shape
+# sha256 of the lattice coordinates, neighbor_lists(2 res) in the
+# per-sample layout and the distance rows of samples 0, n // 3 and n - 1,
+# each with dtype and shape
 LATTICE_DIGESTS = {
     ("interval", 10): (
         "1b9e5e759a8420017bd1aff1296821d398548f960f2dd2ed926c85ba0b4fcb86",
@@ -227,7 +228,7 @@ def test_lattice_arrays_are_pinned(name, q):
     assert M.lattice.shape == (q + (not wrap),) * dims
     assert M.lattice.wrap == (wrap,) * dims
     got = (_array_digest(M.lattice.coords),
-           _array_digest(M.neighbor_lists(Fraction(2, q))),
+           _array_digest(per_sample(M.neighbor_lists(Fraction(2, q)), n)),
            *(_array_digest(M.distance_row(i)) for i in (0, n // 3, n - 1)))
     assert got == LATTICE_DIGESTS[name, q]
 
@@ -277,11 +278,58 @@ def test_neighbor_lists_skip_only_offsets_out_of_reach(name, res, a, b, rows):
     radius = res * Fraction(a, b)
     rows = (np.arange(len(M)) if rows is None
             else np.array(sorted({i % len(M) for i in rows}), dtype=np.intp))
-    got = M.neighbor_lists(radius, rows)
+    got = per_sample(M.neighbor_lists(radius, rows), len(M))
     want = unpruned_neighbor_lists(M.lattice, math.floor(radius / res) + 1,
                                    float(radius) + 1e-9, rows)
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(LATTICES)), resolutions, st.integers(1, 16),
+       st.integers(1, 4),
+       st.one_of(st.none(), st.sets(st.integers(0, 10 ** 6), min_size=1,
+                                    max_size=20)))
+@example("circle", Fraction(2, 5), 1, 2, None)
+@example("torus", Fraction(1, 3), 4, 1, None)
+def test_each_lattice_slot_holds_one_grid_offset(name, res, a, b, rows):
+    """Every neighbour in a slot row sits at the same grid offset from its
+    sample, modulo the periodic axes; no sample lists itself or the same
+    neighbour twice."""
+    M = builtin_space(name, res)
+    n, shape = len(M), np.array(M.lattice.shape)[:, None]
+    rows = (np.arange(n) if rows is None
+            else np.array(sorted({i % n for i in rows}), dtype=np.intp))
+    nbr = M.neighbor_lists(res * Fraction(a, b), rows)
+    assert nbr.dtype == np.int32 and nbr.shape[1] == len(rows)
+    here = np.array(np.unravel_index(rows, M.lattice.shape))
+    wrap = np.array(M.lattice.wrap)[:, None]
+    for slot in nbr:
+        listed = slot < n
+        offset = np.array(np.unravel_index(slot[listed], M.lattice.shape)) \
+            - here[:, listed]
+        offset = np.where(wrap, offset % shape, offset)
+        assert (offset == offset[:, :1]).all()
+        assert (slot[listed] != rows[listed]).all()
+    for row in per_sample(nbr, n):
+        assert (np.diff(row[row < n]) > 0).all()
+
+
+def test_square_neighbor_lists_memory_at_the_default_resolution():
+    """On the 1/256 square at radius 2 res the call holds its 12 slot rows
+    of int32, 3.2 MB, and peaks at 11.7 MB.  A samples x 16 intp matrix,
+    widened, trimmed and sorted per sample, held 6.3 MB and peaked at
+    17.0 MB."""
+    M = builtin_space("square", Fraction(1, 256))
+    tracemalloc.start()
+    try:
+        nbr = M.neighbor_lists(2 * M.resolution)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 3.2e6, held
+    assert peak <= 12e6, peak
+    assert nbr.shape == (12, 66049)
 
 
 @pytest.mark.parametrize("name, q, bound", [("square", 256, 1.25e6),
