@@ -110,6 +110,7 @@ def _run_closure_check(args, strong: bool) -> int:
         checker_mod.check_delta(_resolution(args), delta)
     S, M = _load_subbase(args, need_space=True)
     check_depth(S, args.depth)  # before the header
+    checker_mod.check_delta(M.resolution, delta)  # an embedded space's, too
     _header(command="check-strong" if strong else "check-proper",
             space=M.name, resolution=M.resolution, depth=args.depth,
             delta=delta)

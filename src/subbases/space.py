@@ -36,9 +36,10 @@ class Lattice:
     """The index grid of a lattice model.
 
     Sample i sits at position `np.unravel_index(i, shape)`; axes flagged in
-    `wrap` are periodic.  `dist(a, b)` is the model's one float distance
-    expression, elementwise over coordinate arrays (`coords[i]` is sample
-    i's), so a distance row and a stencil test compute every pair alike.
+    `wrap` are periodic.  `dist(a, b)` is the model's float distance,
+    elementwise over coordinate arrays (`coords[i]` is sample i's), and
+    serves the distance rows; the stencil of `neighbor_lists` reads neither
+    and decides reach in exact integers.
     """
 
     def __init__(self, shape: Tuple[int, ...], wrap: Tuple[bool, ...],
@@ -49,59 +50,60 @@ class Lattice:
     def row(self, i: int) -> np.ndarray:
         return self.dist(self.coords, self.coords[i])
 
-    def neighbor_lists(self, steps: int, r: float, rows: np.ndarray) -> np.ndarray:
-        """The slot array of `SpaceModel.neighbor_lists` for distance <= r,
-        from the offsets of at most `steps` grid steps per axis: slot k
-        holds, for each of `rows`, the sample at the k-th offset in reach
-        if it lies inside the grid and within r, else the pad.  One offset
-        at a time: temporaries are O(rows) and the result O(slots x rows)."""
-        n = len(self.coords)
-        pos = np.unravel_index(rows, self.shape)
+    def neighbor_lists(self, radius: Fraction, resolution: Fraction,
+                       rows: np.ndarray) -> np.ndarray:
+        """The slot array of `SpaceModel.neighbor_lists` for distance <=
+        radius + 10^-9 on the grid of step `resolution`, from the offsets of
+        at most radius/resolution + 1 steps per axis: slot k holds, for
+        each of `rows`, the sample at the k-th offset in reach if that pair
+        is within the bound, else the pad.  A pair's distance depends only
+        on its offset and on the periodic seams it crosses, so each offset
+        is decided once per crossing pattern, in exact integers, and the
+        rows are only indexed: temporaries are O(rows)."""
+        steps = math.floor(radius / resolution) + 1
         # an open axis needs no offset past its length; on a periodic axis
         # too short for the whole stencil every residue is taken once, so
         # no two offsets name the same sample and only (0, ..., 0) is itself
         spans = [range(-min(steps, size - 1), min(steps, size - 1) + 1)
                  if not wrap or 2 * steps + 1 < size else range(size)
                  for size, wrap in zip(self.shape, self.wrap)]
-        offsets = [o for o in itertools.product(*spans) if any(o)]
-        # an offset holds no neighbour when even its nearest pair lies
-        # beyond r: per axis take the smallest gap its step spans, and
-        # combine them by `dist` (which reads gaps from 0 back unchanged);
-        # rounding is monotone, so no pair at the offset is nearer
-        flat, dims = self.coords.reshape(n, -1), len(self.shape)
-        gaps = []
-        for j, (span, size, wrap) in enumerate(zip(spans, self.shape, self.wrap)):
-            x = flat[::math.prod(self.shape[j + 1:]), j][:size]  # axis j's grid
-            near = {}
-            for a in {abs(d) for d in span}:
-                # the pairs a steps apart, and on a periodic axis those that
-                # wrap round; a gap reads the same both ways, so -a spans
-                # them too.  A Python min over the array: numpy's float min
-                # reduction, which a check job loads nowhere else, raised its
-                # peak RSS by 0.08 MB, and a list of the gaps by 0.15 MB
-                pairs = [(x[a:], x[:size - a])] + ([(x[:a], x[size - a:])]
-                                                   if wrap and a else [])
-                near[a] = min(min(_axis_gap(u, v, wrap)) for u, v in pairs)
-            gaps.append({d: near[abs(d)] for d in span})
-        low = np.array([[g[d] for g, d in zip(gaps, o)] for o in offsets],
-                       dtype=float).reshape(len(offsets), dims)
-        reach = self.dist(np.zeros(low.shape), low).reshape(len(offsets))
-        offsets = [o for o, g in zip(offsets, reach) if g <= r]
-        out = np.full((len(offsets), len(rows)), n, dtype=np.int32)
-        for slot, off in zip(out, offsets):
-            inside = np.ones(len(rows), dtype=bool)
-            axes = []
-            for p, d, size, wrap in zip(pos, off, self.shape, self.wrap):
-                q = p + d
-                if wrap:
-                    q %= size
-                else:
-                    inside &= (q >= 0) & (q < size)
-                axes.append(q)
-            src = np.flatnonzero(inside)
-            cand = np.ravel_multi_index([q[src] for q in axes], self.shape)
-            keep = self.dist(self.coords[cand], self.coords[rows[src]]) <= r
-            slot[src[keep]] = cand[keep]
+        # in units of 1/q for the step p/q, a pair d steps apart on an axis
+        # is |d| p apart inside the grid and (size - |d|) p across a seam,
+        # read round the ring on a periodic axis
+        p, q = resolution.numerator, resolution.denominator
+
+        def squares(d, size, wrap):
+            """The squared gap inside and across the seam (None where no
+            pair crosses, or a crossing leaves the grid)."""
+            if not wrap:
+                return [(d * p) ** 2, None]
+            inside, across = (min(g, q - g) ** 2
+                              for g in (abs(d) * p, (size - abs(d)) * p))
+            return [inside, across if d else None]
+
+        axes = [{d: squares(d, size, wrap) for d in span}
+                for span, size, wrap in zip(spans, self.shape, self.wrap)]
+        # g <= a/b is g^2 b^2 <= (a q)^2 in these units; a bound below 0
+        # has steps <= 0, so its only offset is (0, ..., 0), never kept
+        bound = radius + Fraction(1, 10 ** 9)
+        a, b = bound.numerator, bound.denominator
+        stencil = []
+        for off in itertools.product(*spans):
+            # each crossing pattern's verdict, index 1 on an axis crossed
+            verdict = [
+                None not in g and sum(g) * b * b <= (a * q) ** 2
+                for g in itertools.product(*(sq[d] for sq, d in zip(axes, off)))]
+            if any(off) and any(verdict):
+                stencil.append((off, np.reshape(verdict, (2,) * len(off))))
+        pos = np.unravel_index(rows, self.shape)
+        out = np.full((len(stencil), len(rows)), math.prod(self.shape),
+                      dtype=np.int32)
+        for slot, (off, verdict) in zip(out, stencil):
+            at = [x + d for x, d in zip(pos, off)]
+            keep = verdict[tuple(((t < 0) | (t >= size)).view(np.uint8)
+                                 for t, size in zip(at, self.shape))]
+            np.copyto(slot, np.ravel_multi_index(at, self.shape, mode="wrap"),
+                      where=keep, casting="same_kind")
         return out
 
 
@@ -185,17 +187,19 @@ class SpaceModel:
         array padded with len(self): each column lists one sample's
         neighbours, in no set order, and each slot row is contiguous.
 
-        A lattice model tests only the offsets of at most radius/resolution
-        + 1 steps per axis (the extra step covers a periodic seam shorter
-        than one step), one slot per offset in reach; other models scan one
-        distance row per sample of `rows`, and slot k holds each sample's
-        k-th neighbour.  Either way memory is linear in the number of rows."""
-        r = float(radius) + 1e-9
+        Within is distance <= radius + 1e-9.  A lattice model decides the
+        offsets of at most radius/resolution + 1 steps per axis (the extra
+        step covers a periodic seam shorter than one step) once each, with
+        10^-9 taken exactly, one slot per offset in reach; other models
+        scan one float distance row per sample of `rows`, and slot k holds
+        each sample's k-th neighbour.  Either way memory is linear in the
+        number of rows."""
         n = len(self)
         rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
         if self.lattice is not None:
-            return self.lattice.neighbor_lists(
-                math.floor(Fraction(radius) / self.resolution) + 1, r, rows)
+            return self.lattice.neighbor_lists(Fraction(radius),
+                                               self.resolution, rows)
+        r = float(radius) + 1e-9
         nbs = [np.flatnonzero(self.distance_row(i) <= r) for i in rows]
         nbs = [nb[nb != i] for i, nb in zip(rows, nbs)]
         out = np.full((max(map(len, nbs), default=0), len(rows)), n, dtype=np.int32)
@@ -300,13 +304,6 @@ def _grid(resolution: Fraction, half_open: bool = False) -> List[Fraction]:
     return [Fraction(k * p, q) for k in range(_grid_size(res, half_open))]
 
 
-def _axis_gap(a, b, wrap: bool):
-    """The float distance of coordinates along one axis, elementwise:
-    |a - b|, or on a periodic axis the ring minimum of it and 1 - |a - b|."""
-    d = np.abs(a - b)
-    return np.minimum(d, 1 - d) if wrap else d
-
-
 def _lattice_space(name: str, resolution: Fraction, dims: int,
                    wrap: bool) -> SpaceModel:
     """The grid of step `resolution` on [0, 1]^dims, or on [0, 1)^dims with
@@ -328,7 +325,9 @@ def _lattice_space(name: str, resolution: Fraction, dims: int,
         axis=-1).reshape(-1, dims)
 
     def dist(a, b):
-        d = _axis_gap(a, b, wrap)
+        d = np.abs(a - b)
+        if wrap:  # the ring minimum
+            d = np.minimum(d, 1 - d)
         return d if dims == 1 else np.sqrt((d ** 2).sum(axis=-1))
 
     if dims == 1:

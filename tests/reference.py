@@ -8,9 +8,10 @@ S(sigma) and S-bar(sigma), the ASCII parser, and permuted views.  The
 package computes that order only on K-slice keys, and the tests check
 the keys against these functions.  The K-slice oracle keeps the
 representation the keys replaced: a set of `BottomedSeq`s, sorted by
-`sort_key`.  The lattice neighbour oracle keeps the samples x width
+`sort_key`.  The lattice neighbour oracles keep the samples x width
 layout that the slot rows replaced, and `per_sample` reads slot rows in
-that layout.
+that layout: one tests every offset by a float distance per pair, the
+other every pair by exact rational gaps.
 """
 
 import functools
@@ -180,9 +181,10 @@ def lattice_points(name: str, resolution: Fraction) -> list:
 
 def unpruned_neighbor_lists(lattice, steps: int, r: float,
                             rows: np.ndarray) -> np.ndarray:
-    """`Lattice.neighbor_lists` in the layout of `per_sample`, testing
-    every offset of at most `steps` grid steps per axis, none skipped,
-    one offset at a time."""
+    """The neighbours of `rows` in the layout of `per_sample` by the
+    float rule: every offset of at most `steps` grid steps per axis, none
+    skipped, one offset at a time, each pair kept iff its float `dist` is
+    at most r."""
     n = len(lattice.coords)
     pos = np.unravel_index(rows, lattice.shape)
     # an open axis needs no offset past its length; on a periodic axis
@@ -214,6 +216,35 @@ def unpruned_neighbor_lists(lattice, steps: int, r: float,
         out[src, count[src]] = cand
         count[src] += 1
     return np.sort(out[:, :int(count.max(initial=0))], axis=1)
+
+
+def exact_neighbor_lists(name: str, resolution: Fraction, radius: Fraction,
+                         rows: np.ndarray) -> np.ndarray:
+    """The neighbours of `rows` on a built-in lattice in the layout of
+    `per_sample`, by the exact rule over every pair: sample j != i is a
+    neighbour of i iff the sum over axes of g^2 is at most
+    (radius + 10^-9)^2, g the gap of their coordinates k p / q as
+    Fractions, read round the ring on a periodic axis.  The sum is taken
+    once per distinct tuple of axis gaps and looked up for each pair."""
+    dims, wrap = _LATTICES[name]
+    axis = _grid(resolution, wrap)
+    size, n = len(axis), len(axis) ** dims
+    gaps = [[abs(x - y) for y in axis] for x in axis]
+    if wrap:
+        gaps = [[min(g, 1 - g) for g in row] for row in gaps]
+    values = sorted({g for row in gaps for g in row})
+    which = np.array([[values.index(g) for g in row] for row in gaps])
+    bound = radius + Fraction(1, 10 ** 9)
+    within = np.array([bound >= 0 and sum(g * g for g in c) <= bound * bound
+                       for c in itertools.product(values, repeat=dims)]
+                      ).reshape((len(values),) * dims)
+    here = np.unravel_index(rows, (size,) * dims)
+    every = np.unravel_index(np.arange(n), (size,) * dims)
+    near = within[tuple(which[h[:, None], e[None, :]]
+                        for h, e in zip(here, every))]
+    near[np.arange(len(rows)), rows] = False
+    cols = np.sort(np.where(near, np.arange(n), n), axis=1)
+    return cols[:, :int(near.sum(axis=1).max(initial=0))]
 
 
 def per_sample(slots: np.ndarray, n: int) -> np.ndarray:

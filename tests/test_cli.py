@@ -229,6 +229,16 @@ def test_delta_is_checked_before_the_space_file_loads(gray_file, tmp_path,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", ["check-strong", "check-proper"])
+def test_delta_below_an_embedded_space_resolution_prints_no_header(
+        square_file, capsys, command):
+    assert run([command, "--subbase", square_file, "--depth", "2",
+                "--delta", "1/1000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "delta 1/1000 is below twice the grid resolution 1/16" in err
+
+
 def test_check_cusl_rejects_negative_permutations(gray_file, capsys):
     assert run(["check-cusl", "--subbase", gray_file, "--space", "interval",
                 "--resolution", "1/64", "--depth", "3",

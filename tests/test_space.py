@@ -18,8 +18,8 @@ from subbases.space import (MetricError, POINT_AT_INFINITY, _grid,
 from subbases.subbase import (GraySubbase, compactified_example,
                               duplicated_subbase, gray_digit, phi)
 
-from reference import (gray_digit as paper_gray_digit, lattice_points,
-                       per_sample, unpruned_neighbor_lists)
+from reference import (exact_neighbor_lists, gray_digit as paper_gray_digit,
+                       lattice_points, per_sample, unpruned_neighbor_lists)
 
 
 def cosine_sign_digit(x, n):
@@ -271,9 +271,10 @@ def test_lattice_points_match_the_product_construction(name, res):
 @example("torus", Fraction(2, 5), 3, 4, None)
 def test_neighbor_lists_skip_only_offsets_out_of_reach(name, res, a, b, rows):
     """Skipping the offsets whose nearest pair lies beyond the radius
-    leaves the neighbour array as testing every offset makes it: radii
-    up to 16 steps, at and between grid distances, and steps p/q that do
-    not divide 1, whose seam on the circle and the torus is shorter."""
+    leaves the neighbour array as testing every offset makes it, and as
+    the exact pairwise rule makes it: radii up to 16 steps, at and
+    between grid distances, and steps p/q that do not divide 1, whose
+    seam on the circle and the torus is shorter."""
     M = builtin_space(name, res)
     radius = res * Fraction(a, b)
     rows = (np.arange(len(M)) if rows is None
@@ -283,6 +284,9 @@ def test_neighbor_lists_skip_only_offsets_out_of_reach(name, res, a, b, rows):
                                    float(radius) + 1e-9, rows)
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert np.array_equal(got, want)
+    exact = exact_neighbor_lists(name, res, radius, rows)
+    assert (got.dtype, got.shape) == (exact.dtype, exact.shape)
+    assert np.array_equal(got, exact)
 
 
 @settings(max_examples=120, deadline=None)
@@ -317,9 +321,9 @@ def test_each_lattice_slot_holds_one_grid_offset(name, res, a, b, rows):
 
 def test_square_neighbor_lists_memory_at_the_default_resolution():
     """On the 1/256 square at radius 2 res the call holds its 12 slot rows
-    of int32, 3.2 MB, and peaks at 11.7 MB.  A samples x 16 intp matrix,
-    widened, trimmed and sorted per sample, held 6.3 MB and peaked at
-    17.0 MB."""
+    of int32, 3.2 MB, and peaks at 6.9 MB.  A float distance test per
+    pair peaked at 11.7 MB, and a samples x 16 intp matrix, widened,
+    trimmed and sorted per sample, held 6.3 MB and peaked at 17.0 MB."""
     M = builtin_space("square", Fraction(1, 256))
     tracemalloc.start()
     try:
@@ -328,8 +332,16 @@ def test_square_neighbor_lists_memory_at_the_default_resolution():
     finally:
         tracemalloc.stop()
     assert held <= 3.2e6, held
-    assert peak <= 12e6, peak
+    assert peak <= 8e6, peak
     assert nbr.shape == (12, 66049)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_a_negative_radius_gives_no_neighbour(name):
+    M = builtin_space(name, Fraction(1, 8))
+    for radius in (Fraction(-1, 10 ** 12), Fraction(-1, 10 ** 9),
+                   -M.resolution, -2 * M.resolution, Fraction(-3)):
+        assert M.neighbor_lists(radius).shape == (0, len(M))
 
 
 @pytest.mark.parametrize("name, q, bound", [("square", 256, 1.25e6),
