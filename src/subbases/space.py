@@ -9,6 +9,7 @@ the subbases of these models live in `subbase`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -33,34 +34,46 @@ POINT_AT_INFINITY = InfinityPoint()
 
 
 class Lattice:
-    """The index grid of a lattice model.
-
-    Sample i sits at position `np.unravel_index(i, shape)`; axes flagged in
-    `wrap` are periodic.  `dist(a, b)` is the model's float distance,
-    elementwise over coordinate arrays (`coords[i]` is sample i's), and
-    serves the distance rows; the stencil of `neighbor_lists` reads neither
-    and decides reach in exact integers.
-    """
+    """The index grid of a lattice model of step p/q and its one, exact
+    geometry.  Sample i sits at grid position `np.unravel_index(i, shape)`,
+    k p / q along each axis; axes flagged in `wrap` are periodic."""
 
     def __init__(self, shape: Tuple[int, ...], wrap: Tuple[bool, ...],
-                 coords: np.ndarray,
-                 dist: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-        self.shape, self.wrap, self.coords, self.dist = shape, wrap, coords, dist
+                 resolution: Fraction):
+        self.shape, self.wrap = shape, wrap
+        self.p, self.q = resolution.numerator, resolution.denominator
 
-    def row(self, i: int) -> np.ndarray:
-        return self.dist(self.coords, self.coords[i])
+    def squares(self, i: int) -> np.ndarray:
+        """s = q^2 d(i, j)^2 for every sample j, exact integers: float64
+        values while dims q^2 < 2^53, Python ints (object) past it.  Per
+        axis the gap is g = |k - k_i| p, or min(g, q - g) on a periodic
+        axis, and s is the outer sum of the g^2."""
+        dtype = float if len(self.shape) * self.q ** 2 < 2 ** 53 else object
+        g = [np.abs(np.arange(size, dtype=dtype) - int(k)) * self.p
+             for k, size in zip(np.unravel_index(i, self.shape), self.shape)]
+        g = [np.minimum(v, self.q - v) if wrap else v
+             for v, wrap in zip(g, self.wrap)]
+        return functools.reduce(np.add.outer, [v * v for v in g]).ravel()
 
-    def neighbor_lists(self, radius: Fraction, resolution: Fraction,
-                       rows: np.ndarray) -> np.ndarray:
+    def gaps(self, a, b) -> list:
+        """The exact gap of two points (tuples of rationals, or a scalar on
+        one axis) along each axis, the ring minimum on a periodic axis."""
+        if len(self.shape) == 1:
+            a, b = (_as_scalar(a),), (_as_scalar(b),)
+        return [min(g, 1 - g) if wrap else g
+                for g, wrap in zip((abs(s - t) for s, t in zip(a, b)), self.wrap)]
+
+    def neighbor_lists(self, radius: Fraction, rows: np.ndarray) -> np.ndarray:
         """The slot array of `SpaceModel.neighbor_lists` for distance <=
-        radius + 10^-9 on the grid of step `resolution`, from the offsets of
-        at most radius/resolution + 1 steps per axis: slot k holds, for
-        each of `rows`, the sample at the k-th offset in reach if that pair
-        is within the bound, else the pad.  A pair's distance depends only
-        on its offset and on the periodic seams it crosses, so each offset
-        is decided once per crossing pattern, in exact integers, and the
-        rows are only indexed: temporaries are O(rows)."""
-        steps = math.floor(radius / resolution) + 1
+        radius + 10^-9, from the offsets of at most radius q / p + 1 steps
+        per axis: slot k holds, for each of `rows`, the sample at the k-th
+        offset in reach if that pair is within the bound, else the pad.  A
+        pair's distance depends only on its offset and on the periodic
+        seams it crosses, so each offset is decided once per crossing
+        pattern, in exact integers, and the rows are only indexed:
+        temporaries are O(rows)."""
+        p, q = self.p, self.q
+        steps = math.floor(radius * q / p) + 1
         # an open axis needs no offset past its length; on a periodic axis
         # too short for the whole stencil every residue is taken once, so
         # no two offsets name the same sample and only (0, ..., 0) is itself
@@ -70,7 +83,6 @@ class Lattice:
         # in units of 1/q for the step p/q, a pair d steps apart on an axis
         # is |d| p apart inside the grid and (size - |d|) p across a seam,
         # read round the ring on a periodic axis
-        p, q = resolution.numerator, resolution.denominator
 
         def squares(d, size, wrap):
             """The squared gap inside and across the seam (None where no
@@ -83,15 +95,14 @@ class Lattice:
 
         axes = [{d: squares(d, size, wrap) for d in span}
                 for span, size, wrap in zip(spans, self.shape, self.wrap)]
-        # g <= a/b is g^2 b^2 <= (a q)^2 in these units; a bound below 0
+        # g <= bound is g^2 <= (bound q)^2 in these units; a bound below 0
         # has steps <= 0, so its only offset is (0, ..., 0), never kept
-        bound = radius + Fraction(1, 10 ** 9)
-        a, b = bound.numerator, bound.denominator
+        reach = ((radius + Fraction(1, 10 ** 9)) * q) ** 2
         stencil = []
         for off in itertools.product(*spans):
             # each crossing pattern's verdict, index 1 on an axis crossed
             verdict = [
-                None not in g and sum(g) * b * b <= (a * q) ** 2
+                None not in g and sum(g) <= reach
                 for g in itertools.product(*(sq[d] for sq, d in zip(axes, off)))]
             if any(off) and any(verdict):
                 stencil.append((off, np.reshape(verdict, (2,) * len(off))))
@@ -111,8 +122,9 @@ class SpaceModel:
     """Dense sample points + metric + dense enumeration at a stated resolution.
 
     Distance rows come from the `lattice` of a grid model, else from the
-    read-only float64 `distances` matrix, else from the exact metric.  A
-    finite space loaded from a file also keeps its `exact` matrix.
+    read-only float64 `distances` matrix, else from the exact metric.
+    Cuts compare the `exact` matrix: a loaded finite space's own entries,
+    else the `distances` floats taken as exact.
 
     A lattice model is given no sample list: sample i is made from its
     grid position by `point(i)`, and `sample_points` lists them all only
@@ -126,7 +138,7 @@ class SpaceModel:
         self._points = None if sample_points is None else list(sample_points)
         self.metric = metric
         self.resolution = Fraction(resolution)
-        self.distances = distances
+        self.distances = self.exact = distances
         self.lattice = lattice
         self._dense_order: List[int] = []
         self._dense_mindist = None
@@ -141,8 +153,7 @@ class SpaceModel:
         k p / q along each axis at grid position k for resolution p/q."""
         if self.lattice is None:
             return self._points[i]
-        p, q = self.resolution.numerator, self.resolution.denominator
-        return tuple(Fraction(int(k) * p, q)
+        return tuple(int(k) * self.resolution
                      for k in np.unravel_index(i, self.lattice.shape))
 
     @property
@@ -155,9 +166,11 @@ class SpaceModel:
 
     def distance_row(self, i: int) -> np.ndarray:
         """Distances from sample i to every sample, as floats: a read-only
-        row of a finite space's matrix, else computed on each call."""
+        row of a finite space's matrix, else computed on each call, on a
+        lattice as sqrt(s) / q from its exact squares s."""
         if self.lattice is not None:
-            return self.lattice.row(i)
+            s = np.asarray(self.lattice.squares(i), dtype=float)
+            return np.divide(np.sqrt(s, out=s), self.lattice.q, out=s)
         if self.distances is not None:
             return self.distances[i]
         x = self.sample_points[i]
@@ -187,18 +200,15 @@ class SpaceModel:
         array padded with len(self): each column lists one sample's
         neighbours, in no set order, and each slot row is contiguous.
 
-        Within is distance <= radius + 1e-9.  A lattice model decides the
-        offsets of at most radius/resolution + 1 steps per axis (the extra
-        step covers a periodic seam shorter than one step) once each, with
-        10^-9 taken exactly, one slot per offset in reach; other models
-        scan one float distance row per sample of `rows`, and slot k holds
-        each sample's k-th neighbour.  Either way memory is linear in the
-        number of rows."""
+        Within is distance <= radius + 1e-9.  A lattice model decides each
+        stencil offset once, exactly (`Lattice.neighbor_lists`), one slot
+        per offset in reach; other models scan one float distance row per
+        sample of `rows`, and slot k holds each sample's k-th neighbour.
+        Either way memory is linear in the number of rows."""
         n = len(self)
         rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
         if self.lattice is not None:
-            return self.lattice.neighbor_lists(Fraction(radius),
-                                               self.resolution, rows)
+            return self.lattice.neighbor_lists(Fraction(radius), rows)
         r = float(radius) + 1e-9
         nbs = [np.flatnonzero(self.distance_row(i) <= r) for i in rows]
         nbs = [nb[nb != i] for i, nb in zip(rows, nbs)]
@@ -309,31 +319,14 @@ def _lattice_space(name: str, resolution: Fraction, dims: int,
     """The grid of step `resolution` on [0, 1]^dims, or on [0, 1)^dims with
     every axis periodic.  In one dimension the metric is the exact
     |a - b| (with the ring minimum); in two it is the float hypot of the
-    coordinate differences.  The lattice reads the same distances in
-    float64 from coordinates made once per grid value."""
+    coordinate differences.  Distance rows and cuts read the lattice's
+    exact squared distances instead."""
     res = Fraction(resolution)
     size = _grid_size(res, half_open=wrap)
-    p, q = res.numerator, res.denominator
-    # every k p <= q is exact in float64 below 2^53, so k p / q is the
-    # correctly rounded float(Fraction(k p, q)); past it, convert exactly.
-    # A float arange: int64 ufunc loops used only here cost a check job
-    # about 0.1 MB of peak RSS
-    axis = (np.arange(size, dtype=float) * p / q if q < 2 ** 53
-            else np.array([float(x) for x in _grid(res, wrap)]))
-    coords = axis if dims == 1 else np.stack(
-        np.meshgrid(*[axis] * dims, indexing="ij", copy=False),
-        axis=-1).reshape(-1, dims)
-
-    def dist(a, b):
-        d = np.abs(a - b)
-        if wrap:  # the ring minimum
-            d = np.minimum(d, 1 - d)
-        return d if dims == 1 else np.sqrt((d ** 2).sum(axis=-1))
-
+    lattice = Lattice((size,) * dims, (wrap,) * dims, res)
     if dims == 1:
         def metric(a, b):
-            d = abs(_as_scalar(a) - _as_scalar(b))
-            return min(d, 1 - d) if wrap else d
+            return lattice.gaps(a, b)[0]
     else:
         def metric(a, b):
             d = [abs(float(s) - float(t)) for s, t in zip(a, b)]
@@ -341,9 +334,7 @@ def _lattice_space(name: str, resolution: Fraction, dims: int,
                 d = [min(v, 1 - v) for v in d]
             return math.hypot(*d)
 
-    return SpaceModel(name, None, metric, res,
-                      lattice=Lattice((size,) * dims, (wrap,) * dims, coords,
-                                      dist))
+    return SpaceModel(name, None, metric, res, lattice=lattice)
 
 
 def load_finite_space(path: str, resolution: Fraction = Fraction(1)) -> SpaceModel:

@@ -8,8 +8,8 @@ coding map reports bottom at every BD classification.
 The digit code of a sample (0, 1 or 2 = boundary; int8 in a row) is
 decided here alone: `digit_row` classifies every sample of a space model
 at once, and `digit_table`, which stacks the rows, is read by the
-checker, the K slices and the builder.  Distance cuts classify with
-`classify`; the Gray subbase of [0, 1] and the one-point
+checker, the K slices and the builder.  Distance cuts compare exact
+values, with no tolerance (`_sides`); the Gray subbase of [0, 1] and the
 compactification's subbase read one integer Gray rule, `_gray_codes`.
 
 A K slice is one sorted array of bitset keys, one per element, read
@@ -20,6 +20,7 @@ a failing pair's report and the DOT labels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -29,16 +30,11 @@ import numpy as np
 from .seq import BD, DIGITS, ONE, ZERO, BottomedSeq, render
 from .space import POINT_AT_INFINITY, _as_scalar, compactified_space
 
-BOUNDARY_TOL = 1e-9
 
-
-def classify(values, c) -> np.ndarray:
-    """Digit codes of function values against the cut value c: 0 below,
-    1 above, 2 within BOUNDARY_TOL of c."""
-    cf = float(c)
-    values = np.asarray(values, dtype=float)
-    return np.where(values < cf - BOUNDARY_TOL, 0,
-                    np.where(values > cf + BOUNDARY_TOL, 1, 2)).astype(np.int8)
+def _sides(values, low, on):
+    """Digit codes of exact values, an array or one: 0 below `low`, 2
+    equal to `on`, 1 otherwise.  A cut at c is (low, on) = (c, c)."""
+    return np.add(values >= low, values == on, dtype=np.int8)
 
 
 class DyadicSubbase:
@@ -75,8 +71,9 @@ class DistanceSubbase(DyadicSubbase):
     """Subbase of distance cuts to samples of a space model:
     S_n^0 = {d(p_n, x) < c_n}, S_n^1 = {d(p_n, x) > c_n}.
 
-    Distances within BOUNDARY_TOL of c_n are classified as the boundary
-    digit.  On its own space the rows come from the model's distance rows.
+    Classification is exact, with no tolerance: the boundary digit is the
+    sphere d(p_n, x) = c_n itself.  A lattice compares squared distances
+    with c_n |c_n|, any other model its exact distances with c_n.
     """
 
     def __init__(self, space, cuts: Sequence[DistanceCut]):
@@ -93,16 +90,27 @@ class DistanceSubbase(DyadicSubbase):
 
     def digit(self, n: int, x) -> int:
         self._check_index(n)
-        cut = self.cuts[n]
-        center = self.space.point(cut.center_index)
-        return int(classify(float(self.space.metric(center, x)), cut.c))
+        cut, M = self.cuts[n], self.space
+        center = M.point(cut.center_index)
+        if M.lattice is None:
+            return int(_sides(M.metric(center, x), cut.c, cut.c))
+        c2 = cut.c * abs(cut.c)
+        return int(_sides(sum(g * g for g in M.lattice.gaps(center, x)), c2, c2))
 
     def digit_row(self, n: int, M) -> np.ndarray:
-        if M is not self.space:
+        if M is not self.space or M.lattice is None and M.exact is None:
             return super().digit_row(n, M)
         self._check_index(n)
         cut = self.cuts[n]
-        return classify(M.distance_row(cut.center_index), cut.c)
+        if M.lattice is None:
+            return _sides(np.asarray(M.exact[cut.center_index]), cut.c, cut.c)
+        s = M.lattice.squares(cut.center_index)
+        # s = q^2 d^2 is an integer: d < c iff s < ceil(x) for x = q^2 c |c|,
+        # and d = c iff s = x.  Clipped to -1, a negative x puts every sample
+        # above; float64 values are exact below 2^53, so x is clipped there
+        x = max(cut.c * abs(cut.c) * M.lattice.q ** 2, -1)
+        x = x if s.dtype == object else min(x, 2 ** 53)
+        return _sides(s, math.ceil(x), int(x) if x.denominator == 1 else -1)
 
 
 class ReindexedSubbase(DyadicSubbase):

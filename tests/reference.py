@@ -10,8 +10,9 @@ the keys against these functions.  The K-slice oracle keeps the
 representation the keys replaced: a set of `BottomedSeq`s, sorted by
 `sort_key`.  The lattice neighbour oracles keep the samples x width
 layout that the slot rows replaced, and `per_sample` reads slot rows in
-that layout: one tests every offset by a float distance per pair, the
-other every pair by exact rational gaps.
+that layout: one tests every offset by a float distance per pair, from
+float coordinates of its own, the other every pair by exact rational
+gaps.
 """
 
 import functools
@@ -179,13 +180,39 @@ def lattice_points(name: str, resolution: Fraction) -> list:
     return list(itertools.product(_grid(resolution, wrap), repeat=dims))
 
 
-def unpruned_neighbor_lists(lattice, steps: int, r: float,
+def lattice_squares(name: str, resolution: Fraction, i: int) -> list:
+    """d^2 from sample i to every sample of a built-in lattice, as
+    Fractions from its rational points: the sum over axes of the squared
+    gap, read round the ring on a periodic axis."""
+    wrap = _LATTICES[name][1]
+    points = lattice_points(name, resolution)
+    return [sum(min(g, 1 - g) ** 2 if wrap else g ** 2
+                for g in (abs(a - b) for a, b in zip(points[i], y)))
+            for y in points]
+
+
+def unpruned_neighbor_lists(M, steps: int, r: float,
                             rows: np.ndarray) -> np.ndarray:
-    """The neighbours of `rows` in the layout of `per_sample` by the
-    float rule: every offset of at most `steps` grid steps per axis, none
-    skipped, one offset at a time, each pair kept iff its float `dist` is
-    at most r."""
-    n = len(lattice.coords)
+    """The neighbours of `rows` on the built-in lattice model M in the
+    layout of `per_sample` by the float rule: every offset of at most
+    `steps` grid steps per axis, none skipped, one offset at a time, each
+    pair kept iff its float distance is at most r: |a - b| of the float
+    coordinates (the ring minimum on a periodic axis), and on two axes the
+    sqrt of the sum of their squares."""
+    lattice = M.lattice
+    dims, wrap = len(lattice.shape), lattice.wrap[0]
+    coords = np.array([[float(c) for c in x]
+                       for x in lattice_points(M.name, M.resolution)])
+    if dims == 1:
+        coords = coords[:, 0]
+
+    def dist(a, b):
+        d = np.abs(a - b)
+        if wrap:  # the ring minimum
+            d = np.minimum(d, 1 - d)
+        return d if dims == 1 else np.sqrt((d ** 2).sum(axis=-1))
+
+    n = len(coords)
     pos = np.unravel_index(rows, lattice.shape)
     # an open axis needs no offset past its length; on a periodic axis
     # too short for the whole stencil every residue is taken once, so
@@ -208,8 +235,7 @@ def unpruned_neighbor_lists(lattice, steps: int, r: float,
             axes.append(q)
         src = np.flatnonzero(inside)
         cand = np.ravel_multi_index([q[src] for q in axes], lattice.shape)
-        keep = lattice.dist(lattice.coords[cand],
-                            lattice.coords[rows[src]]) <= r
+        keep = dist(coords[cand], coords[rows[src]]) <= r
         src, cand = src[keep], cand[keep]
         if src.size and count[src].max() == out.shape[1]:
             out = np.concatenate([out, np.full_like(out, n)], axis=1)

@@ -502,15 +502,15 @@ def _count_rows(M):
 
 
 def test_lattice_neighbor_lists_read_no_distance_row():
-    """The stencil decides reach in integers: it computes no float
-    distance and reads no coordinate."""
+    """The stencil decides reach from its offsets alone: it computes no
+    distance row and no row of exact squares."""
     M = builtin_space("square", Fraction(1, 128))
     calls = _count_rows(M)
 
     def fail(*args):
-        pytest.fail("the stencil computed a float distance")
+        pytest.fail("the stencil computed a row of squares")
 
-    M.lattice.dist, M.lattice.coords = fail, None
+    M.lattice.squares = fail
     nbr = M.neighbor_lists(2 * M.resolution)
     assert calls == [] and nbr.shape == (12, 16641)
     assert per_sample(nbr, 16641)[0].tolist() == [1, 2, 129, 130, 258] + [16641] * 7

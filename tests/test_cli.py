@@ -168,6 +168,21 @@ def test_space_matching_the_file_keeps_the_code(square_file, capsys, space):
     assert _encode(square_file, capsys, *space) == plain
 
 
+@pytest.mark.parametrize("cut, shown", [
+    (Fraction(5, 32), "_"), (Fraction(5, 32) + Fraction(1, 10 ** 10), "0"),
+    (Fraction(5, 32) - Fraction(1, 10 ** 10), "1")])
+def test_encode_decides_the_sphere_exactly(tmp_path, capsys, cut, shown):
+    """The point (3/32, 4/32) is 5/32 from the square's corner: only the
+    cut at 5/32 itself leaves its digit unclassified (bottom)."""
+    path = tmp_path / "sphere.json"
+    save_subbase(str(path), {
+        "kind": "distance", "cuts": [{"center_index": 0, "cut": str(cut)}],
+        "space": {"name": "square", "resolution": "1/32"}})
+    assert run(["encode", "--subbase", str(path), "--point", "3/32,1/8",
+                "--depth", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == shown
+
+
 def test_center_index_out_of_range(tmp_path, capsys):
     path = tmp_path / "bare.json"
     path.write_text(json.dumps({"kind": "distance", "cuts": [

@@ -5,24 +5,28 @@ Each test keeps the slow per-sample reference (a loop over `S.digit` or
 """
 
 import functools
+import json
+import math
 import os
 import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subbases.builder import BuilderParams, build
 from subbases.files import load_subbase, save_subbase, subbase_to_json
-from subbases.space import SpaceModel, builtin_space
-from subbases.subbase import (GraySubbase, ReindexedSubbase,
+from subbases.space import SpaceModel, builtin_space, load_finite_space
+from subbases.subbase import (DistanceCut, DistanceSubbase, GraySubbase,
+                              ReindexedSubbase,
                               code_classes, compactified_example, digit_table,
                               duplicated_subbase, enumerate_K, gray_digit,
                               phi, table_kslice)
 
 from reference import (gray_digit as paper_gray_digit, kslice_sequences,
-                       permute, restrict, table_codes)
+                       lattice_points, lattice_squares, permute, restrict,
+                       table_codes)
 
 SPACES = (("interval", Fraction(1, 32)), ("circle", Fraction(1, 32)),
           ("square", Fraction(1, 16)), ("torus", Fraction(1, 16)))
@@ -242,3 +246,94 @@ def test_code_classes_edge_shapes(table):
     want_codes, want_inverse = np.unique(table, axis=1, return_inverse=True)
     assert codes.shape == want_codes.shape and np.array_equal(codes, want_codes)
     assert np.array_equal(inverse, want_inverse.reshape(-1))
+
+
+# 10^-10 is below the 10^-9 tolerance that cuts were once classified with
+OFF = Fraction(1, 10 ** 10)
+
+
+@st.composite
+def lattice_cuts(draw):
+    """(name, step, centre, c) on a built-in lattice: a step p/q, p > 1
+    too, or one whose q^2 is past 2^53, and a cut c at a distance that is
+    sampled exactly (q^2 d^2 a perfect square), 10^-10 either side of one
+    (below 0 at the centre), or a random rational."""
+    name = draw(st.sampled_from(("interval", "circle", "square", "torus")))
+    q = draw(st.one_of(st.integers(1, 32), st.integers(2 ** 26, 2 ** 70)))
+    step = Fraction(draw(st.integers(max(1, q // 8), q)), q)
+    i = draw(st.integers(0, len(lattice_points(name, step)) - 1))
+    if draw(st.booleans()):
+        return name, step, i, draw(st.fractions(0, 2))
+    squares = lattice_squares(name, step, i)
+    d2 = draw(st.sampled_from(sorted(
+        v for v in set(squares)
+        if math.isqrt(v.numerator) ** 2 == v.numerator
+        and math.isqrt(v.denominator) ** 2 == v.denominator)))
+    c = Fraction(math.isqrt(d2.numerator), math.isqrt(d2.denominator))
+    return name, step, i, c + draw(st.sampled_from((0, OFF, -OFF)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lattice_cuts())
+# 5/32 from offsets (3, 4) at 1/32, and 10^-10 off it
+@example(("square", Fraction(1, 32), 0, Fraction(5, 32)))
+@example(("square", Fraction(1, 32), 0, Fraction(5, 32) + OFF))
+@example(("torus", Fraction(1, 32), 0, Fraction(5, 32) - OFF))
+# the internally tangent interval balls at r = 1/4: centres 1/2 and 5/8,
+# radii 1/4 and 3/8, sharing the sample 1/4
+@example(("interval", Fraction(1, 128), 64, Fraction(1, 4)))
+@example(("interval", Fraction(1, 128), 80, Fraction(3, 8)))
+@example(("torus", Fraction(2, 63), 40, Fraction(2, 63)))
+# a float64 row just below 2^53 (2 q^2 < 2^53): the far corner's q^2 d^2
+# is past 2^52, and a threshold past 2^53 is clipped to 2^53, not below
+@example(("square", Fraction(2 ** 26 - 2, 2 ** 26 - 1), 0, Fraction(3, 2)))
+# cuts whose thresholds are past the float range either way
+@example(("interval", Fraction(1, 8), 3, Fraction(10 ** 400)))
+@example(("torus", Fraction(1, 8), 3, Fraction(-10 ** 400)))
+def test_lattice_cuts_are_classified_exactly(case):
+    """A distance cut's row on a lattice is the exact comparison of
+    d^2 = the sum of the squared ring-minimum gaps with c^2: the
+    boundary digit marks the sphere itself, 10^-10 off it none, and the
+    per-point digit agrees with the row at every sample."""
+    name, step, i, c = case
+    M = builtin_space(name, step)
+    S = DistanceSubbase(M, [DistanceCut(i, c)])
+    want = [1 if c < 0 else 0 if d2 < c * c else 2 if d2 == c * c else 1
+            for d2 in lattice_squares(name, step, i)]
+    row = S.digit_row(0, M)
+    assert row.dtype == np.int8 and row.tolist() == want
+    assert [S.digit(0, M.point(j)) for j in range(len(M))] == want
+
+
+def _finite_cases(tmp_path):
+    """A loaded finite space with int and Fraction entries, whose row 0 is
+    (0, 3, 5/2), and a model with float entries alone, whose row 0 is
+    (0, 0.1, 0.5)."""
+    path = tmp_path / "finite.json"
+    path.write_text(json.dumps({"points": [[0], [1], [2]], "metric": [
+        [0, 3, "5/2"], [3, 0, "1/2"], ["5/2", "1/2", 0]]}))
+    floats = np.array([[0, 0.1, 0.5], [0.1, 0, 0.4], [0.5, 0.4, 0]])
+    points = [(Fraction(k),) for k in range(3)]
+    plain = SpaceModel("finite", points,
+                       lambda a, b: floats[int(a[0]), int(b[0])],
+                       Fraction(1), distances=floats)
+    return load_finite_space(str(path)), plain
+
+
+@pytest.mark.parametrize("model, c, want", [
+    (0, Fraction(3), [0, 2, 0]), (0, 3 + OFF, [0, 0, 0]), (0, 3 - OFF, [0, 1, 0]),
+    (0, Fraction(5, 2), [0, 1, 2]), (0, Fraction(5, 2) + OFF, [0, 1, 0]),
+    (0, Fraction(5, 2) - OFF, [0, 1, 1]), (0, Fraction(0), [2, 1, 1]),
+    # the float 0.1 is itself, not 1/10; 0.5 is 1/2
+    (1, Fraction(0.1), [0, 2, 1]), (1, Fraction(1, 10), [0, 1, 1]),
+    (1, Fraction(0.1) + OFF, [0, 0, 1]), (1, Fraction(1, 2), [0, 0, 2]),
+    (1, Fraction(1, 2) - OFF, [0, 0, 1]),
+])
+def test_finite_cuts_are_classified_exactly(tmp_path, model, c, want):
+    """On a finite space the boundary digit is equality with an exact
+    entry, for int, Fraction and float entries alike; the per-point digit
+    agrees with the row."""
+    M = _finite_cases(tmp_path)[model]
+    S = DistanceSubbase(M, [DistanceCut(0, c)])
+    assert S.digit_row(0, M).tolist() == want
+    assert [S.digit(0, x) for x in M.sample_points] == want

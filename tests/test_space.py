@@ -19,7 +19,8 @@ from subbases.subbase import (GraySubbase, compactified_example,
                               duplicated_subbase, gray_digit, phi)
 
 from reference import (exact_neighbor_lists, gray_digit as paper_gray_digit,
-                       lattice_points, per_sample, unpruned_neighbor_lists)
+                       lattice_points, lattice_squares, per_sample,
+                       unpruned_neighbor_lists)
 
 
 def cosine_sign_digit(x, n):
@@ -165,54 +166,54 @@ def _array_digest(a):
     return h.hexdigest()
 
 
-# sha256 of the lattice coordinates, neighbor_lists(2 res) in the
+# sha256 of the exact squares of sample 0, neighbor_lists(2 res) in the
 # per-sample layout and the distance rows of samples 0, n // 3 and n - 1,
 # each with dtype and shape
 LATTICE_DIGESTS = {
     ("interval", 10): (
-        "1b9e5e759a8420017bd1aff1296821d398548f960f2dd2ed926c85ba0b4fcb86",
+        "d846652cb88932475d1cfcdb20e07d9f7008a7d0743adeaa0c043faa5e4185cf",
         "48300be460dcc4857400d4b0fcfdeae70fe76954ed017c720dcfa83501a33bc7",
         "1b9e5e759a8420017bd1aff1296821d398548f960f2dd2ed926c85ba0b4fcb86",
-        "cd9f2e99d6701facfe058b3d8d41f743d09a01bbaed620faef830413791efe04",
-        "e724b80a076c661be2d2775d5c13eda56e0b4a29cd9e461c607d312dbada1ebe"),
+        "e9b96ade4e05e6e778764cd40c4cd1f7d58863380e4345fadcfd2665ae5ef1f7",
+        "c150691c7539425c75341a90a040314238c4455b20f1009dcb5527ad5b2d8594"),
     ("interval", 16): (
-        "21007bb42755d8ab1cc7159efc5b27887280fe87de0876d608dccf535cab819a",
+        "1a9ca44e4c34a6bdbd65565884b62528baf795f5f1a8e6abda0b0b4cce51d38b",
         "480f3f2625ddfcc3693d275018d1f79baadbdea5a45045a0154adb14ca0fc270",
         "21007bb42755d8ab1cc7159efc5b27887280fe87de0876d608dccf535cab819a",
         "007c45ea54c207e1653c32dd269a0e70c562e158283dfb09a4d83594501ed9fa",
         "6a97ce68a51e99d49f7ad8aee31c38182e407e95307d7fcaed5b1919046012f1"),
     ("circle", 10): (
-        "c7d69fc6dc227a22335972d6476815aa4d3b17542c767ba4bd935a2f87a9d467",
+        "efa3c3b492547e810fde318793d73883382a3a8c97b6e4d4291ce4b02f6c0a87",
         "e3b60b1c7359e7030ffd13e657355af267e2b8d89fa94a40f3403e799752cc6e",
-        "260ce716d8760f74592778e012d2ca28593ab005b7fbac92b66e7babf3003736",
-        "1f4b8a39ae4848dea08b541d357ebd68d01829fc1db6eb0acc9e2cbcd9d5ab85",
-        "35aba85299dcec51576741cbbb4111e0553cf727c68e982817f45a9a623d2808"),
+        "5cbeeef3d794f042ce177cf2412267d00c5d6533c876077961c52249581b3c3c",
+        "9c6e0725462888ef671adba4a6d86603daab05215f8102014a221647404382c7",
+        "4a335bf8f68e7908c3dcda3c8ff7f121d5785a6c5d3415613d749cf745274939"),
     ("circle", 16): (
-        "53320de4e5162aaa7e1eaf17e1d3523f49f8304aa0ca4390ad0e9baa4985d6ec",
+        "ed86ead6e25039a588365a407e3d4665d8e9d5e722e1e97fcf9ebafb18ff370e",
         "8b1fd173b3e4fb55dc094079c5aa1a0377cd4aaf488708e894999023b3a66f91",
         "683aea79af194d6707ef9f50e6d8dc28a21199ac362c4c577af7ee83307192bc",
         "dcb2f1b6b5b627cd007c2d0227adf08f68768a7e94cd7b42dbaf8d61ac0578aa",
         "677ee65ae9f3ab45b40e94d5b0c2c66d0a532156617aac6db416b703d7d60e89"),
     ("square", 10): (
-        "5ba716e2d04df425143da441b0cbff17dca7f141efb68abe6d88f3f2d141d73c",
+        "b4bdbc0f4ffc1a2eebfc015fce44d9bfc06a9e589331fbf35b840d7fdf850ecd",
         "26cd5b80bb84f7f937d224db83f859d726af1bddbf191684c49edbc3a3caec40",
-        "8c68a26e0c0192bafb3f9720c75eba0acaeb3d99ff3df70b2dc55d128113a3f9",
-        "f409f1b1a3abded5f51a124e23adf9b77060a85806bc36ceba8dab084ba7ea18",
-        "7fc5c0b5e3640e87e894e4c4932f6fa089204a7a5252faf7f77080f5c4b4558c"),
+        "67922aa17976b8938957fdff9c33ae1afbc4f788269c1e1aa0cc384cdbbc2f10",
+        "a37ac4332589661049b427356fe2f592a30b22dabc8afba28b06f3266778328a",
+        "de1d9f89001bf6a7af73abe5bbd221fda1df1172d6d42eab1124aaafc6fa24f2"),
     ("square", 16): (
-        "1b3da4dc28c678fbd02c79eed5f639361cba6e27921f85a39c4f7abc318d06e6",
+        "805016a04cf33c16756cf8ae284a9dd4f0a5d5c7ddbfc296faa708d2c04c2306",
         "1d459cde7377648e9c71b82e096e9f0a64ffde7a3283e595454376c4cd5030c1",
         "c143ec245fccf0e49fb6a7581284c3f6f417f667a9119d6c783dd0c15fa72815",
         "94618ee1f2c6e140d801a9c723a160137661f9ef53ef6e0ae49aa1ab44fae37f",
         "3911c18755d4aeb15f3a433c1fc1037b91ff37f3a40d7d464d968394c5d509dc"),
     ("torus", 10): (
-        "8f109c14eb89bd791c9400babf869df8134e1ad645992901fdaa3e57ef1a18a8",
+        "81daa4598c2176a175ffc1be28ee196613cb9173ffcbc3d42101eb45e79acde3",
         "a4bec11466e62a111b6e16a97ec0d2d72f4d3af4d3471f06f53dbbe65318074a",
-        "ef710ac1236636ec5fcdf85ab16d59458f105b2f073944772b653f49c3466bac",
-        "87dcd8211a7c825feabd2c56ceceb61070cba6f52635a84cc31c5ffdf679a3d1",
-        "2bef399f106901e968d2af922ba2ee4bb747c7674ca276e4dd4b272cad056911"),
+        "61c818b7780d07ad069dd06404684771bd2e639507bfabeb209214128102fae5",
+        "53b0abcbcb73927262fcfd3aeed78ff2fb1ebe2e1bbaf7dcd6197028018816a4",
+        "ab2bb4b42000a3d827261333e60574bb2ce730bc8a3fe84819a4817b4c6ecf79"),
     ("torus", 16): (
-        "fb14d6c78ebc1b83bf3758d5339655de1e50678712fcd7b1b9fb5552c7de855a",
+        "3d258a89fa11b278fd4aec0ac412c765fc3d1298581ee08bd979fbde6ec2fb75",
         "5e902881aae7d95ef8cd904e9c9096b06e66dce736e3c0c031ccaf0cdd50a338",
         "cdddabb4209299c34be104e0c6e04b399ab2641ed18adf2b53fbfe791b5de0df",
         "e43bd372553f7b360e972a3f525cd2b85b74058a3222b90f2f9dd51dcaffe5a6",
@@ -227,7 +228,7 @@ def test_lattice_arrays_are_pinned(name, q):
     dims, wrap = LATTICES[name]
     assert M.lattice.shape == (q + (not wrap),) * dims
     assert M.lattice.wrap == (wrap,) * dims
-    got = (_array_digest(M.lattice.coords),
+    got = (_array_digest(M.lattice.squares(0)),
            _array_digest(per_sample(M.neighbor_lists(Fraction(2, q)), n)),
            *(_array_digest(M.distance_row(i)) for i in (0, n // 3, n - 1)))
     assert got == LATTICE_DIGESTS[name, q]
@@ -251,9 +252,12 @@ def test_lattice_points_match_the_product_construction(name, res):
     points = [M.point(i) for i in range(len(M))]
     assert points == reference
     assert all(type(c) is Fraction for x in points for c in x)
-    floats = np.array([[float(c) for c in x] for x in reference])
-    assert M.lattice.coords.tobytes() == floats.reshape(
-        M.lattice.coords.shape).tobytes()
+    # q^2 d^2 in exact integers: float64 values while dims q^2 < 2^53
+    q, dims = res.denominator, LATTICES[name][0]
+    for i in {0, len(M) // 3, len(M) - 1}:
+        s = M.lattice.squares(i)
+        assert s.dtype == (float if dims * q * q < 2 ** 53 else object)
+        assert s.tolist() == [v * q * q for v in lattice_squares(name, res, i)]
     assert M.sample_points == reference
 
 
@@ -280,7 +284,7 @@ def test_neighbor_lists_skip_only_offsets_out_of_reach(name, res, a, b, rows):
     rows = (np.arange(len(M)) if rows is None
             else np.array(sorted({i % len(M) for i in rows}), dtype=np.intp))
     got = per_sample(M.neighbor_lists(radius, rows), len(M))
-    want = unpruned_neighbor_lists(M.lattice, math.floor(radius / res) + 1,
+    want = unpruned_neighbor_lists(M, math.floor(radius / res) + 1,
                                    float(radius) + 1e-9, rows)
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert np.array_equal(got, want)
@@ -344,11 +348,11 @@ def test_a_negative_radius_gives_no_neighbour(name):
         assert M.neighbor_lists(radius).shape == (0, len(M))
 
 
-@pytest.mark.parametrize("name, q, bound", [("square", 256, 1.25e6),
-                                            ("interval", 4096, 0.1e6)])
-def test_lattice_models_hold_no_per_sample_objects(name, q, bound):
-    """What a lattice model holds is its float coordinates, 16 bytes per
-    square sample: a tuple of Fractions per sample held 5.3 MB at 1/256."""
+@pytest.mark.parametrize("name, q", [("square", 256), ("interval", 4096)])
+def test_lattice_models_hold_no_per_sample_objects(name, q):
+    """A lattice model holds its grid shape and step, under 10 kB at any
+    resolution: float coordinates held 1.06 MB at 1/256 on the square,
+    and a tuple of Fractions per sample 5.3 MB."""
     builtin_space(name, Fraction(1, 4))  # any first-call set-up
     tracemalloc.start()
     try:
@@ -357,7 +361,7 @@ def test_lattice_models_hold_no_per_sample_objects(name, q, bound):
     finally:
         tracemalloc.stop()
     assert len(M) == (q + 1) ** LATTICES[name][0]
-    assert held <= bound, held
+    assert held <= 0.01e6, held
 
 
 def test_unknown_space():
