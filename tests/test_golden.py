@@ -4,7 +4,11 @@ The digests were recorded once and are pinned by hand; the test never
 rewrites them.  A change that alters any byte of these outputs (a cut
 value, a code, a report line, a DOT node) fails here.  The sequence runs
 in a temporary directory with relative file names, because headers print
-the paths they were given; the Gray subbase file is written there first.
+the paths they were given; the Gray subbase file and a three-cut
+distance subbase of the interval are written there first.  The distance
+subbase fails every check: its runs pin a failing cusl line, a failing
+report's sigmas (one with a boundary letter b), DOT labels that start
+with bottoms and a code that ends in one.
 """
 
 import hashlib
@@ -41,7 +45,22 @@ SEQUENCE = (
     ("kslice-gray-9", ["kslice", "--subbase", "gray10.json", "--space",
                        "interval", "--resolution", "1/4096", "--depth", "9",
                        "--dot", "k9.dot"], ["k9.dot"]),
+    ("check-cusl-failing", ["check-cusl", "--subbase", "distance3.json",
+                            "--depth", "3", "--permutations", "2",
+                            "--seed", "0"], []),
+    ("check-strong-failing", ["check-strong", "--subbase", "distance3.json",
+                              "--depth", "3", "--delta", "1/4",
+                              "--json", "r3.json"], ["r3.json"]),
+    ("kslice-distance", ["kslice", "--subbase", "distance3.json",
+                         "--depth", "3", "--dot", "k3.dot"], ["k3.dot"]),
+    ("encode-distance", ["encode", "--subbase", "distance3.json",
+                         "--point", "1/2", "--depth", "3"], []),
 )
+
+DISTANCE3 = ('{"kind": "distance", "cuts": [{"center_index": 3, "cut": "1/8"}, '
+             '{"center_index": 0, "cut": "1/4"}, '
+             '{"center_index": 5, "cut": "1/8"}], '
+             '"space": {"name": "interval", "resolution": "1/8"}}\n')
 
 GOLDEN = {
     "build": (0, "c6c7fd3b2a586c024ec756f5d71c638d113b4ccd58d1a77aa05f9c1764c67e6d",
@@ -64,6 +83,16 @@ GOLDEN = {
                     {"b128.json": "0d3d061e7d1991008681575ebbf6cecb1e4bafb2698aadbb617a74961dcef6b7"}),
     "kslice-gray-9": (0, "027445a39ed7e441fee23ff758717d515d5036729a28cb4bdca36d5a2eeb44d8",
                       {"k9.dot": "0bbb54c08b9b3be8f2b49ae7a3050f92f928dc9b26a7c939ee165435e3803c72"}),
+    # pair (1, __1), minimal upper bounds ['101', '111']
+    "check-cusl-failing": (1, "c81e5556ca31d66c46ab6a3978ca6e55533a35b95b6dcb519a0ef35e21198d5c", {}),
+    # nine sigmas, among them 01b and b10
+    "check-strong-failing": (1, "8fe574e96ade407e5a0fbfc49da4bf4860bd7c0a66f19d75ff4f26d81b3af139",
+                             {"r3.json": "8ed6a0d292164e42f98345017fdffb37ceda6fdbf09779aab473c2bb8e254487"}),
+    # labels _1 and __1
+    "kslice-distance": (0, "addbcae886cc9cb3489b721597641659cce8aa83624fd2d2185c956ca4ed25db",
+                        {"k3.dot": "81cc2387d18c93e4343a7548abfda8bce4a49c4280e9ad9a19045f7131d3de90"}),
+    # _1_
+    "encode-distance": (0, "0fc3195c6b04d60ddfa90a709e1b1e5509f92e0c5dd4dfd99078331c6ffa8c9a", {}),
 }
 
 
@@ -74,6 +103,7 @@ def _sha(data: bytes) -> str:
 def test_golden_outputs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "gray10.json").write_text('{"kind": "gray", "pairs": 10}\n')
+    (tmp_path / "distance3.json").write_text(DISTANCE3)
     observed = {}
     for name, argv, files in SEQUENCE:
         code = run(argv)
