@@ -28,7 +28,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .seq import BD, BINARY_DIGITS, BOT, DIGITS, ZERO, BottomedSeq, render
+from .seq import BD, BINARY_DIGITS, BOT, DIGITS, ZERO, render
 from .space import SpaceModel
 from .subbase import DyadicSubbase, digit_table
 
@@ -43,7 +43,7 @@ class CheckerError(ValueError):
 class Violation:
     """A point of S-bar(sigma) with no delta-near sample of S(sigma)."""
 
-    sigma: BottomedSeq
+    sigma: bytes  # a total sigma's code
     point: object
     nearest: Optional[float]  # distance to nearest sampled member, None if empty
 
@@ -199,8 +199,8 @@ def _run_check(S: DyadicSubbase, M: SpaceModel, depth: int, delta,
         i = first[pattern]
         letters = np.frombuffer(pattern, dtype=table.dtype)
         target = (table == letters[:, None]).all(axis=0)  # open set of sigma
-        violations.append(Violation(BottomedSeq(enumerate(letters.tolist())),
-                                    M.point(i), _nearest(M, i, target)))
+        violations.append(Violation(pattern, M.point(i),
+                                    _nearest(M, i, target)))
     return CheckReport("fail" if patterns else "pass", kind, depth, delta,
                        M.resolution, violations,
                        truncated=len(patterns) > _MAX_VIOLATIONS,

@@ -14,8 +14,8 @@ compactification's subbase read one integer Gray rule, `_gray_codes`.
 
 A K slice is one sorted array of bitset keys, one per element, read
 straight off the code classes: the order, the cusl check and the Hasse
-diagram work on the keys, and `BottomedSeq`s are made only for output:
-a failing pair's report and the DOT labels.
+diagram work on the keys, and codes (`seq`'s bytes) are made only for
+output: a failing pair's report and the DOT labels.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .seq import BD, DIGITS, ONE, ZERO, BottomedSeq, render
+from .seq import BD, BOT, DIGITS, ONE, ZERO, as_code, render
 from .space import POINT_AT_INFINITY, _as_scalar, compactified_space
 
 
@@ -230,15 +230,11 @@ def check_depth(S: DyadicSubbase, depth: int):
         raise IndexError("depth %d exceeds number of cuts %d" % (depth, len(S)))
 
 
-def phi(S: DyadicSubbase, x, depth: int) -> BottomedSeq:
+def phi(S: DyadicSubbase, x, depth: int) -> bytes:
     """Length-depth prefix of the code of x; boundary digits become bottom."""
     check_depth(S, depth)
-    entries = {}
-    for n in range(depth):
-        d = S.digit(n, x)
-        if d != BD:
-            entries[n] = d
-    return BottomedSeq(entries)
+    digits = (S.digit(n, x) for n in range(depth))
+    return as_code(BOT if d == BD else d for d in digits)
 
 
 # -- the digit table -----------------------------------------------------
@@ -319,11 +315,11 @@ def table_kslice(table: np.ndarray) -> KSlice:
                   elements=np.concatenate(out))
 
 
-def _element(key, width: int) -> BottomedSeq:
-    """The element of a K-slice key, for output."""
+def _element(key, width: int) -> bytes:
+    """The code of a K-slice key, for output."""
     key = int(key)
-    return BottomedSeq({k: a for a in DIGITS for k in range(width)
-                        if key >> (a * width + k) & 1})
+    return as_code(next((a for a in DIGITS if key >> (a * width + k) & 1), BOT)
+                   for k in range(width))
 
 
 def _counts(keys: np.ndarray) -> np.ndarray:
@@ -342,9 +338,9 @@ class CuslReport:
     """Verdict of the conditional-upper-semilattice check, with witness on failure."""
 
     ok: bool
-    sigma: Optional[BottomedSeq] = None
-    tau: Optional[BottomedSeq] = None
-    minimal_upper_bounds: Tuple[BottomedSeq, ...] = ()
+    sigma: Optional[bytes] = None
+    tau: Optional[bytes] = None
+    minimal_upper_bounds: Tuple[bytes, ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok

@@ -1,10 +1,12 @@
 """Slow reference definitions that the tests compare the package against.
 
 None of them is used by the package itself: the checker, the K slices and
-the builder work on code classes and bitsets instead.  Here live the
-order on bottomed sequences as plain functions of `BottomedSeq` values
-(`leq`, `join`, `restrict` and the rest), the membership of a point in
-S(sigma) and S-bar(sigma), the ASCII parser, and permuted views.  The
+the builder work on code classes and bitsets instead.  Here live
+`BottomedSeq`, the finite-support map that the package's codes replaced,
+with `seq_code` to read one as a code, the order on bottomed sequences
+as plain functions of `BottomedSeq` values (`leq`, `join`, `restrict`
+and the rest), the membership of a point in S(sigma) and S-bar(sigma),
+the ASCII parser, and permuted views.  The
 package computes that order only on K-slice keys, and the tests check
 the keys against these functions.  The K-slice oracle keeps the
 representation the keys replaced: a set of `BottomedSeq`s, sorted by
@@ -18,19 +20,64 @@ gaps.
 import functools
 import itertools
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import (Iterable, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
-from subbases.seq import BD, BOT, CODEC, DIGITS, ONE, ZERO, BottomedSeq, render
+from subbases.seq import BD, BOT, CODEC, DIGITS, ONE, ZERO, as_code, render
 from subbases.space import _LATTICES, _grid
 from subbases.subbase import (DyadicSubbase, KSlice, ReindexedSubbase,
                               _clash_bits, code_classes)
 
+
+# -- bottomed sequences and the order on them ----------------------------
+
+
+class BottomedSeq:
+    """Immutable finite-support sequence over {0, 1, b} plus implicit bottoms."""
+
+    __slots__ = ("_entries", "_length", "_hash")
+
+    def __init__(self, entries: Union[Mapping[int, int], Iterable[Tuple[int, int]]] = ()):
+        d = dict(entries)
+        for k, v in d.items():
+            if not isinstance(k, int) or k < 0:
+                raise ValueError("index must be a non-negative integer: %r" % (k,))
+            if type(v) is not int or v not in DIGITS:
+                raise ValueError("digit must be one of %r: %r" % (DIGITS, v))
+        self._entries = d
+        self._length = max(d) + 1 if d else 0
+        self._hash = hash(frozenset(d.items()))
+
+    @property
+    def length(self) -> int:
+        return self._length
+
+    def __getitem__(self, k: int) -> int:
+        return self._entries.get(k, BOT)
+
+    def items(self) -> Iterator[Tuple[int, int]]:
+        return iter(sorted(self._entries.items()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BottomedSeq):
+            return NotImplemented
+        return self._entries == other._entries
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return "BottomedSeq(%r)" % render(seq_code(self))
+
+
 EMPTY = BottomedSeq()
 
 
-# -- the order on bottomed sequences -------------------------------------
+def seq_code(sigma: BottomedSeq) -> bytes:
+    """The package's code of sigma: its digit codes up to its length."""
+    return as_code(sigma[k] for k in range(sigma.length))
 
 
 def parse(text: str) -> BottomedSeq:
@@ -47,7 +94,7 @@ def parse(text: str) -> BottomedSeq:
 
 def sort_key(sigma: BottomedSeq) -> Tuple[int, str]:
     """The K-slice order: by length, then ASCII rendering."""
-    return (sigma.length, render(sigma))
+    return (sigma.length, render(seq_code(sigma)))
 
 
 def dom(sigma: BottomedSeq) -> Tuple[int, ...]:

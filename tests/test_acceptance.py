@@ -20,7 +20,8 @@ from subbases.subbase import (GraySubbase, compactified_example,
 
 from reference import (EMPTY, assert_keys_follow_the_order, decompose,
                        enumerate_sequences, is_downward_closed, join,
-                       kslice_sequences, leq, member_open, permute, seq_key)
+                       kslice_sequences, leq, member_open, parse, permute,
+                       seq_key)
 
 
 def _report(num, name, started):
@@ -164,7 +165,7 @@ def test_criterion_8_order_theory_suite():
         K = enumerate_K(S, M, min(5, len(S)))
         assert EMPTY in kslice_sequences(K)
         assert is_downward_closed(K)
-        codes = [phi(S, x, 5) for x in M.sample_points]
+        codes = [parse(render(phi(S, x, 5))) for x in M.sample_points]
         code_keys = [seq_key(code, 5) for code in codes]
         for sigma in binary_patterns:
             key = seq_key(sigma, 5)

@@ -22,11 +22,11 @@ from subbases.builder import (_EPS, _REGION_BLOCK, AVOID_MARGIN, MAX_RETRIES,
                               base_interval, build, choose_cut, collect_avoid,
                               positive_rational, separation_fraction, unpair)
 from subbases.checker import check_proper, check_strong_proper
-from subbases.seq import BD, BINARY_DIGITS, ONE, ZERO, BottomedSeq
+from subbases.seq import BD, BINARY_DIGITS, ONE, ZERO
 from subbases.space import SpaceModel, builtin_space, compactified_space
 from subbases.subbase import DistanceCut, DistanceSubbase
 
-from reference import pattern_masks, per_sample, table_codes
+from reference import BottomedSeq, pattern_masks, per_sample, table_codes
 
 
 def test_unpair_convention():

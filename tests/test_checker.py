@@ -18,7 +18,8 @@ from subbases.subbase import (DistanceCut, DistanceSubbase, DyadicSubbase,
                               compactified_example, duplicated_subbase)
 
 from reference import (dom, enumerate_sequences, lattice_points,
-                       member_closed, member_open, permute)
+                       member_closed, member_open, parse, permute,
+                       seq_code)
 
 
 @pytest.fixture(scope="module")
@@ -68,9 +69,10 @@ def test_violations_are_self_verifying(grid256):
     delta = Fraction(1, 64)
     report = check_proper(S, grid256, 5, delta)
     for v in report.violations:
-        assert member_closed(S, v.sigma, v.point)
+        sigma = parse(render(v.sigma))
+        assert member_closed(S, sigma, v.point)
         for y in grid256.sample_points:
-            if member_open(S, v.sigma, y):
+            if member_open(S, sigma, y):
                 assert grid256.metric(v.point, y) > delta
 
 
@@ -219,8 +221,8 @@ def reference_check(S, M, depth, delta, alphabet, kind, total=False):
                 report.truncated = True
             else:
                 i, nearest = far[0]
-                report.violations.append(Violation(sigma, M.sample_points[i],
-                                                   nearest))
+                report.violations.append(Violation(
+                    seq_code(sigma), M.sample_points[i], nearest))
     report.stats.update(boundary_samples=int((table == BD).any(axis=0).sum()),
                         failing_samples=len(failing))
     return report

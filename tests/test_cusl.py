@@ -8,19 +8,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from subbases.seq import BD, BOT, ONE, ZERO, BottomedSeq, render
+from subbases import subbase
+from subbases.seq import BD, BOT, ONE, ZERO, render
 from subbases.space import builtin_space
 from subbases.subbase import (CuslReport, GraySubbase, enumerate_K,
                               is_cusl, kslice_to_dot, table_kslice)
 
-from reference import (is_binary, is_downward_closed, join, kslice_keys,
-                       kslice_of, kslice_sequences, leq, parse, restrict,
-                       sorted_elements, table_kslice_sequences, update)
+from reference import (BottomedSeq, is_binary, is_downward_closed, join,
+                       kslice_keys, kslice_of, kslice_sequences, leq, parse,
+                       restrict, seq_code, sorted_elements,
+                       table_kslice_sequences, update)
 
 
 def reference_is_cusl(elems) -> CuslReport:
     """Every pair of a sorted list of sequences through `join`, in
-    (length, rendering) order."""
+    (length, rendering) order; the report holds their codes."""
     members = set(elems)
     for i, sigma in enumerate(elems):
         for tau in elems[i:]:
@@ -35,8 +37,9 @@ def reference_is_cusl(elems) -> CuslReport:
             minimal = [u for u in ubs
                        if not any(v is not u and leq(v, u) for v in ubs)]
             if len(minimal) >= 2:
-                return CuslReport(False, sigma, tau,
-                                  tuple(sorted_elements(minimal)))
+                return CuslReport(False, seq_code(sigma), seq_code(tau),
+                                  tuple(map(seq_code,
+                                            sorted_elements(minimal))))
     return CuslReport(True)
 
 
@@ -46,7 +49,7 @@ def reference_kslice_to_dot(elems, name: str = "kslice") -> str:
     index = {e: i for i, e in enumerate(elems)}
     lines = ["digraph %s {" % name, '  rankdir="BT";']
     for e in elems:
-        lines.append('  n%d [label="%s"];' % (index[e], render(e)))
+        lines.append('  n%d [label="%s"];' % (index[e], render(seq_code(e))))
     for u in elems:
         for v in elems:
             if u is v or not leq(u, v):
@@ -160,24 +163,23 @@ def _slice(*texts):
 
 
 def test_keyed_slice_makes_no_leq_or_join_call(monkeypatch):
-    """`is_cusl` works on the keys alone: on a passing slice it builds no
-    `BottomedSeq`, and on a failing one only its report's."""
+    """`is_cusl` works on the keys alone: on a passing slice it reads no
+    key as a code, and on a failing one only its report's."""
     gray = enumerate_K(GraySubbase(8),
                        builtin_space("interval", Fraction(1, 4096)), 8)
     # missing joins "00": bounded by "000" alone, then by "000" and "001"
     least = _slice("", "0", "_0", "000")
     failing = _slice("", "0", "_0", "000", "001")
     built = Counter()
-    original = BottomedSeq.__init__
-    monkeypatch.setattr(BottomedSeq, "__init__",
-                        lambda self, *args, **kwargs:
-                        built.update(["seq"]) or original(self, *args, **kwargs))
+    original = subbase._element
+    monkeypatch.setattr(subbase, "_element",
+                        lambda *args: built.update(["code"]) or original(*args))
     reports = []
     for K in (gray, least, failing):
         built.clear()
         reports.append(is_cusl(K))
         # the failing report holds sigma, tau and two upper bounds
-        assert built["seq"] == (0 if reports[-1].ok else 4)
+        assert built["code"] == (0 if reports[-1].ok else 4)
     dots = [kslice_to_dot(K) for K in (gray, least, failing)]
     monkeypatch.undo()
     assert [r.ok for r in reports] == [True, True, False]

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from subbases.builder import BuilderParams, build
 from subbases.files import load_subbase, save_subbase, subbase_to_json
+from subbases.seq import render
 from subbases.space import SpaceModel, builtin_space, load_finite_space
 from subbases.subbase import (DistanceCut, DistanceSubbase, GraySubbase,
                               ReindexedSubbase,
@@ -25,8 +26,8 @@ from subbases.subbase import (DistanceCut, DistanceSubbase, GraySubbase,
                               phi, table_kslice)
 
 from reference import (gray_digit as paper_gray_digit, kslice_sequences,
-                       lattice_points, lattice_squares, permute, restrict,
-                       table_codes)
+                       lattice_points, lattice_squares, parse, permute,
+                       restrict, table_codes)
 
 SPACES = (("interval", Fraction(1, 32)), ("circle", Fraction(1, 32)),
           ("square", Fraction(1, 16)), ("torus", Fraction(1, 16)))
@@ -83,7 +84,7 @@ def test_digit_table_matches_per_sample_digits(case):
 @given(subbases())
 def test_enumerate_K_matches_restricted_codes(case):
     S, M, depth = case
-    reference = {restrict(phi(S, x, depth), m)
+    reference = {restrict(parse(render(phi(S, x, depth))), m)
                  for x in M.sample_points for m in range(depth + 1)}
     assert frozenset(kslice_sequences(enumerate_K(S, M, depth))) == reference
 

@@ -1,18 +1,19 @@
-"""`BottomedSeq` as a value, and the order on codes as the package runs it:
-K-slice keys, where u <= v iff key(u) is a subset of key(v), and a pair
-with no `_clash_bits` in common joins to the OR of its keys.  The
-reference's `leq`, `join`, `restrict` and `decompose` on `BottomedSeq`s
-are the oracle."""
+"""Codes and their rendering, the reference's `BottomedSeq` as a value,
+and the order on codes as the package runs it: K-slice keys, where
+u <= v iff key(u) is a subset of key(v), and a pair with no
+`_clash_bits` in common joins to the OR of its keys.  The reference's
+`leq`, `join`, `restrict` and `decompose` on `BottomedSeq`s are the
+oracle."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from subbases.seq import BD, BOT, DIGITS, ONE, ZERO, BottomedSeq, render
+from subbases.seq import BD, BOT, DIGITS, ONE, ZERO, as_code, render
 from subbases.subbase import _clash_bits
 
-from reference import (EMPTY, assert_keys_follow_the_order, decompose,
-                       enumerate_sequences, is_binary, join, leq, parse,
-                       restrict, seq_key, update)
+from reference import (EMPTY, BottomedSeq, assert_keys_follow_the_order,
+                       decompose, enumerate_sequences, is_binary, join, leq,
+                       parse, restrict, seq_code, seq_key, update)
 
 WIDTH = 8  # wide enough for every worked example
 
@@ -105,9 +106,9 @@ def test_join_is_least_upper_bound_small():
 
 
 def test_codec_roundtrip_and_errors():
-    for text in ("", "0", "0_1", "b_b", "0110b"):
-        assert render(parse(text)) == text.rstrip("_")
-    assert render(parse("0_1"), width=5) == "0_1__"
+    for text in ("", "0", "0_1", "b_b", "0110b", "0_1__"):
+        assert render(seq_code(parse(text))) == text.rstrip("_")
+    assert render(seq_code(parse("0_1")), width=5) == "0_1__"
     with pytest.raises(ValueError):
         parse("02")
     with pytest.raises(ValueError):
@@ -118,6 +119,21 @@ def test_codec_roundtrip_and_errors():
         BottomedSeq({0: BOT})  # bottom is the absence of an entry
     with pytest.raises(ValueError):
         BottomedSeq({-1: ZERO})
+
+
+def test_render_codes():
+    """A code is its digit codes' bytes with no trailing BOT; `render`
+    prints one letter per position and pads with '_' up to the width."""
+    assert render(b"") == "" and render(b"", width=3) == "___"
+    code = bytes([ZERO, BOT, ONE])
+    assert render(code) == "0_1" and render(code, width=5) == "0_1__"
+    assert render(code, width=2) == "0_1"  # never cut
+    assert render(bytes([BD, ONE, BD])) == "b1b"
+    assert as_code([ZERO, BOT, ONE, BOT, BOT]) == code
+    assert as_code([BOT, BOT]) == as_code([]) == b""
+    assert as_code(iter([BD, BOT, BD])) == bytes([BD, BOT, BD])
+    assert len(as_code([BOT, ONE, BOT])) == BottomedSeq({1: ONE}).length == 2
+    assert seq_code(parse("_b__1__")) == bytes([BOT, BD, BOT, BOT, ONE])
 
 
 def test_empty_sequence_is_least():
@@ -163,4 +179,4 @@ def test_restrict_below(s, n):
 
 @given(seq_strategy)
 def test_parse_render_roundtrip(s):
-    assert parse(render(s)) == s
+    assert parse(render(seq_code(s))) == s

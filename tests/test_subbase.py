@@ -8,14 +8,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from subbases.seq import BD, ONE, BottomedSeq, render
+from subbases.seq import BD, ONE, render
 from subbases.space import builtin_space
 from subbases.subbase import (GraySubbase, digit_table, enumerate_K, is_cusl,
                               kslice_to_dot, phi)
 
-from reference import (EMPTY, decompose, is_downward_closed, kslice_of,
-                       kslice_sequences, leq, member_closed, member_open,
-                       parse, pattern_masks, permute, restrict, seq_key)
+from reference import (EMPTY, BottomedSeq, decompose, is_downward_closed,
+                       kslice_of, kslice_sequences, leq, member_closed,
+                       member_open, parse, pattern_masks, permute, restrict,
+                       seq_key)
 
 
 @pytest.fixture(scope="module")
@@ -62,13 +63,14 @@ def test_member_open_iff_prefix_order(gray, interval16):
     sigma <= phi(x), iff the key of sigma is a subset of phi(x)'s, iff
     the digit table's open mask of sigma holds x."""
     table = digit_table(gray, interval16, 4)
-    codes = [seq_key(phi(gray, x, 4), 4) for x in interval16.sample_points]
+    phis = [parse(render(phi(gray, x, 4))) for x in interval16.sample_points]
+    codes = [seq_key(code, 4) for code in phis]
     for sigma in _binary_patterns(4):
         key = seq_key(sigma, 4)
         open_mask, _ = pattern_masks(table, sigma)
         for i, x in enumerate(interval16.sample_points):
             inside = member_open(gray, sigma, x)
-            assert inside == leq(sigma, phi(gray, x, 4))
+            assert inside == leq(sigma, phis[i])
             assert inside == (key & codes[i] == key) == open_mask[i]
 
 
@@ -117,7 +119,7 @@ def test_enumerate_K_single_point(gray):
                    lambda a, b: abs(a[0] - b[0]), Fraction(1))
     K = enumerate_K(gray, M, 3)
     chain = sorted(kslice_sequences(K), key=lambda s: s.length)
-    code = phi(gray, (Fraction(1, 3),), 3)
+    code = parse(render(phi(gray, (Fraction(1, 3),), 3)))
     assert chain == [restrict(code, m) for m in range(4)]
 
 
