@@ -132,7 +132,7 @@ class SpaceModel:
     """
 
     def __init__(self, name: str, sample_points: Optional[Sequence],
-                 metric: Callable, resolution: Fraction,
+                 metric: Optional[Callable], resolution: Fraction,
                  distances: np.ndarray = None, lattice: Lattice = None):
         self.name = name
         self._points = None if sample_points is None else list(sample_points)
@@ -318,22 +318,12 @@ def _lattice_space(name: str, resolution: Fraction, dims: int,
                    wrap: bool) -> SpaceModel:
     """The grid of step `resolution` on [0, 1]^dims, or on [0, 1)^dims with
     every axis periodic.  In one dimension the metric is the exact
-    |a - b| (with the ring minimum); in two it is the float hypot of the
-    coordinate differences.  Distance rows and cuts read the lattice's
-    exact squared distances instead."""
+    |a - b| (with the ring minimum); in two there is none.  Distance rows
+    and cuts read the lattice's exact squared distances."""
     res = Fraction(resolution)
     size = _grid_size(res, half_open=wrap)
     lattice = Lattice((size,) * dims, (wrap,) * dims, res)
-    if dims == 1:
-        def metric(a, b):
-            return lattice.gaps(a, b)[0]
-    else:
-        def metric(a, b):
-            d = [abs(float(s) - float(t)) for s, t in zip(a, b)]
-            if wrap:
-                d = [min(v, 1 - v) for v in d]
-            return math.hypot(*d)
-
+    metric = (lambda a, b: lattice.gaps(a, b)[0]) if dims == 1 else None
     return SpaceModel(name, None, metric, res, lattice=lattice)
 
 
@@ -350,8 +340,12 @@ def load_finite_space(path: str, resolution: Fraction = Fraction(1)) -> SpaceMod
         data = json.load(fh)
     if not isinstance(data, dict) or "points" not in data or "metric" not in data:
         raise ValueError("space file must contain 'points' and 'metric'")
-    pts = [tuple(Fraction(str(c)) for c in p) for p in data["points"]]
-    mat = data["metric"]
+    pts, mat = data["points"], data["metric"]
+    if not (isinstance(pts, list) and pts and isinstance(mat, list)
+            and all(isinstance(r, list) for r in pts + mat)):
+        raise ValueError("space file 'points' must be a non-empty list of "
+                         "coordinate lists, and 'metric' a list of rows")
+    pts = [tuple(Fraction(str(c)) for c in p) for p in pts]
     n = len(pts)
     if len(mat) != n or any(len(r) != n for r in mat):
         raise ValueError("metric matrix must be %dx%d" % (n, n))

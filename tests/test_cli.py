@@ -228,6 +228,25 @@ def test_metric_entry_beyond_float_range_exits_2(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("body", [
+    {"points": [0, 1], "metric": [[0, 1], [1, 0]]},
+    {"points": [None, [1]], "metric": [[0, 1], [1, 0]]},
+    {"points": 3, "metric": [[0, 1], [1, 0]]},
+    {"points": [[0], [1]], "metric": [0, 1]},
+    {"points": [[0], [1]], "metric": None},
+    {"points": [], "metric": []},
+], ids=["scalar-points", "null-point", "points-not-a-list", "scalar-rows",
+        "null-metric", "no-points"])
+def test_malformed_space_file_exits_2(tmp_path, capsys, body):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(body))
+    assert run(["build", "--space-file", str(path), "--resolution", "1",
+                "--pairs", "1", "--out", str(tmp_path / "s.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: space file 'points' must be a non-empty")
+
+
 def test_delta_is_checked_before_the_space_file_loads(gray_file, tmp_path,
                                                       capsys, monkeypatch):
     path = tmp_path / "space.json"

@@ -115,8 +115,9 @@ def test_builtin_interval_grid():
 def test_builtin_square_grid():
     M = builtin_space("square", Fraction(1, 4))
     assert len(M.sample_points) == 25
-    d = M.metric((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
-    assert abs(d - math.sqrt(2)) < 1e-12
+    assert M.sample_points[-1] == (Fraction(1), Fraction(1))
+    assert M.lattice.squares(0)[-1] == 2 * 4 ** 2
+    assert M.distance_row(0)[-1] == math.sqrt(2)
 
 
 def test_builtin_circle_geodesic():
@@ -128,8 +129,9 @@ def test_builtin_circle_geodesic():
 def test_builtin_torus():
     M = builtin_space("torus", Fraction(1, 4))
     assert len(M.sample_points) == 16
-    d = M.metric((Fraction(0), Fraction(0)), (Fraction(3, 4), Fraction(3, 4)))
-    assert abs(d - math.hypot(0.25, 0.25)) < 1e-12
+    assert M.sample_points[-1] == (Fraction(3, 4), Fraction(3, 4))
+    assert M.lattice.squares(0)[-1] == 2
+    assert M.distance_row(0)[-1] == math.hypot(0.25, 0.25)
 
 
 # name -> (dimensions, periodic)
@@ -138,26 +140,17 @@ LATTICES = {"interval": (1, False), "circle": (1, True),
 
 
 def test_lattice_metric_types():
-    """The interval and circle metrics are exact; the square and torus
-    metrics are the float hypot of the coordinate differences, with the
-    ring minimum on the torus."""
-    def float_hypot(a, b, wrap):
-        d = [abs(float(s) - float(t)) for s, t in zip(a, b)]
-        return math.hypot(*(min(v, 1 - v) for v in d) if wrap else d)
-
-    for name, (_dims, wrap) in LATTICES.items():
+    """The interval and circle metrics are the exact gap, with the ring
+    minimum on the circle."""
+    for name, wrap in (("interval", False), ("circle", True)):
         M = builtin_space(name, Fraction(1, 7))
         rng = random.Random(3)
         for _ in range(200):
             a, b = rng.choice(M.sample_points), rng.choice(M.sample_points)
             d = M.metric(a, b)
-            if len(a) == 1:
-                gap = abs(a[0] - b[0])
-                assert type(d) is Fraction
-                assert d == (min(gap, 1 - gap) if wrap else gap)
-            else:
-                assert type(d) is float
-                assert d == float_hypot(a, b, wrap)
+            gap = abs(a[0] - b[0])
+            assert type(d) is Fraction
+            assert d == (min(gap, 1 - gap) if wrap else gap)
 
 
 def _array_digest(a):
