@@ -18,7 +18,6 @@ extrema of f_n in which region.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,8 +36,9 @@ AVOID_MARGIN = Fraction(1, 1000)  # a drawn cut keeps this far from avoid values
 MAX_RETRIES = 64  # draws per base interval, and base intervals per cut
 
 
-class Exhaustion(RuntimeError):
-    """No admissible cut value found: the interval is too crowded."""
+class Exhaustion(ValueError):
+    """No admissible cut value found: the interval is too crowded.  A
+    ValueError, since the build's inputs leave no admissible cut."""
 
 
 # -- enumerations --------------------------------------------------------
@@ -73,18 +73,7 @@ def base_interval(m: int) -> Tuple[Fraction, Fraction]:
     return center - radius, center + radius
 
 
-# -- parameters and avoid sets ------------------------------------------
-
-
-@dataclass
-class BuilderParams:
-    count: int
-    strong: bool = False
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.count < 0:
-            raise ValueError("count must be non-negative")
+# -- avoid sets ----------------------------------------------------------
 
 
 @dataclass
@@ -279,38 +268,10 @@ def choose_cut(interval: Tuple[Fraction, Fraction], avoid: AvoidSet,
 
 
 @dataclass
-class BuildLogRecord:
-    n: int
-    n0: int
-    interval: Tuple[Fraction, Fraction]
-    avoid_count: int
-    c: Fraction
-    retries: int
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "n0": self.n0,
-            "interval": [str(self.interval[0]), str(self.interval[1])],
-            "avoid_count": self.avoid_count,
-            "c_n": str(self.c),
-            "retries": self.retries,
-        }
-
-
-@dataclass
 class BuildResult:
     subbase: DistanceSubbase
-    log: List[BuildLogRecord]
+    log: List[dict]  # per cut: n, n0, interval, avoid_count, c_n, retries
     table: np.ndarray  # the builder's digit codes of every cut at every sample
-
-    @property
-    def separation(self) -> float:
-        """Fraction of sample pairs split by some digit."""
-        return separation_fraction(self.table)
-
-    def log_lines(self) -> str:
-        return "\n".join(json.dumps(r.to_json()) for r in self.log)
 
 
 def separation_fraction(table: np.ndarray) -> float:
@@ -324,7 +285,8 @@ def separation_fraction(table: np.ndarray) -> float:
     return 1.0 - same / total
 
 
-def build(M: SpaceModel, params: BuilderParams) -> BuildResult:
+def build(M: SpaceModel, count: int, strong: bool = False,
+          seed: int = 0) -> BuildResult:
     """Build `count` cuts inductively: cut n is centred at the n0-th dense
     point and drawn from the n1-th base interval, (n0, n1) = unpair(n).
 
@@ -332,23 +294,25 @@ def build(M: SpaceModel, params: BuilderParams) -> BuildResult:
     The result is expected, not guaranteed, to pass the checkers at the
     model's resolution; run them to accept it.
     """
-    rng = random.Random(params.rng_seed)
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    rng = random.Random(seed)
     band = 2 * M.resolution
     nbr = M.neighbor_lists(band)
-    table = np.empty((params.count, len(M)), dtype=np.int8)
+    table = np.empty((count, len(M)), dtype=np.int8)
     subbase = DistanceSubbase(M, [])
     centres = {}  # sample index -> Centre: a centre recurs, its record is made once
     earlier: List[Tuple[float, Centre]] = []
-    log: List[BuildLogRecord] = []
+    log: List[dict] = []
 
-    for n in range(params.count):
+    for n in range(count):
         n0, n1 = unpair(n)
         center_index = M.dense_index(n0)
         if center_index not in centres:
             row = M.distance_row(center_index)
             centres[center_index] = Centre(row, *_steps(row, nbr))
         cut = centres[center_index]
-        avoid = collect_avoid(table[:n], cut, nbr, band, params.strong, earlier)
+        avoid = collect_avoid(table[:n], cut, nbr, band, strong, earlier)
         for retries in itertools.count():
             interval = base_interval(n1 + retries)
             try:
@@ -360,6 +324,8 @@ def build(M: SpaceModel, params: BuilderParams) -> BuildResult:
         subbase.cuts.append(DistanceCut(center_index, c))
         table[n] = subbase.digit_row(n, M)
         earlier.append((float(c), cut))
-        log.append(BuildLogRecord(n, n0, interval, len(avoid), c, retries))
+        log.append({"n": n, "n0": n0,
+                    "interval": [str(interval[0]), str(interval[1])],
+                    "avoid_count": len(avoid), "c_n": str(c), "retries": retries})
 
     return BuildResult(subbase, log, table)

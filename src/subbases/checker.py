@@ -72,9 +72,6 @@ class CheckReport:
     def ok(self) -> bool:
         return self.verdict == "pass"
 
-    def __bool__(self) -> bool:
-        return self.ok
-
     def to_json(self) -> dict:
         return {
             "verdict": self.verdict,

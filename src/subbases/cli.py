@@ -14,10 +14,11 @@ from .subbase import (GraySubbase, check_depth, compactified_example,
                       digit_table, duplicated_subbase, enumerate_K, is_cusl,
                       kslice_to_dot, phi, table_kslice)
 from . import checker as checker_mod
-from .builder import BuilderParams, build
+from .builder import build, separation_fraction
 from . import files
 
 import argparse
+import json
 import random
 import sys
 from fractions import Fraction
@@ -62,14 +63,12 @@ def _load_subbase(args, need_space=False):
 
 def cmd_build(args) -> int:
     M = _space_from_args(args)
-    params = BuilderParams(count=args.pairs, strong=args.strong,
-                           rng_seed=args.seed)
+    result = build(M, args.pairs, args.strong, args.seed)  # before the header
     _header(command="build", space=M.name, resolution=M.resolution,
             pairs=args.pairs, strong=args.strong, seed=args.seed)
-    result = build(M, params)
-    for line in result.log_lines().splitlines():
-        print(line)
-    print("# separation=%.6f" % result.separation)
+    for record in result.log:
+        print(json.dumps(record))
+    print("# separation=%.6f" % separation_fraction(result.table))
     data = files.subbase_to_json(result.subbase)
     files.save_subbase(args.out, data)
     print("# wrote %s" % args.out)
@@ -104,31 +103,22 @@ def cmd_kslice(args) -> int:
     return EXIT_PASS
 
 
-def _run_closure_check(args, strong: bool) -> int:
+def cmd_check(args) -> int:
     delta = files.parse_rational(args.delta)
     if args.space or args.space_file:  # a bad delta exits before the load
         checker_mod.check_delta(_resolution(args), delta)
     S, M = _load_subbase(args, need_space=True)
     check_depth(S, args.depth)  # before the header
     checker_mod.check_delta(M.resolution, delta)  # an embedded space's, too
-    _header(command="check-strong" if strong else "check-proper",
-            space=M.name, resolution=M.resolution, depth=args.depth,
-            delta=delta)
-    fn = checker_mod.check_strong_proper if strong else checker_mod.check_proper
+    _header(command=args.command, space=M.name, resolution=M.resolution,
+            depth=args.depth, delta=delta)
+    fn = checker_mod.check_strong_proper if args.strong else checker_mod.check_proper
     report = fn(S, M, args.depth, delta)
     print(report.to_text())
     if args.json:
         checker_mod.report_to_json_file(report, args.json)
         print("# wrote %s" % args.json)
     return EXIT_PASS if report.ok else EXIT_FAIL
-
-
-def cmd_check_proper(args) -> int:
-    return _run_closure_check(args, strong=False)
-
-
-def cmd_check_strong(args) -> int:
-    return _run_closure_check(args, strong=True)
 
 
 def cmd_check_cusl(args) -> int:
@@ -223,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         where.add_argument("--space", choices=("interval", "circle", "square",
                                                "torus"))
         where.add_argument("--space-file", help="finite space JSON file")
-        sp.add_argument("--resolution", type=Fraction,
+        sp.add_argument("--resolution", type=files.parse_rational,
                         help="grid step, e.g. 1/256 (the default)")
 
     sp = sub.add_parser("build", help="construct a subbase by randomized cuts")
@@ -248,15 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dot", help="output DOT file")
     sp.set_defaults(fn=cmd_kslice)
 
-    for name, fn in (("check-proper", cmd_check_proper),
-                     ("check-strong", cmd_check_strong)):
+    for name in ("check-proper", "check-strong"):
         sp = sub.add_parser(name)
         sp.add_argument("--subbase", required=True)
         add_space(sp)
         sp.add_argument("--depth", type=int, required=True)
         sp.add_argument("--delta", required=True, help="witness radius, e.g. 1/64")
         sp.add_argument("--json", help="machine-readable report file")
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=cmd_check, strong=name == "check-strong")
 
     sp = sub.add_parser("check-cusl")
     sp.add_argument("--subbase", required=True)

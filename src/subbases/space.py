@@ -314,6 +314,10 @@ def _grid(resolution: Fraction, half_open: bool = False) -> List[Fraction]:
     return [Fraction(k * p, q) for k in range(_grid_size(res, half_open))]
 
 
+# neighbour arrays are int32 and padded with the sample count
+_MAX_SAMPLES = 2 ** 31 - 1
+
+
 def _lattice_space(name: str, resolution: Fraction, dims: int,
                    wrap: bool) -> SpaceModel:
     """The grid of step `resolution` on [0, 1]^dims, or on [0, 1)^dims with
@@ -322,6 +326,10 @@ def _lattice_space(name: str, resolution: Fraction, dims: int,
     and cuts read the lattice's exact squared distances."""
     res = Fraction(resolution)
     size = _grid_size(res, half_open=wrap)
+    if size ** dims > _MAX_SAMPLES:
+        raise ValueError("the %s grid at resolution %s has %d samples, more "
+                         "than the %d an int32 neighbour array can index"
+                         % (name, res, size ** dims, _MAX_SAMPLES))
     lattice = Lattice((size,) * dims, (wrap,) * dims, res)
     metric = (lambda a, b: lattice.gaps(a, b)[0]) if dims == 1 else None
     return SpaceModel(name, None, metric, res, lattice=lattice)

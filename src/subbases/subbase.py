@@ -342,9 +342,6 @@ class CuslReport:
     tau: Optional[bytes] = None
     minimal_upper_bounds: Tuple[bytes, ...] = ()
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _clash_bits(k, width: int):
     """The key bits that clash with key k: at each position k defines, the

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from subbases.builder import BuilderParams, build
+from subbases.builder import build
 from subbases.checker import check_proper, check_strong_proper
 from subbases.seq import BD, DIGITS, ONE, ZERO, render
 from subbases.space import POINT_AT_INFINITY, builtin_space
@@ -100,15 +100,15 @@ def test_criterion_6_builder_soundness():
     assert len(M.sample_points) == 33 * 33
     delta = 2 * M.resolution
 
-    first = build(M, BuilderParams(count=12, strong=True, rng_seed=42))
+    first = build(M, 12, strong=True, seed=42)
     assert check_strong_proper(first.subbase, M, 3, delta).ok
-    again = build(M, BuilderParams(count=12, strong=True, rng_seed=42))
+    again = build(M, 12, strong=True, seed=42)
     assert [c.c for c in first.subbase.cuts] == \
         [c.c for c in again.subbase.cuts]
 
     passed = 0
     for seed in range(10):
-        res = build(M, BuilderParams(count=12, strong=True, rng_seed=seed))
+        res = build(M, 12, strong=True, seed=seed)
         if check_strong_proper(res.subbase, M, 3, delta).ok:
             passed += 1
     assert passed >= 8

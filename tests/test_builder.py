@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import subbases
 from subbases import builder
 from subbases.builder import (_EPS, _REGION_BLOCK, AVOID_MARGIN, MAX_RETRIES,
-                              REGION_SUPPORT, AvoidSet, BuilderParams, Centre,
+                              REGION_SUPPORT, AvoidSet, Centre,
                               Exhaustion, _extremal, _region_extrema, _steps,
                               base_interval, build, choose_cut, collect_avoid,
                               positive_rational, separation_fraction, unpair)
@@ -539,22 +539,21 @@ def test_build_reads_only_centre_and_dense_order_rows():
     M = builtin_space("square", Fraction(1, 64))
     assert len(M) == 4225
     calls = _count_rows(M)
-    build(M, BuilderParams(count=4, strong=True, rng_seed=0))
+    build(M, 4, strong=True, seed=0)
     assert 0 < len(set(calls)) <= 10
 
 
 def test_build_empty():
     M = builtin_space("interval", Fraction(1, 16))
-    res = build(M, BuilderParams(count=0))
+    res = build(M, 0)
     assert len(res.subbase) == 0
     assert check_proper(res.subbase, M, 0, Fraction(1, 4)).ok
 
 
 def test_build_deterministic():
     M = builtin_space("interval", Fraction(1, 32))
-    p = BuilderParams(count=6, rng_seed=11)
-    a = build(M, p)
-    b = build(builtin_space("interval", Fraction(1, 32)), p)
+    a = build(M, 6, seed=11)
+    b = build(builtin_space("interval", Fraction(1, 32)), 6, seed=11)
     assert [c.c for c in a.subbase.cuts] == [c.c for c in b.subbase.cuts]
     assert [c.center_index for c in a.subbase.cuts] == \
         [c.center_index for c in b.subbase.cuts]
@@ -562,22 +561,21 @@ def test_build_deterministic():
 
 def test_build_cut_in_interval_and_away_from_avoid():
     M = builtin_space("interval", Fraction(1, 32))
-    p = BuilderParams(count=6, rng_seed=3)
-    res = build(M, p)
+    res = build(M, 6, seed=3)
     for rec in res.log:
-        lo, hi = rec.interval
-        assert lo < rec.c < hi
+        lo, hi = map(Fraction, rec["interval"])
+        assert lo < Fraction(rec["c_n"]) < hi
 
 
 def test_build_interval_passes_checker():
     M = builtin_space("interval", Fraction(1, 32))
-    res = build(M, BuilderParams(count=8, strong=False, rng_seed=42))
+    res = build(M, 8, strong=False, seed=42)
     assert check_proper(res.subbase, M, 4, 2 * M.resolution).ok
 
 
 def test_build_square_strong_passes_checker():
     M = builtin_space("square", Fraction(1, 16))
-    res = build(M, BuilderParams(count=10, strong=True, rng_seed=7))
+    res = build(M, 10, strong=True, seed=7)
     assert check_strong_proper(res.subbase, M, 3, 2 * M.resolution).ok
 
 
@@ -601,8 +599,7 @@ def test_strong_build_avoid_families(monkeypatch, space, resolution, count,
         return avoid
 
     monkeypatch.setattr(builder, "collect_avoid", counting)
-    build(builtin_space(space, resolution),
-          BuilderParams(count=count, strong=True, rng_seed=seed))
+    build(builtin_space(space, resolution), count, strong=True, seed=seed)
     assert seen == families
 
 
@@ -615,8 +612,8 @@ def test_build_compares_each_centre_with_its_neighbours_once(monkeypatch, count,
     steps = builder._steps
     monkeypatch.setattr(builder, "_steps",
                         lambda f_vals, nbr: calls.append(1) or steps(f_vals, nbr))
-    res = build(builtin_space("square", Fraction(1, 32)),
-                BuilderParams(count=count, strong=True, rng_seed=42))
+    res = build(builtin_space("square", Fraction(1, 32)), count, strong=True,
+                seed=42)
     assert len(calls) == centres
     assert len({cut.center_index for cut in res.subbase.cuts}) == centres
 
@@ -636,23 +633,34 @@ def test_import_subbases_loads_no_module():
         assert out.strip() == repr(loaded)
 
 
+def test_build_without_a_lattice_or_matrix_classifies_point_by_point():
+    """The compactified model has neither a lattice nor an exact matrix,
+    so `DistanceSubbase.digit_row` classifies one sample at a time."""
+    M = compactified_space(Fraction(1, 16))
+    assert M.lattice is None and M.exact is None
+    res = build(M, 6, strong=True, seed=2)
+    digits = [[ZERO if d < cut.c else ONE if d > cut.c else BD
+               for d in (M.metric(M.point(cut.center_index), x)
+                         for x in M.sample_points)]
+              for cut in res.subbase.cuts]
+    assert np.array_equal(res.table, digits)
+
+
 def test_build_log_shape():
     M = builtin_space("interval", Fraction(1, 32))
-    res = build(M, BuilderParams(count=4, rng_seed=1))
-    lines = res.log_lines().splitlines()
-    assert len(lines) == 4
-    for n, line in enumerate(lines):
-        rec = json.loads(line)
+    res = build(M, 4, seed=1)
+    assert len(res.log) == 4
+    for n, rec in enumerate(res.log):
         assert rec["n"] == n
-        assert set(rec) == {"n", "n0", "interval", "avoid_count", "c_n",
-                            "retries"}
+        assert list(rec) == ["n", "n0", "interval", "avoid_count", "c_n",
+                             "retries"]
 
 
 def test_separation_grows_with_count():
     M = builtin_space("interval", Fraction(1, 32))
-    few = build(M, BuilderParams(count=2, rng_seed=0)).separation
-    many = build(builtin_space("interval", Fraction(1, 32)),
-                 BuilderParams(count=10, rng_seed=0)).separation
+    few = separation_fraction(build(M, 2, seed=0).table)
+    many = separation_fraction(build(builtin_space("interval", Fraction(1, 32)),
+                                     10, seed=0).table)
     assert many >= few
     assert many > 0.5
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from subbases import builder
+from subbases.builder import MAX_RETRIES, Exhaustion
 from subbases.cli import run
 from subbases.files import (load_subbase, parse_point, parse_rational,
                             save_subbase)
@@ -510,3 +512,87 @@ def test_encode_point_of_the_space_exits_0(built_files, capsys, space, point):
     assert run(["encode", "--subbase", built_files[space], "--point", point,
                 "--depth", "2"] + extra) == 0
     assert len(capsys.readouterr().out.splitlines()[-1]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["build", "--pairs", "1"],
+    ["encode", "--point", "1/2", "--depth", "1"],
+    ["kslice", "--depth", "1"],
+    ["check-proper", "--depth", "1", "--delta", "1/2"],
+    ["check-strong", "--depth", "1", "--delta", "1/2"],
+    ["check-cusl", "--depth", "1"],
+], ids=lambda command: command[0])
+def test_resolution_with_a_zero_denominator_exits_2(gray_file, tmp_path, capsys,
+                                                    command):
+    built = tmp_path / "built.json"
+    target = ["--out", str(built)] if command[0] == "build" else [
+        "--subbase", gray_file]
+    assert run(command + target + ["--space", "square",
+                                   "--resolution", "1/0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --resolution: invalid parse_rational value: '1/0'" in err
+    assert "Traceback" not in err
+    assert not built.exists()
+
+
+def test_exhausted_build_exits_2(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def crowded(interval, avoid, rng):
+        calls.append(interval)
+        raise Exhaustion("base interval %d is crowded" % len(calls))
+
+    monkeypatch.setattr(builder, "choose_cut", crowded)
+    built = tmp_path / "built.json"
+    assert run(["build", "--space", "interval", "--resolution", "1/8",
+                "--pairs", "1", "--out", str(built)]) == 2
+    # the first base interval and MAX_RETRIES more are tried, then refused
+    assert len(calls) == MAX_RETRIES + 1
+    assert capsys.readouterr() == (
+        "", "error: base interval %d is crowded\n" % (MAX_RETRIES + 1))
+    assert not built.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["encode", "--point", "1/2"], ["kslice"], ["check-strong", "--delta", "1/4"],
+], ids=lambda command: command[0])
+def test_grid_past_the_int32_neighbour_arrays_exits_2(gray_file, capsys,
+                                                      command):
+    assert run(command + ["--subbase", gray_file, "--space", "interval",
+                          "--resolution", "1e-30", "--depth", "2"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: the interval grid at resolution 1/%d has %d samples, more "
+        "than the 2147483647 an int32 neighbour array can index\n"
+        % (10 ** 30, 10 ** 30 + 1))
+
+
+BUILD_ON_FILE = ["build", "--space-file", "in.json", "--resolution", "1",
+                 "--pairs", "1", "--out", "out.json"]
+
+
+@pytest.mark.parametrize("body, argv, message", [
+    (None, ["build", "--space", "square", "--resolution", "2", "--pairs", "1",
+            "--out", "out.json"], "resolution must be in (0, 1]: 2"),
+    ({"points": [[0], [1]]}, BUILD_ON_FILE,
+     "space file must contain 'points' and 'metric'"),
+    ({"points": [[0], [1]], "metric": [[0, 1], [1, 0], [1, 1]]}, BUILD_ON_FILE,
+     "metric matrix must be 2x2"),
+    ({"points": [[0], [0]], "metric": [[0, 1], [1, 0]]}, BUILD_ON_FILE,
+     "duplicate points in space file"),
+    ({"kind": "distance", "cuts": [{"center_index": 0, "cut": "1/2"}]},
+     ["encode", "--subbase", "in.json", "--point", "1/2", "--depth", "1"],
+     "distance subbase needs a space (embedded or via --space)"),
+    (None, ["build", "--space", "square", "--resolution", "1/8", "--pairs",
+            "-1", "--out", "out.json"], "count must be non-negative"),
+], ids=["resolution-above-1", "no-metric", "metric-not-square",
+        "duplicate-points", "distance-without-space", "negative-pairs"])
+def test_refused_input_exits_2_with_one_error_line(tmp_path, capsys,
+                                                   monkeypatch, body, argv,
+                                                   message):
+    monkeypatch.chdir(tmp_path)
+    if body is not None:
+        (tmp_path / "in.json").write_text(json.dumps(body))
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+    assert not (tmp_path / "out.json").exists()

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from subbases.builder import BuilderParams, build
+from subbases.builder import build
 from subbases.files import load_subbase, save_subbase, subbase_to_json
 from subbases.seq import render
 from subbases.space import SpaceModel, builtin_space, load_finite_space
@@ -37,7 +37,7 @@ SPACES = (("interval", Fraction(1, 32)), ("circle", Fraction(1, 32)),
 def built(space: str, resolution: Fraction, seed: int, strong: bool):
     """A seeded 6-cut build and the saved file reloaded: (result, S, M)."""
     result = build(builtin_space(space, resolution),
-                   BuilderParams(count=6, strong=strong, rng_seed=seed))
+                   6, strong=strong, seed=seed)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "built.json")
         save_subbase(path, subbase_to_json(result.subbase))

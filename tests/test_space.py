@@ -134,6 +134,25 @@ def test_builtin_torus():
     assert M.distance_row(0)[-1] == math.hypot(0.25, 0.25)
 
 
+@pytest.mark.parametrize("name, q, samples", [
+    ("interval", 2 ** 31 - 2, 2 ** 31 - 1), ("interval", 2 ** 31 - 1, 2 ** 31),
+    ("circle", 2 ** 31 - 1, 2 ** 31 - 1), ("circle", 2 ** 31, 2 ** 31),
+    ("square", 46339, 46340 ** 2), ("square", 46340, 46341 ** 2),
+    ("torus", 46340, 46340 ** 2), ("torus", 46341, 46341 ** 2),
+])
+def test_lattice_sample_count_fits_the_int32_neighbour_arrays(name, q, samples):
+    """Neighbour arrays are int32 and padded with the sample count, so a
+    lattice holds at most 2^31 - 1 samples.  A lattice model allocates
+    nothing, so no array is made here."""
+    if samples < 2 ** 31:
+        assert len(builtin_space(name, Fraction(1, q))) == samples
+    else:
+        with pytest.raises(ValueError, match="^the %s grid at resolution 1/%d "
+                           "has %d samples, more than the 2147483647 "
+                           % (name, q, samples)):
+            builtin_space(name, Fraction(1, q))
+
+
 # name -> (dimensions, periodic)
 LATTICES = {"interval": (1, False), "circle": (1, True),
             "square": (2, False), "torus": (2, True)}
