@@ -101,15 +101,11 @@ def _fmt(v) -> str:
 
 
 def _point_text(p) -> str:
-    if isinstance(p, tuple):
-        return ",".join(str(c) for c in p)
-    return str(p)
+    return ",".join(map(str, p)) if isinstance(p, tuple) else str(p)
 
 
 def _point_json(p):
-    if isinstance(p, tuple):
-        return [str(c) for c in p]
-    return str(p)
+    return [str(c) for c in p] if isinstance(p, tuple) else str(p)
 
 
 def check_delta(resolution: Fraction, delta):

@@ -104,16 +104,15 @@ def cmd_kslice(args) -> int:
 
 
 def cmd_check(args) -> int:
-    delta = files.parse_rational(args.delta)
     if args.space or args.space_file:  # a bad delta exits before the load
-        checker_mod.check_delta(_resolution(args), delta)
+        checker_mod.check_delta(_resolution(args), args.delta)
     S, M = _load_subbase(args, need_space=True)
     check_depth(S, args.depth)  # before the header
-    checker_mod.check_delta(M.resolution, delta)  # an embedded space's, too
+    checker_mod.check_delta(M.resolution, args.delta)  # an embedded space's, too
     _header(command=args.command, space=M.name, resolution=M.resolution,
-            depth=args.depth, delta=delta)
+            depth=args.depth, delta=args.delta)
     fn = checker_mod.check_strong_proper if args.strong else checker_mod.check_proper
-    report = fn(S, M, args.depth, delta)
+    report = fn(S, M, args.depth, args.delta)
     print(report.to_text())
     if args.json:
         checker_mod.report_to_json_file(report, args.json)
@@ -208,12 +207,19 @@ def build_parser() -> argparse.ArgumentParser:
                                 "verify properness, build subbases.")
     sub = p.add_subparsers(dest="command", required=True)
 
+    def rational(text):
+        """`files.parse_rational`, whose message argparse prints as is."""
+        try:
+            return files.parse_rational(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
     def add_space(sp):
         where = sp.add_mutually_exclusive_group()
         where.add_argument("--space", choices=("interval", "circle", "square",
                                                "torus"))
         where.add_argument("--space-file", help="finite space JSON file")
-        sp.add_argument("--resolution", type=files.parse_rational,
+        sp.add_argument("--resolution", type=rational,
                         help="grid step, e.g. 1/256 (the default)")
 
     sp = sub.add_parser("build", help="construct a subbase by randomized cuts")
@@ -243,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--subbase", required=True)
         add_space(sp)
         sp.add_argument("--depth", type=int, required=True)
-        sp.add_argument("--delta", required=True, help="witness radius, e.g. 1/64")
+        sp.add_argument("--delta", type=rational, required=True,
+                        help="witness radius, e.g. 1/64")
         sp.add_argument("--json", help="machine-readable report file")
         sp.set_defaults(fn=cmd_check, strong=name == "check-strong")
 

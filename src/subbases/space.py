@@ -65,9 +65,9 @@ class Lattice:
 
     def neighbor_lists(self, radius: Fraction, rows: np.ndarray) -> np.ndarray:
         """The slot array of `SpaceModel.neighbor_lists` for distance <=
-        radius + 10^-9, from the offsets of at most radius q / p + 1 steps
-        per axis: slot k holds, for each of `rows`, the sample at the k-th
-        offset in reach if that pair is within the bound, else the pad.  A
+        radius, from the offsets of at most radius q / p + 1 steps per
+        axis: slot k holds, for each of `rows`, the sample at the k-th
+        offset in reach if that pair is within radius, else the pad.  A
         pair's distance depends only on its offset and on the periodic
         seams it crosses, so each offset is decided once per crossing
         pattern, in exact integers, and the rows are only indexed:
@@ -95,9 +95,9 @@ class Lattice:
 
         axes = [{d: squares(d, size, wrap) for d in span}
                 for span, size, wrap in zip(spans, self.shape, self.wrap)]
-        # g <= bound is g^2 <= (bound q)^2 in these units; a bound below 0
-        # has steps <= 0, so its only offset is (0, ..., 0), never kept
-        reach = ((radius + Fraction(1, 10 ** 9)) * q) ** 2
+        # g <= radius is g^2 <= (radius q)^2 in these units; a radius below
+        # 0 has steps <= 0, so its only offset is (0, ..., 0), never kept
+        reach = (radius * q) ** 2
         stencil = []
         for off in itertools.product(*spans):
             # each crossing pattern's verdict, index 1 on an axis crossed
@@ -200,17 +200,16 @@ class SpaceModel:
         array padded with len(self): each column lists one sample's
         neighbours, in no set order, and each slot row is contiguous.
 
-        Within is distance <= radius + 1e-9.  A lattice model decides each
+        Within is distance <= radius.  A lattice model decides each
         stencil offset once, exactly (`Lattice.neighbor_lists`), one slot
-        per offset in reach; other models scan one float distance row per
-        sample of `rows`, and slot k holds each sample's k-th neighbour.
-        Either way memory is linear in the number of rows."""
+        per offset in reach; other models compare one float distance row
+        per sample of `rows` with float(radius), and slot k holds each
+        sample's k-th neighbour.  Memory is linear in the number of rows."""
         n = len(self)
         rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
         if self.lattice is not None:
             return self.lattice.neighbor_lists(Fraction(radius), rows)
-        r = float(radius) + 1e-9
-        nbs = [np.flatnonzero(self.distance_row(i) <= r) for i in rows]
+        nbs = [np.flatnonzero(self.distance_row(i) <= float(radius)) for i in rows]
         nbs = [nb[nb != i] for i, nb in zip(rows, nbs)]
         out = np.full((max(map(len, nbs), default=0), len(rows)), n, dtype=np.int32)
         for k, nb in enumerate(nbs):
@@ -248,7 +247,8 @@ def validate_metric(d: Sequence[Sequence]) -> np.ndarray:
     screened in float64, a block of i at a time.  Every triple the screen
     cannot clear is rechecked on the matrix's own values, in
     lexicographic order, so the error names the first failing (i, j, k)
-    of a triple loop.
+    of a triple loop.  The slack stays: written as floats, 1, 2/3 and 5/3
+    fail the exact test, as 1.6666666666666667 > 1 + 0.6666666666666666.
     """
     n = len(d)
     for i in range(n):
@@ -310,8 +310,7 @@ def _grid_size(resolution: Fraction, half_open: bool = False) -> int:
 
 def _grid(resolution: Fraction, half_open: bool = False) -> List[Fraction]:
     res = Fraction(resolution)
-    p, q = res.numerator, res.denominator
-    return [Fraction(k * p, q) for k in range(_grid_size(res, half_open))]
+    return [k * res for k in range(_grid_size(res, half_open))]
 
 
 # neighbour arrays are int32 and padded with the sample count

@@ -137,8 +137,6 @@ class ReindexedSubbase(DyadicSubbase):
 
 def duplicated_subbase(S: DyadicSubbase, n: int) -> DyadicSubbase:
     """Append a second copy of pair n at the end of the enumeration."""
-    if not 0 <= n < len(S):
-        raise IndexError("pair index %d out of range" % n)
     return ReindexedSubbase(S, list(range(len(S))) + [n])
 
 

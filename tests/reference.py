@@ -243,12 +243,14 @@ def unpruned_neighbor_lists(M, steps: int, r: float,
     """The neighbours of `rows` on the built-in lattice model M in the
     layout of `per_sample` by the float rule: every offset of at most
     `steps` grid steps per axis, none skipped, one offset at a time, each
-    pair kept iff its float distance is at most r: |a - b| of the float
-    coordinates (the ring minimum on a periodic axis), and on two axes the
-    sqrt of the sum of their squares."""
+    pair kept iff its float distance is at most r: |a - b| of the
+    coordinates in units of 1/q for the step p/q, exact integers (the ring
+    minimum on a periodic axis), on two axes the sqrt of the sum of their
+    squares, divided by q.  Float coordinates k p / q would put a pair at
+    exactly r past it: 0.8 - 0.7 is 0.10000000000000009."""
     lattice = M.lattice
-    dims, wrap = len(lattice.shape), lattice.wrap[0]
-    coords = np.array([[float(c) for c in x]
+    dims, wrap, den = len(lattice.shape), lattice.wrap[0], lattice.q
+    coords = np.array([[float(c * den) for c in x]
                        for x in lattice_points(M.name, M.resolution)])
     if dims == 1:
         coords = coords[:, 0]
@@ -256,8 +258,8 @@ def unpruned_neighbor_lists(M, steps: int, r: float,
     def dist(a, b):
         d = np.abs(a - b)
         if wrap:  # the ring minimum
-            d = np.minimum(d, 1 - d)
-        return d if dims == 1 else np.sqrt((d ** 2).sum(axis=-1))
+            d = np.minimum(d, den - d)
+        return (d if dims == 1 else np.sqrt((d ** 2).sum(axis=-1))) / den
 
     n = len(coords)
     pos = np.unravel_index(rows, lattice.shape)
@@ -295,9 +297,9 @@ def exact_neighbor_lists(name: str, resolution: Fraction, radius: Fraction,
                          rows: np.ndarray) -> np.ndarray:
     """The neighbours of `rows` on a built-in lattice in the layout of
     `per_sample`, by the exact rule over every pair: sample j != i is a
-    neighbour of i iff the sum over axes of g^2 is at most
-    (radius + 10^-9)^2, g the gap of their coordinates k p / q as
-    Fractions, read round the ring on a periodic axis.  The sum is taken
+    neighbour of i iff the sum over axes of g^2 is at most radius^2 and
+    radius >= 0, g the gap of their coordinates k p / q as Fractions,
+    read round the ring on a periodic axis.  The sum is taken
     once per distinct tuple of axis gaps and looked up for each pair."""
     dims, wrap = _LATTICES[name]
     axis = _grid(resolution, wrap)
@@ -307,8 +309,7 @@ def exact_neighbor_lists(name: str, resolution: Fraction, radius: Fraction,
         gaps = [[min(g, 1 - g) for g in row] for row in gaps]
     values = sorted({g for row in gaps for g in row})
     which = np.array([[values.index(g) for g in row] for row in gaps])
-    bound = radius + Fraction(1, 10 ** 9)
-    within = np.array([bound >= 0 and sum(g * g for g in c) <= bound * bound
+    within = np.array([radius >= 0 and sum(g * g for g in c) <= radius * radius
                        for c in itertools.product(values, repeat=dims)]
                       ).reshape((len(values),) * dims)
     here = np.unravel_index(rows, (size,) * dims)

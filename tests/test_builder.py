@@ -139,7 +139,7 @@ def test_avoid_set_extend_shares_one_tag():
 def reference_neighbor_lists(M, radius):
     """The padded neighbour array from one full distance row per sample:
     the only path of models without a lattice."""
-    r = float(radius) + 1e-9
+    r = float(radius)
     n = len(M.sample_points)
     rows = [np.flatnonzero(M.distance_row(i) <= r) for i in range(n)]
     rows = [nb[nb != i] for i, nb in enumerate(rows)]

@@ -211,7 +211,7 @@ def reference_check(S, M, depth, delta, alphabet, kind, total=False):
             nearest = None
             if open_mask.any():
                 nearest = float(M.distance_row(int(i))[open_mask].min())
-                if nearest <= float(delta) + 1e-9:
+                if nearest <= float(delta):
                     continue
             far.append((int(i), nearest))
         failing.update(i for i, _ in far)

@@ -531,9 +531,22 @@ def test_resolution_with_a_zero_denominator_exits_2(gray_file, tmp_path, capsys,
                                    "--resolution", "1/0"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "argument --resolution: invalid parse_rational value: '1/0'" in err
+    assert "argument --resolution: cannot parse rational '1/0'" in err
     assert "Traceback" not in err
     assert not built.exists()
+
+
+@pytest.mark.parametrize("option", ["--resolution", "--delta"])
+def test_rational_option_errors_name_what_they_parse(gray_file, capsys, option):
+    """The error names the option and quotes parse_rational's message,
+    not the name of the function argparse calls."""
+    argv = ["check-proper", "--subbase", gray_file, "--space", "interval",
+            "--depth", "1", "--delta", "1/2", option, "abc"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument %s: cannot parse rational 'abc'" % option in err
+    assert "parse_rational" not in err and "Traceback" not in err
 
 
 def test_exhausted_build_exits_2(tmp_path, capsys, monkeypatch):

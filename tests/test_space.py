@@ -14,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from subbases.files import space_digest
 from subbases.seq import BD, ONE, ZERO, render
 from subbases.space import (MetricError, POINT_AT_INFINITY, _grid,
-                            builtin_space, load_finite_space, validate_metric)
+                            builtin_space, compactified_space,
+                            load_finite_space, validate_metric)
 from subbases.subbase import (GraySubbase, compactified_example,
                               duplicated_subbase, gray_digit, phi)
 
@@ -285,6 +286,10 @@ def test_lattice_points_match_the_product_construction(name, res):
 @example("circle", Fraction(2, 5), 1, 2, None)
 @example("torus", Fraction(2, 5), 1, 2, None)
 @example("torus", Fraction(2, 5), 3, 4, None)
+# at step 1/10, pairs exactly 1/10 apart whose float coordinates differ
+# by more or less than 0.1
+@example("interval", Fraction(1, 10), 1, 1, None)
+@example("square", Fraction(1, 10), 1, 1, None)
 def test_neighbor_lists_skip_only_offsets_out_of_reach(name, res, a, b, rows):
     """Skipping the offsets whose nearest pair lies beyond the radius
     leaves the neighbour array as testing every offset makes it, and as
@@ -297,7 +302,7 @@ def test_neighbor_lists_skip_only_offsets_out_of_reach(name, res, a, b, rows):
             else np.array(sorted({i % len(M) for i in rows}), dtype=np.intp))
     got = per_sample(M.neighbor_lists(radius, rows), len(M))
     want = unpruned_neighbor_lists(M, math.floor(radius / res) + 1,
-                                   float(radius) + 1e-9, rows)
+                                   float(radius), rows)
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert np.array_equal(got, want)
     exact = exact_neighbor_lists(name, res, radius, rows)
@@ -352,9 +357,57 @@ def test_square_neighbor_lists_memory_at_the_default_resolution():
     assert nbr.shape == (12, 66049)
 
 
-@pytest.mark.parametrize("name", sorted(LATTICES))
-def test_a_negative_radius_gives_no_neighbour(name):
-    M = builtin_space(name, Fraction(1, 8))
+def _neighbours(M, i, radius):
+    row = per_sample(M.neighbor_lists(radius, rows=[i]), len(M))[0]
+    return row[row < len(M)].tolist()
+
+
+# (model, sample, its pair, their distance): pairs at 1/10 whose float
+# coordinates differ by more (0.8 - 0.7 is 0.10000000000000009), a 3-4-5
+# pair, pairs across one and both seams of the torus, and a pair of an
+# integer finite file
+_EXACT_PAIRS = [
+    ("interval", (7,), (8,), Fraction(1, 10)),
+    ("square", (7, 2), (8, 2), Fraction(1, 10)),
+    ("square", (1, 1), (4, 5), Fraction(1, 2)),
+    ("circle", (0,), (9,), Fraction(1, 10)),
+    ("torus", (0, 3), (9, 3), Fraction(1, 10)),
+    ("torus", (0, 0), (7, 6), Fraction(1, 2)),
+    ("finite", (0,), (2,), Fraction(3)),
+]
+
+
+@pytest.mark.parametrize("name, here, there, d", _EXACT_PAIRS, ids=[
+    "interval", "square-axis", "square-3-4-5", "circle-seam", "torus-seam",
+    "torus-both-seams", "finite"])
+def test_within_radius_is_distance_at_most_radius(tmp_path, name, here,
+                                                   there, d):
+    """A pair at distance exactly radius is a neighbour, and a pair at
+    radius + 10^-12 is not: the lattices at step 1/10, the finite space on
+    the points 0, 1 and 3 of the line."""
+    if name == "finite":
+        M = load_finite_space(_write_space(tmp_path / "s.json", [
+            [abs(a - b) for b in (0, 1, 3)] for a in (0, 1, 3)]))
+        i, j = here[0], there[0]
+    else:
+        M = builtin_space(name, Fraction(1, 10))
+        i, j = (int(np.ravel_multi_index(k, M.lattice.shape))
+                for k in (here, there))
+    for a, b in ((i, j), (j, i)):
+        assert b in _neighbours(M, a, d)
+        assert b not in _neighbours(M, a, d - Fraction(1, 10 ** 12))
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES) + ["finite", "compactified"])
+def test_a_negative_radius_gives_no_neighbour(tmp_path, name):
+    if name == "finite":
+        M = load_finite_space(_write_space(tmp_path / "s.json", [
+            [abs(a - b) for b in range(4)] for a in range(4)]),
+            Fraction(1, 8))
+    elif name == "compactified":
+        M = compactified_space(Fraction(1, 8))
+    else:
+        M = builtin_space(name, Fraction(1, 8))
     for radius in (Fraction(-1, 10 ** 12), Fraction(-1, 10 ** 9),
                    -M.resolution, -2 * M.resolution, Fraction(-3)):
         assert M.neighbor_lists(radius).shape == (0, len(M))
@@ -543,6 +596,10 @@ def metric_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(metric_matrices())
+# a rational metric written as decimal floats: 1 + 0.6666666666666666 is
+# 10^-16 short of 1.6666666666666667, within the slack
+@example([[0, 1, 0.6666666666666666], [1, 0, 1.6666666666666667],
+          [0.6666666666666666, 1.6666666666666667, 0]])
 def test_validate_metric_matches_the_triple_loop(mat):
     points = [(Fraction(i),) for i in range(len(mat))]
 
