@@ -6,8 +6,16 @@ configuration errors.
 
 from __future__ import annotations
 
-# package modules first, then the standard library: without a bytecode
-# cache, importing argparse first raised a CLI's peak RSS by 0.1-0.3 MB
+# one BLAS thread, set before `.space` imports numpy: the package makes
+# no BLAS call (`np.add.outer` is a ufunc), so OpenBLAS's worker thread
+# only costs CPU.  The command line sets it, not the library, and a value
+# already in the environment wins.  `os` is loaded at start-up anyway.
+import os
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+# the package modules next, then the rest of the standard library:
+# without a bytecode cache, importing argparse first raised a CLI's peak
+# RSS by 0.1-0.3 MB
 from .seq import render
 from .space import POINT_AT_INFINITY, SpaceModel, builtin_space
 from .subbase import (GraySubbase, check_depth, compactified_example,

@@ -14,7 +14,7 @@ representation the keys replaced: a set of `BottomedSeq`s, sorted by
 layout that the slot rows replaced, and `per_sample` reads slot rows in
 that layout: one tests every offset by a float distance per pair, from
 float coordinates of its own, the other every pair by exact rational
-gaps.
+gaps.  `count_rows` records which distance rows a space model reads.
 """
 
 import functools
@@ -328,6 +328,15 @@ def per_sample(slots: np.ndarray, n: int) -> np.ndarray:
     every index, so it sorts last."""
     rows = np.sort(slots.T.astype(np.intp), axis=1)
     return rows[:, :int((rows < n).sum(axis=1).max(initial=0))]
+
+
+def count_rows(M) -> List[int]:
+    """Record the sample index of every `distance_row` call on M from now
+    on, in a list that the caller reads."""
+    calls = []
+    row = M.distance_row
+    M.distance_row = lambda i: calls.append(i) or row(i)
+    return calls
 
 
 def enumerate_sequences(depth: int, alphabet=DIGITS) -> Iterator[BottomedSeq]:

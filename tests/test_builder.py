@@ -26,7 +26,8 @@ from subbases.seq import BD, BINARY_DIGITS, ONE, ZERO
 from subbases.space import SpaceModel, builtin_space, compactified_space
 from subbases.subbase import DistanceCut, DistanceSubbase
 
-from reference import BottomedSeq, pattern_masks, per_sample, table_codes
+from reference import (BottomedSeq, count_rows, pattern_masks, per_sample,
+                       table_codes)
 
 
 def test_unpair_convention():
@@ -452,7 +453,7 @@ def test_interaction_test_gathers_no_samples_x_slots_floats():
 
 def test_neighbor_lists_padded_and_uncached():
     M = builtin_space("square", Fraction(1, 4))
-    calls = _count_rows(M)
+    calls = count_rows(M)
     nbr = M.neighbor_lists(2 * M.resolution)
     assert nbr.dtype == np.int32 and nbr.shape == (12, 25)
     assert calls == []
@@ -494,18 +495,11 @@ def test_lattice_neighbor_lists_match_the_row_scan(name, res, steps, stride):
         assert np.array_equal(got[got < len(M)], full[i][full[i] < len(M)])
 
 
-def _count_rows(M):
-    calls = []
-    row = M.distance_row
-    M.distance_row = lambda i: calls.append(i) or row(i)
-    return calls
-
-
 def test_lattice_neighbor_lists_read_no_distance_row():
     """The stencil decides reach from its offsets alone: it computes no
     distance row and no row of exact squares."""
     M = builtin_space("square", Fraction(1, 128))
-    calls = _count_rows(M)
+    calls = count_rows(M)
 
     def fail(*args):
         pytest.fail("the stencil computed a row of squares")
@@ -525,7 +519,7 @@ def test_models_without_a_lattice_keep_the_row_scan(tmp_path):
     for M, radius in ((finite, Fraction(2)), (compactified, Fraction(1, 8)),
                       (_finite_space([(0, 0), (1, 2), (3, 1)], 1), Fraction(3))):
         assert M.lattice is None
-        calls = _count_rows(M)
+        calls = count_rows(M)
         nbr = M.neighbor_lists(radius)
         assert sorted(calls) == list(range(len(M)))
         _assert_same_array(per_sample(nbr, len(M)),
@@ -538,7 +532,7 @@ def test_models_without_a_lattice_keep_the_row_scan(tmp_path):
 def test_build_reads_only_centre_and_dense_order_rows():
     M = builtin_space("square", Fraction(1, 64))
     assert len(M) == 4225
-    calls = _count_rows(M)
+    calls = count_rows(M)
     build(M, 4, strong=True, seed=0)
     assert 0 < len(set(calls)) <= 10
 

@@ -17,7 +17,7 @@ from subbases.subbase import (DistanceCut, DistanceSubbase, DyadicSubbase,
                               GraySubbase, ReindexedSubbase,
                               compactified_example, duplicated_subbase)
 
-from reference import (dom, enumerate_sequences, lattice_points,
+from reference import (count_rows, dom, enumerate_sequences, lattice_points,
                        member_closed, member_open, parse, permute,
                        seq_code)
 
@@ -120,27 +120,20 @@ def test_strong_pass_implies_proper_pass(gray, grid256):
     assert proper.ok
 
 
-def _count_rows(M):
-    calls = []
-    row = M.distance_row
-    M.distance_row = lambda i: calls.append(i) or row(i)
-    return calls
-
-
 def test_checks_read_distance_rows_only_for_violations():
     M = builtin_space("interval", Fraction(1, 4096))
-    calls = _count_rows(M)
+    calls = count_rows(M)
     assert check_strong_proper(GraySubbase(9), M, 9, Fraction(1, 512)).ok
     assert calls == []
     # the duplication demo: every violation has an empty open set
     M = builtin_space("interval", Fraction(1, 256))
-    calls = _count_rows(M)
+    calls = count_rows(M)
     report = check_proper(duplicated_subbase(GraySubbase(4), 0), M, 5,
                           Fraction(1, 64))
     assert len(report.violations) == 2 and calls == []
     # a boundary sample 12 steps from the open set of digit 0
     M = builtin_space("interval", Fraction(1, 16))
-    calls = _count_rows(M)
+    calls = count_rows(M)
     report = check_proper(TableSubbase(M, [[0] * 3 + [1] * 11 + [2, 1, 1]]),
                           M, 1, Fraction(1, 8))
     assert [(v.point, v.nearest) for v in report.violations] == [

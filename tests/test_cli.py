@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import subbases
 from subbases import builder
 from subbases.builder import MAX_RETRIES, Exhaustion
 from subbases.cli import run
@@ -609,3 +614,25 @@ def test_refused_input_exits_2_with_one_error_line(tmp_path, capsys,
     assert run(argv) == 2
     assert capsys.readouterr() == ("", "error: %s\n" % message)
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                    or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc/self/task and two CPUs")
+@pytest.mark.parametrize("env, expected", [({}, "1 1"),
+                                           ({"OPENBLAS_NUM_THREADS": "2"}, "2 2")])
+def test_cli_process_starts_one_blas_thread(env, expected):
+    """A `subbase` process runs no OpenBLAS worker beside its main thread;
+    a thread count the user set wins, with its worker.  The child gets no
+    thread count from this process, which set one when it imported the
+    CLI."""
+    src = str(Path(subbases.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                         "OMP_NUM_THREADS")}
+    code = ("import os, subbases.cli; print(len(os.listdir('/proc/self/task')), "
+            "os.environ['OPENBLAS_NUM_THREADS'])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(base, PYTHONPATH=src, **env)).stdout
+    assert out.strip() == expected
