@@ -12,7 +12,8 @@ region: whether a sample lies in a region depends only on its code
 class under the earlier cuts, so a family is a regions x classes
 membership matrix, and one bit-packed pass over the neighbour array
 decides, for a block of regions at once, which samples are local
-extrema of f_n in which region.
+extrema of f_n in which region.  The strong interaction test with an
+earlier cut reads that cut's record only near its level set.
 """
 
 from __future__ import annotations
@@ -93,56 +94,45 @@ class AvoidSet:
         return len(self.values)
 
 
-def _pack_slots(nbr: np.ndarray, test) -> np.ndarray:
-    """Slots x samples bits, bit (slot, i) = test(nbr[slot])[i], packed as
-    by `np.packbits(bits, axis=0, bitorder="little")`, one contiguous slot
-    row of `nbr` at a time: a samples x slots gather adds about 10 MB to a
-    call's peak allocation on the 1/256 square (12 slots x 66,049 samples)."""
-    bits = np.zeros((-(-nbr.shape[0] // 8), nbr.shape[1]), dtype=np.uint8)
-    for slot, col in enumerate(nbr):
-        byte = bits[slot // 8]
-        np.bitwise_or(byte, np.uint8(1 << slot % 8), out=byte, where=test(col))
-    return bits
-
-
-def _steps(f_vals: np.ndarray, nbr: np.ndarray):
-    """`_pack_slots` bits: whether the neighbour in a slot lies above the
-    sample by more than the slack (`up`), and whether below it (`down`).
-    A sample is maximal (within slack) among a selection of its neighbours
-    iff none is `up`, minimal iff none is `down`, both if none is selected:
-    rounding is monotone, so v >= fl(max f - eps) iff v >= fl(f - eps)."""
-    f_pad = np.append(f_vals, 0.0)
-    return (_pack_slots(nbr, lambda col: f_vals < f_pad[col] - _EPS),
-            _pack_slots(nbr, lambda col: f_vals > f_pad[col] + _EPS))
-
-
-def _extremal(up: np.ndarray, down: np.ndarray, selected: np.ndarray) -> np.ndarray:
-    """Local extrema among the `selected` neighbours: the samples without
-    one above them and one below them.  All three are packed slot bits."""
-    return ~((up & selected).any(axis=0) & (down & selected).any(axis=0))
-
-
 class Centre(NamedTuple):
-    """A cut centre's distance row and its `_steps`, made once per build."""
+    """A cut centre's distance row and neighbour steps, made by `_centre`."""
 
     row: np.ndarray
     up: np.ndarray
     down: np.ndarray
 
 
+def _centre(row: np.ndarray, nbr: np.ndarray) -> Centre:
+    """The record of the centre with distance row `row`, made once per
+    build: bit (slot, i) of `up` (`down`) says the neighbour in that slot
+    of sample i lies above (below) it by more than the slack, packed as by
+    `np.packbits(bits, axis=0, bitorder="little")` one slot row of `nbr`
+    at a time; a samples x slots gather adds about 10 MB to the peak on
+    the 1/256 square.  A sample is maximal (within slack) among selected
+    neighbours iff none is `up`, minimal iff none is `down`: rounding is
+    monotone, so v >= fl(max f - eps) iff v >= fl(f - eps)."""
+    f_pad = np.append(row, 0.0)
+    up = np.zeros((-(-nbr.shape[0] // 8), nbr.shape[1]), dtype=np.uint8)
+    down = np.zeros_like(up)
+    for slot, col in enumerate(nbr):
+        byte, bit, nb = slot // 8, np.uint8(1 << slot % 8), f_pad[col]
+        np.bitwise_or(up[byte], bit, out=up[byte], where=row < nb - _EPS)
+        np.bitwise_or(down[byte], bit, out=down[byte], where=row > nb + _EPS)
+    return Centre(row, up, down)
+
+
 def _region_extrema(member: np.ndarray, inverse: np.ndarray, nbr: np.ndarray,
-                    up: np.ndarray, down: np.ndarray):
+                    cut: Centre):
     """The samples that are local extrema of f in each of a block of
     regions, as (region, sample) index pairs, region-major.
 
     `member` is regions x code classes and `inverse` gives each sample's
-    class; `up` and `down` are `_steps` of f.  The regions are packed into
+    class; `cut` is the record of f.  The regions are packed into
     64-bit words, one row per class and a zero row for the pad of `nbr`.
     Over the slot rows of `nbr` the neighbours' words are OR-ed into `above`
     where the neighbour lies above the sample and into `below` where it
     lies below.  A sample of a region is a local extremum there unless
     the region holds a neighbour of each kind; isolated samples count.
-    This is the rule of `_extremal` with the region's neighbours selected.
     """
     regions, classes = member.shape
     packed = np.zeros((classes + 1, 8 * -(-regions // 64)), dtype=np.uint8)
@@ -153,8 +143,8 @@ def _region_extrema(member: np.ndarray, inverse: np.ndarray, nbr: np.ndarray,
     below = np.zeros_like(above)
     for slot, col in enumerate(nbr):  # each slot's bits as it is reached
         nb, byte, bit = words[col], slot // 8, np.uint8(1 << slot % 8)
-        np.bitwise_or(above, nb, out=above, where=(up[byte] & bit)[:, None] > 0)
-        np.bitwise_or(below, nb, out=below, where=(down[byte] & bit)[:, None] > 0)
+        np.bitwise_or(above, nb, out=above, where=(cut.up[byte] & bit)[:, None] > 0)
+        np.bitwise_or(below, nb, out=below, where=(cut.down[byte] & bit)[:, None] > 0)
     extremal = words[:-1] & ~(above & below)
     samples = np.flatnonzero(extremal.any(axis=1))
     bits = np.unpackbits(extremal[samples].view(np.uint8), axis=1,
@@ -172,11 +162,10 @@ def _pattern_index(n: int, digits: Sequence[int]) -> np.ndarray:
     for size in range(REGION_SUPPORT + 1):
         ks = list(itertools.combinations(range(n), size))
         ds = list(itertools.product(digits, repeat=size))
-        rows = (3 * np.array(ks, dtype=np.intp).reshape(len(ks), 1, size)
-                + np.array(ds, dtype=np.intp).reshape(1, len(ds), size))
-        blocks.append(np.pad(rows.reshape(len(ks) * len(ds), size),
-                             ((0, 0), (0, REGION_SUPPORT - size)),
-                             constant_values=3 * n))
+        block = np.full((len(ks), len(ds), REGION_SUPPORT), 3 * n, dtype=np.intp)
+        block[..., :size] = (3 * np.array(ks, dtype=np.intp).reshape(len(ks), 1, size)
+                             + np.array(ds, dtype=np.intp))
+        blocks.append(block.reshape(-1, REGION_SUPPORT))
     return np.concatenate(blocks)
 
 
@@ -196,7 +185,7 @@ def collect_avoid(table: np.ndarray, cut: Centre, nbr: np.ndarray, band,
     one letter table, where row 3k + d is the closed set of digit d at
     position k and row 3n holds every class.  Each region family is one
     index of such rows, built and searched _REGION_BLOCK regions at a
-    time by `_region_extrema` on the centre's `_steps`.  Each value is
+    time by `_region_extrema` on the centre's record.  Each value is
     tagged with its family: closed, code, boundary or interaction.
     """
     avoid = AvoidSet()
@@ -219,7 +208,7 @@ def collect_avoid(table: np.ndarray, cut: Centre, nbr: np.ndarray, band,
             for column in rows.T:
                 block &= letters[column]
             if block.any():
-                _, sample = _region_extrema(block, inverse, nbr, cut.up, cut.down)
+                _, sample = _region_extrema(block, inverse, nbr, cut)
                 avoid.extend(f_vals[sample], kind)
 
     closed_sets("closed", _pattern_index(n, BINARY_DIGITS))
@@ -235,16 +224,21 @@ def collect_avoid(table: np.ndarray, cut: Centre, nbr: np.ndarray, band,
         # sampled boundary regions S(tau), tau over {bd, bot} and not
         # empty; the closed and the open set of tau coincide
         closed_sets("boundary", _pattern_index(n, (BD,))[1:])
-        # earlier cut values with a sampled critical interaction:
-        # x extremal for f_k among neighbors on its own f_n level band
+        # earlier cut values with a sampled critical interaction: the
+        # candidates x, f_k(x) within band of c_k, with neighbours on their
+        # own f_n level band (the pad is off it) and extremal for f_k among
+        # them.  Gaps in place: with the avoid set full they set the peak
         band = float(band)
         f_inf = np.append(f_vals, np.inf)
-        level = _pack_slots(nbr, lambda col: np.abs(f_inf[col] - f_vals) <= band)
-        on_level = level.any(axis=0)
         for c_k, g in earlier:
-            hit = (on_level & (np.abs(g.row - c_k) <= band)
-                   & _extremal(g.up, g.down, level))
-            avoid.extend(f_vals[hit], "interaction")
+            x = np.flatnonzero(np.abs(g.row - c_k) <= band)
+            gap = f_inf.take(nbr.take(x, axis=1))
+            gap -= f_vals[x]
+            level = np.packbits(np.abs(gap, out=gap) <= band, axis=0,
+                                bitorder="little")
+            up, down = g.up.take(x, axis=1) & level, g.down.take(x, axis=1) & level
+            hit = level.any(axis=0) & ~(up.any(axis=0) & down.any(axis=0))
+            avoid.extend(f_vals[x[hit]], "interaction")
     return avoid
 
 
@@ -309,8 +303,7 @@ def build(M: SpaceModel, count: int, strong: bool = False,
         n0, n1 = unpair(n)
         center_index = M.dense_index(n0)
         if center_index not in centres:
-            row = M.distance_row(center_index)
-            centres[center_index] = Centre(row, *_steps(row, nbr))
+            centres[center_index] = _centre(M.distance_row(center_index), nbr)
         cut = centres[center_index]
         avoid = collect_avoid(table[:n], cut, nbr, band, strong, earlier)
         for retries in itertools.count():

@@ -17,9 +17,9 @@ from hypothesis import example, given, settings, strategies as st
 import subbases
 from subbases import builder
 from subbases.builder import (_EPS, _REGION_BLOCK, AVOID_MARGIN, MAX_RETRIES,
-                              REGION_SUPPORT, AvoidSet, Centre,
-                              Exhaustion, _extremal, _region_extrema, _steps,
-                              base_interval, build, choose_cut, collect_avoid,
+                              REGION_SUPPORT, AvoidSet, Exhaustion, _centre,
+                              _region_extrema, base_interval, build,
+                              choose_cut, collect_avoid,
                               positive_rational, separation_fraction, unpair)
 from subbases.checker import check_proper, check_strong_proper
 from subbases.seq import BD, BINARY_DIGITS, ONE, ZERO
@@ -54,11 +54,6 @@ def test_base_intervals_positive():
     for m in range(100):
         lo, hi = base_interval(m)
         assert 0 <= lo < hi
-
-
-def _centre(row, nbr):
-    """A build's record of the centre whose distance row is `row`."""
-    return Centre(row, *_steps(row, nbr))
 
 
 def test_candidate_distance_function():
@@ -98,6 +93,11 @@ def test_choose_cut_empty_avoid_first_draw():
     c2_rng = random.Random(5)
     c2 = choose_cut((Fraction(0), Fraction(1)), AvoidSet(), c2_rng)
     assert c1 == c2
+
+
+def test_choose_cut_refuses_an_empty_interval():
+    with pytest.raises(Exhaustion, match="empty interval"):
+        choose_cut((Fraction(1), Fraction(1)), AvoidSet(), random.Random(0))
 
 
 def test_choose_cut_exhaustion():
@@ -260,7 +260,7 @@ def avoid_cases(draw):
 
 def _extrema_by_region(f_vals, member, inverse, nbr):
     """`_region_extrema` of f as one list of values per region."""
-    region, sample = _region_extrema(member, inverse, nbr, *_steps(f_vals, nbr))
+    region, sample = _region_extrema(member, inverse, nbr, _centre(f_vals, nbr))
     assert (np.diff(region) >= 0).all()
     return [f_vals[sample[region == r]].tolist() for r in range(len(member))]
 
@@ -350,53 +350,91 @@ def test_collect_avoid_interaction_hits(M, f_centre, g_centre, c, hit):
     assert collections.Counter(avoid.values) == collections.Counter(reference)
 
 
+def _interaction_hits(f_vals, g_vals, nbr, band, c):
+    """The samples whose f value `collect_avoid` adds as an interaction of
+    f with the earlier cut g = c (f's values distinct), checked against the
+    boolean slot rule and against a masked max and min over the gathered
+    slots x samples values of g."""
+    samples = len(f_vals)
+    table = np.zeros((0, samples), dtype=np.int8)
+    avoid = collect_avoid(table, _centre(f_vals, nbr), nbr, band, True,
+                          [(c, _centre(g_vals, nbr))])
+    got = [v for v, tag in avoid.values if tag == "interaction"]
+    real = nbr < samples  # the pad is no neighbour
+    level = real & (np.abs(np.append(f_vals, 0.0)[nbr] - f_vals) <= band)
+    g_nb = np.append(g_vals, 0.0)[nbr]
+    up, down = level & (g_vals < g_nb - _EPS), level & (g_vals > g_nb + _EPS)
+    near = (np.abs(g_vals - c) <= band) & level.any(axis=0)
+    rule = near & ~(up.any(axis=0) & down.any(axis=0))
+    hi = g_nb.max(axis=0, where=level, initial=-np.inf)
+    lo = g_nb.min(axis=0, where=level, initial=np.inf)
+    assert np.array_equal(rule, near & ((g_vals >= hi - _EPS) | (g_vals <= lo + _EPS)))
+    assert got == f_vals[rule].tolist()
+    return np.flatnonzero(rule).tolist()
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 30), st.integers(0, 6), st.data())
 def test_extremal_matches_the_gathered_reduction(samples, width, data):
-    """The extremum rule on `_steps` (no selected neighbour above, or none
-    below) against one masked max and min over the gathered samples x
-    slots values, on random padded neighbour arrays (width 0 included)
-    and masks, with ties to the slack."""
-    v = np.array(data.draw(st.lists(st.integers(0, 4), min_size=samples,
-                                    max_size=samples)), dtype=float) / 4
-    v += data.draw(st.sampled_from((0.0, _EPS / 2)))
+    """The interaction test's extremum rule (no level-band neighbour
+    above, or none below) against one masked max and min over the
+    gathered slots x samples values, on random padded neighbour arrays
+    (width 0 included), level bands and values tied to the slack."""
     nbr = np.array(data.draw(st.lists(
-        st.lists(st.integers(0, samples), min_size=width, max_size=width),
-        min_size=samples, max_size=samples)), dtype=np.intp).reshape(samples, width)
-    mask = np.array(data.draw(st.lists(
-        st.lists(st.booleans(), min_size=width, max_size=width),
-        min_size=samples, max_size=samples)), dtype=bool).reshape(samples, width)
-    mask &= nbr < samples  # the pad is never selected
-    gathered = np.append(v, 0.0)[nbr]
-    hi = gathered.max(axis=1, where=mask, initial=-np.inf)
-    lo = gathered.min(axis=1, where=mask, initial=np.inf)
-    reference = (v >= hi - _EPS) | (v <= lo + _EPS)
-    level = np.packbits(mask.T, axis=0, bitorder="little")
-    assert np.array_equal(_extremal(*_steps(v, nbr.T), level), reference)
+        st.lists(st.integers(0, samples), min_size=samples, max_size=samples),
+        min_size=width, max_size=width)), dtype=np.int32).reshape(width, samples)
+    f_vals = (np.array(data.draw(st.lists(st.integers(0, 4), min_size=samples,
+                                          max_size=samples))) / 4
+              + np.arange(samples) * 1e-6)
+    g_vals = (np.array(data.draw(st.lists(st.integers(0, 4), min_size=samples,
+                                          max_size=samples))) / 4
+              + data.draw(st.sampled_from((0.0, _EPS / 2))))
+    _interaction_hits(f_vals, g_vals, nbr,
+                      data.draw(st.sampled_from((0.0, 0.25, 0.5, 1.0))),
+                      data.draw(st.sampled_from((0.0, 0.5, 1.0, 10.0))))
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 20), st.integers(1, 12), st.data())
 def test_packed_extremal_matches_the_boolean_rule(slots, samples, data):
-    """`_extremal` on packed slot bits against the rule on slots x samples
-    booleans, and `_steps` against np.packbits of its boolean slot rows,
-    on 0 to 20 slots: across the byte boundaries at 8 and 16."""
-    def draw(elements):
-        return np.array(data.draw(st.lists(elements, min_size=slots * samples,
-                                           max_size=slots * samples))
-                        ).reshape(slots, samples)
+    """`_centre`'s packed steps against np.packbits of the boolean slot
+    rows, and the interaction test on them against the rule on slots x
+    samples booleans, on 0 to 20 slots (across the byte boundaries at 8
+    and 16) of random neighbours with the pad, values tied within or at
+    the slack, isolated samples and empty candidate sets."""
+    def draw(elements, shape):
+        return np.array(data.draw(st.lists(elements, min_size=int(np.prod(shape)),
+                                           max_size=int(np.prod(shape))))
+                        ).reshape(shape)
 
-    up, down, level = (draw(st.booleans()).astype(bool) for _ in range(3))
-    rule = ~((up & level).any(0) & (down & level).any(0))
+    nbr = draw(st.integers(0, samples), (slots, samples)).astype(np.int32)
+    f_vals = draw(st.integers(0, 4), samples) / 4 + np.arange(samples) * 1e-6
+    g_vals = (draw(st.integers(0, 4), samples) / 4
+              + draw(st.sampled_from((0.0, _EPS / 2, _EPS)), samples))
+    cut = _centre(g_vals, nbr)
+    g_nb = np.append(g_vals, 0.0)[nbr]
     pack = functools.partial(np.packbits, axis=0, bitorder="little")
-    assert np.array_equal(_extremal(pack(up), pack(down), pack(level)), rule)
-    f_vals = np.array(data.draw(st.lists(st.integers(0, 3), min_size=samples,
-                                         max_size=samples)), dtype=float)
-    nbr = draw(st.integers(0, samples)).astype(np.int32)  # pad: samples
-    nb_vals = np.append(f_vals, 0.0)[nbr]
-    got_up, got_down = _steps(f_vals, nbr)
-    assert np.array_equal(got_up, pack(f_vals < nb_vals - _EPS))
-    assert np.array_equal(got_down, pack(f_vals > nb_vals + _EPS))
+    assert cut.row is g_vals
+    assert np.array_equal(cut.up, pack(g_vals < g_nb - _EPS))
+    assert np.array_equal(cut.down, pack(g_vals > g_nb + _EPS))
+    _interaction_hits(f_vals, g_vals, nbr,
+                      data.draw(st.sampled_from((0.0, 0.25, 0.5, 1.0))),
+                      data.draw(st.sampled_from((0.0, 0.5, 1.0, 10.0))))
+
+
+def test_interaction_edge_cases():
+    """Five samples on two slots (5 is the pad): sample 1 lies between
+    its neighbours 0 and 2, sample 3 ties with its neighbour 1 within the
+    slack, and sample 4 is isolated, so off every level band."""
+    f_vals = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
+    g_vals = np.array([0.0, 0.5, 1.0, 0.5 + _EPS / 2, 3.0])
+    nbr = np.array([[1, 0, 1, 1, 5], [5, 2, 5, 5, 5]], dtype=np.int32)
+    assert _interaction_hits(f_vals, g_vals, nbr, 1.0, 0.5) == [0, 2, 3]
+    # g = 2.5: only the isolated sample lies within the band
+    assert _interaction_hits(f_vals, g_vals, nbr, 1.0, 2.5) == []
+    assert _interaction_hits(f_vals, g_vals, nbr, 1.0, 10.0) == []  # no candidate
+    # a band of 0.05 holds no neighbour's f value: no sample is on it
+    assert _interaction_hits(f_vals, g_vals, nbr, 0.05, 0.5) == []
 
 
 # -- bounded memory -------------------------------------------------------
@@ -430,9 +468,10 @@ def test_collect_avoid_working_memory_is_bounded():
 
 def test_interaction_test_gathers_no_samples_x_slots_floats():
     """A strong call on the 1/128 square with three earlier cuts, and
-    the four centre records: the steps and the level band are packed
-    slot bits filled one neighbour slot at a time.  Gathering a row's
-    values at every slot at once is 1.6 MB alone (16,641 samples x 12
+    the four centre records: the steps are packed slot bits filled one
+    neighbour slot at a time, and the level band is gathered only at the
+    samples near an earlier cut's value.  Gathering a row's values at
+    every slot of every sample is 1.6 MB alone (16,641 samples x 12
     slots of float64); the call measured 2.9 MB that way, 2.1 MB with
     boolean steps made slot by slot for every earlier cut, and 0.9 MB
     with the records' packed steps."""
@@ -600,12 +639,12 @@ def test_strong_build_avoid_families(monkeypatch, space, resolution, count,
 @pytest.mark.parametrize("count, centres", [(16, 5), (48, 9)])
 def test_build_compares_each_centre_with_its_neighbours_once(monkeypatch, count,
                                                              centres):
-    """`_steps` runs once per distinct centre (the dense points 0..n0 of
+    """`_centre` runs once per distinct centre (the dense points 0..n0 of
     unpair), not once per earlier cut at every step: 136 and 1,176 calls."""
     calls = []
-    steps = builder._steps
-    monkeypatch.setattr(builder, "_steps",
-                        lambda f_vals, nbr: calls.append(1) or steps(f_vals, nbr))
+    centre = builder._centre
+    monkeypatch.setattr(builder, "_centre",
+                        lambda row, nbr: calls.append(1) or centre(row, nbr))
     res = build(builtin_space("square", Fraction(1, 32)), count, strong=True,
                 seed=42)
     assert len(calls) == centres
@@ -662,3 +701,5 @@ def test_separation_grows_with_count():
 def test_separation_fraction_basic():
     table = np.array([[0, 0, 1, 1]], dtype=np.int8)
     assert separation_fraction(table) == pytest.approx(4 / 6)
+    # one sample leaves no pair to distinguish
+    assert separation_fraction(np.array([[0]], dtype=np.int8)) == 1.0

@@ -12,7 +12,7 @@ from subbases import builder
 from subbases.builder import MAX_RETRIES, Exhaustion
 from subbases.cli import run
 from subbases.files import (load_subbase, parse_point, parse_rational,
-                            save_subbase)
+                            save_subbase, subbase_to_json)
 from subbases.space import builtin_space
 from subbases.subbase import GraySubbase
 
@@ -36,6 +36,12 @@ def test_parse_point():
     assert parse_point("0.5,1/3") == (Fraction(1, 2), Fraction(1, 3))
     from subbases.space import POINT_AT_INFINITY
     assert parse_point("p") is POINT_AT_INFINITY
+
+
+def test_subbase_to_json_refuses_a_gray_subbase():
+    # a Gray file is written by hand: {"kind": "gray", "pairs": n}
+    with pytest.raises(ValueError, match="unsupported subbase type"):
+        subbase_to_json(GraySubbase(4))
 
 
 def test_encode_gray(gray_file, capsys):
@@ -85,6 +91,27 @@ def test_kslice_dot(gray_file, tmp_path, capsys):
     text = dot.read_text()
     assert text.startswith("digraph")
     assert "->" in text
+
+
+def test_kslice_without_dot_prints_the_dot_text(gray_file, tmp_path, capsys):
+    dot = tmp_path / "k.dot"
+    args = ["kslice", "--subbase", gray_file, "--space", "interval",
+            "--resolution", "1/64", "--depth", "2"]
+    assert run(args + ["--dot", str(dot)]) == 0
+    header = capsys.readouterr().out.splitlines(keepends=True)[0]
+    assert run(args) == 0
+    assert capsys.readouterr().out == header + dot.read_text()
+
+
+@pytest.mark.parametrize("command", [
+    ["check-strong", "--delta", "1/32"], ["kslice"], ["check-cusl"],
+])
+def test_gray_file_without_a_space_exits_2(gray_file, capsys, command):
+    assert run(command + ["--subbase", gray_file, "--depth", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: this command needs a space: pass --space or use a "
+                   "subbase file with an embedded space\n")
 
 
 def test_build_roundtrip(tmp_path, capsys):

@@ -105,6 +105,11 @@ def test_gray_phi_examples():
     assert render(phi(G, (Fraction(1, 2),), 4), width=4) == "_100"
 
 
+def test_builtin_finite_requires_a_file():
+    with pytest.raises(ValueError, match="finite space requires a JSON file"):
+        builtin_space("finite", Fraction(1))
+
+
 def test_builtin_interval_grid():
     M = builtin_space("interval", Fraction(1, 8))
     assert len(M.sample_points) == 9
