@@ -30,7 +30,7 @@ import numpy as np
 
 from .seq import BD, BINARY_DIGITS, BOT, DIGITS, ZERO, render
 from .space import SpaceModel
-from .subbase import DyadicSubbase, digit_table
+from .subbase import DyadicSubbase, code_classes, digit_table
 
 _MAX_VIOLATIONS = 100
 
@@ -134,29 +134,26 @@ def _run_check(S: DyadicSubbase, M: SpaceModel, depth: int, delta,
     boundary = np.flatnonzero((table == BD).any(axis=0))
     near = M.neighbor_lists(delta, rows=boundary).T
     base, width = len(alphabet), near.shape[1]
-    # per sample, the number of assignments it needs shown: every word of
-    # letters at its m boundary positions but all-b; or width + 1, more
-    # than it has neighbours, so it fails without a key
+    # per sample, the number of words it needs shown: every word of
+    # letters at its m boundary positions but all-b, at most width + 1
+    # (more than it has neighbours) to keep base ** m out of int64
     m = (table[:, boundary] == BD).sum(axis=0)
     needed = np.array([min(base ** k - (BD in alphabet), width + 1)
                        for k in range(depth + 1)])[m]
-    keyed = needed <= width
-    # one pass per digit row: whether each neighbour agrees (the sample's
-    # binary digit, or a letter at its boundary positions), and the word
-    # it shows as a base-`base` key, first position most significant; a
-    # key is below base ** m <= width + 1, so int32 holds it exactly
+    # one pass per digit row: whether each neighbour agrees, showing the
+    # sample's binary digit, or a letter at its boundary positions
     agree = np.ones(near.shape, dtype=bool)
-    key = np.zeros(near.shape, dtype=np.int32)
     for row in table:
-        row = np.append(row, BOT)  # the pad of `near` agrees with nothing
-        x, y = row[boundary], row[near]
-        on = x == BD
-        agree &= np.where(on[:, None], y < base, y == x[:, None])
-        grow = on & keyed
-        key *= np.where(grow, base, 1)[:, None]
-        key += y * grow[:, None]
-    # drop the disagreeing neighbours and the all-b key, 3 ** m - 1
-    key[~agree | (key >= needed[:, None])] = -1
+        row = np.append(row, np.int8(BOT))  # the pad agrees with nothing
+        x, y = row[boundary, None], row[near]
+        agree &= np.where(x == BD, y < base, y == x)
+    # agreeing neighbours match the sample at its binary positions, so
+    # two show one word iff they share a code class, and the sample's own
+    # class shows all-b.  A class id is below len(M), which int32 holds
+    classes, inverse = code_classes(table)
+    ids = np.append(inverse, -1).astype(np.int32)
+    key = ids[near]
+    key[~agree | (key == ids[boundary][:, None])] = -1
     key.sort(axis=1)
     shown = (key[:, :1] >= 0).sum(axis=1) + (
         (key[:, 1:] != key[:, :-1]) & (key[:, 1:] >= 0)).sum(axis=1)
@@ -176,7 +173,8 @@ def _run_check(S: DyadicSubbase, M: SpaceModel, depth: int, delta,
         column[at] = ZERO
         if largest is not None and column.tobytes() > largest:
             continue
-        seen = set(map(tuple, table[np.ix_(at, near[p][agree[p]])].T.tolist()))
+        shows = key[p][key[p] >= 0]
+        seen = set(map(tuple, classes[np.ix_(at, shows)].T.tolist()))
         seen.add((BD,) * len(at))
         words = (w for w in itertools.product(alphabet, repeat=len(at))
                  if w not in seen)

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -274,11 +275,15 @@ def distance_cases(draw):
 
 @st.composite
 def check_cases(draw):
-    """(S, M, depth, delta): random digit tables, Gray views (duplicated
-    pairs fail) and distance subbases on finite spaces."""
+    """(S, M, depth, delta): random digit tables on every lattice (2-D
+    stencils, periodic seams), Gray views (duplicated pairs fail) and
+    distance subbases on finite spaces."""
     kind = draw(st.sampled_from(("table", "gray", "distance")))
     if kind == "table":
-        M = builtin_space("interval", Fraction(1, draw(st.integers(4, 20))))
+        name = draw(st.sampled_from(("interval", "circle", "square", "torus")))
+        q = draw(st.integers(4, 20) if name in ("interval", "circle")
+                 else st.integers(2, 5))
+        M = builtin_space(name, Fraction(1, q))
         depth = draw(st.integers(0, 5))
         rows = draw(st.lists(st.lists(st.integers(0, 2), min_size=len(M),
                                       max_size=len(M)),
@@ -353,6 +358,23 @@ def test_deep_check_is_exact(grid256):
             for tail, x in (("0" * 41, Fraction(1, 4)),
                             ("1" * 41, Fraction(3, 4)))]
         assert {v.nearest for v in report.violations} == {None}
+
+
+def test_cover_test_memory():
+    """Gray at 1/32768 with delta = 1/2048, depth 14: 16,383 boundary
+    samples x 32 neighbour slots.  The cover test holds `near`, `agree`
+    and one int32 class key per slot, and gathers each digit row as int8:
+    the check measured an 8.2 MB tracemalloc peak, 10.4 MB with int64
+    class keys and 14.6 MB with the base-3 word keys and int64 rows."""
+    M = builtin_space("interval", Fraction(1, 32768))
+    tracemalloc.start()
+    try:
+        report = check_strong_proper(GraySubbase(20), M, 14, Fraction(1, 2048))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.stats == {"boundary_samples": 16383, "failing_samples": 0}
+    assert peak < 9_300_000
 
 
 def test_stats_count_boundary_and_failing_samples(grid256):

@@ -10,7 +10,7 @@ optional `last_line` it must print.  `why` says what the pin is for.
 The entries run in order in one temporary directory with relative file
 names, because headers print the paths they were given; a later entry
 may read a file an earlier one wrote, so running one entry alone runs
-those before it first.  The directory holds the inputs below: two Gray
+those before it first.  The directory holds the inputs below: three Gray
 subbase files, a three-cut distance subbase of the interval (it fails
 every check) and a seeded 300-point L1 finite space.
 
@@ -42,6 +42,7 @@ DISTANCE3 = ('{"kind": "distance", "cuts": [{"center_index": 3, "cut": "1/8"}, '
 def write_inputs(cwd: Path):
     (cwd / "gray10.json").write_text('{"kind": "gray", "pairs": 10}\n')
     (cwd / "gray12.json").write_text('{"kind": "gray", "pairs": 12}\n')
+    (cwd / "gray16.json").write_text('{"kind": "gray", "pairs": 16}\n')
     (cwd / "distance3.json").write_text(DISTANCE3)
     # 300 points with integer coordinates below 10^6 under the L1 metric
     r = random.Random(0)
