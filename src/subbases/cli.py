@@ -1,7 +1,8 @@
 """Command-line front door: build, encode, K slices, checks and demos.
 
 Exit codes: 0 on success/pass, 1 on a check failure, 2 on usage or
-configuration errors.
+configuration errors.  A command does its work and writes its files
+before it prints, so an exit 2 prints nothing on stdout.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # RSS by 0.1-0.3 MB
 from .seq import render
 from .space import POINT_AT_INFINITY, SpaceModel, builtin_space
-from .subbase import (GraySubbase, check_depth, compactified_example,
-                      digit_table, duplicated_subbase, enumerate_K, is_cusl,
-                      kslice_to_dot, phi, table_kslice)
+from .subbase import (GraySubbase, compactified_example, digit_table,
+                      duplicated_subbase, enumerate_K, is_cusl, kslice_to_dot,
+                      phi, table_kslice)
 from . import checker as checker_mod
 from .builder import build, separation_fraction
 from . import files
@@ -63,6 +64,10 @@ def _load_subbase(args, need_space=False):
         raise ValueError("%s embeds the %s space at resolution %s, but the "
                          "command line names resolution %s"
                          % (args.subbase, M.name, M.resolution, args.resolution))
+    if args.resolution is not None and M is None:
+        raise ValueError("--resolution %s names no space: pass --space or "
+                         "--space-file, or use a subbase file with an "
+                         "embedded space" % args.resolution)
     if need_space and M is None:
         raise ValueError("this command needs a space: pass --space or use a "
                          "subbase file with an embedded space")
@@ -71,14 +76,13 @@ def _load_subbase(args, need_space=False):
 
 def cmd_build(args) -> int:
     M = _space_from_args(args)
-    result = build(M, args.pairs, args.strong, args.seed)  # before the header
+    result = build(M, args.pairs, args.strong, args.seed)
+    files.save_subbase(args.out, files.subbase_to_json(result.subbase))
     _header(command="build", space=M.name, resolution=M.resolution,
             pairs=args.pairs, strong=args.strong, seed=args.seed)
     for record in result.log:
         print(json.dumps(record))
     print("# separation=%.6f" % separation_fraction(result.table))
-    data = files.subbase_to_json(result.subbase)
-    files.save_subbase(args.out, data)
     print("# wrote %s" % args.out)
     return EXIT_PASS
 
@@ -97,17 +101,15 @@ def cmd_encode(args) -> int:
 
 def cmd_kslice(args) -> int:
     S, M = _load_subbase(args, need_space=True)
-    check_depth(S, args.depth)  # before the header
-    _header(command="kslice", space=M.name, resolution=M.resolution,
-            depth=args.depth)
     K = enumerate_K(S, M, args.depth)
-    dot = kslice_to_dot(K)
+    text = kslice_to_dot(K)
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(dot)
-        print("# wrote %s (%d nodes)" % (args.dot, len(K.elements)))
-    else:
-        print(dot, end="")
+            fh.write(text)
+        text = "# wrote %s (%d nodes)\n" % (args.dot, len(K.elements))
+    _header(command="kslice", space=M.name, resolution=M.resolution,
+            depth=args.depth)
+    print(text, end="")
     return EXIT_PASS
 
 
@@ -115,16 +117,15 @@ def cmd_check(args) -> int:
     if args.space or args.space_file:  # a bad delta exits before the load
         checker_mod.check_delta(_resolution(args), args.delta)
     S, M = _load_subbase(args, need_space=True)
-    check_depth(S, args.depth)  # before the header
-    checker_mod.check_delta(M.resolution, args.delta)  # an embedded space's, too
-    _header(command=args.command, space=M.name, resolution=M.resolution,
-            depth=args.depth, delta=args.delta)
     fn = checker_mod.check_strong_proper if args.strong else checker_mod.check_proper
     report = fn(S, M, args.depth, args.delta)
-    print(report.to_text())
+    text = report.to_text()
     if args.json:
         checker_mod.report_to_json_file(report, args.json)
-        print("# wrote %s" % args.json)
+        text += "\n# wrote %s" % args.json
+    _header(command=args.command, space=M.name, resolution=M.resolution,
+            depth=args.depth, delta=args.delta)
+    print(text)
     return EXIT_PASS if report.ok else EXIT_FAIL
 
 
@@ -133,26 +134,23 @@ def cmd_check_cusl(args) -> int:
         raise ValueError("--permutations must be non-negative, got %d"
                          % args.permutations)
     S, M = _load_subbase(args, need_space=True)
-    check_depth(S, args.depth)  # before the header
-    _header(command="check-cusl", space=M.name, resolution=M.resolution,
-            depth=args.depth, permutations=args.permutations, seed=args.seed)
+    table = digit_table(S, M, args.depth)
     rng = random.Random(args.seed)
     perms = [list(range(args.depth))]
     for _ in range(args.permutations):
         pi = list(range(args.depth))
         rng.shuffle(pi)
         perms.append(pi)
-    table = digit_table(S, M, args.depth)
-    failures = 0
-    for pi in perms:
-        rep = is_cusl(table_kslice(table[pi]))
+    reports = [is_cusl(table_kslice(table[pi])) for pi in perms]
+    _header(command="check-cusl", space=M.name, resolution=M.resolution,
+            depth=args.depth, permutations=args.permutations, seed=args.seed)
+    for pi, rep in zip(perms, reports):
         if not rep.ok:
-            failures += 1
             print("cusl FAIL under permutation %s: pair (%s, %s), minimal "
                   "upper bounds %s"
                   % (pi, render(rep.sigma), render(rep.tau),
                      [render(u) for u in rep.minimal_upper_bounds]))
-    if failures == 0:
+    if all(rep.ok for rep in reports):
         print("cusl PASS for identity and %d random permutations"
               % args.permutations)
         return EXIT_PASS

@@ -307,6 +307,59 @@ def test_delta_below_an_embedded_space_resolution_prints_no_header(
     assert "delta 1/1000 is below twice the grid resolution 1/16" in err
 
 
+@pytest.mark.parametrize("command, error", [
+    (["kslice"], "depth 9 exceeds number of cuts 8"),
+    (["check-cusl"], "depth 9 exceeds number of cuts 8"),
+    (["check-strong", "--delta", "1/4"], "depth 9 exceeds number of cuts 8"),
+    # a bad delta is found before a bad depth
+    (["check-strong", "--delta", "1/1000"],
+     "delta 1/1000 is below twice the grid resolution 1/16"),
+], ids=["kslice", "check-cusl", "check-strong", "check-strong-bad-delta"])
+def test_depth_past_an_embedded_space_subbase_prints_no_header(
+        square_file, capsys, monkeypatch, command, error):
+    def fail(*args):
+        pytest.fail("permutations were drawn before the depth was checked")
+
+    monkeypatch.setattr("subbases.cli.random.Random", fail)
+    assert run(command + ["--subbase", square_file, "--depth", "9"]) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % error)
+
+
+@pytest.mark.parametrize("command", [
+    ["build", "--space", "interval", "--resolution", "1/8", "--pairs", "1",
+     "--out"],
+    ["check-strong", "--delta", "1/32", "--json"],
+    ["check-proper", "--delta", "1/32", "--json"],
+    ["kslice", "--dot"],
+], ids=lambda command: command[0])
+def test_write_into_a_missing_directory_exits_2_printing_nothing(
+        gray_file, tmp_path, capsys, command):
+    """A command writes its file before it prints, so a failed write
+    leaves stdout empty."""
+    target = str(tmp_path / "missing" / "out")
+    if command[0] != "build":
+        command = command[:1] + ["--subbase", gray_file, "--space",
+                                 "interval", "--resolution", "1/64",
+                                 "--depth", "3"] + command[1:]
+    assert run(command + [target]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert target in err
+
+
+@pytest.mark.parametrize("resolution", ["1/7", "0"])
+def test_resolution_without_a_space_exits_2(gray_file, capsys, resolution):
+    """A Gray file embeds no space, so a --resolution with neither --space
+    nor --space-file is refused, not ignored."""
+    assert run(["encode", "--subbase", gray_file, "--point", "1/3",
+                "--depth", "4", "--resolution", resolution]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --resolution %s names no space: pass --space or "
+        "--space-file, or use a subbase file with an embedded space\n"
+        % resolution)
+
+
 def test_check_cusl_rejects_negative_permutations(gray_file, capsys):
     assert run(["check-cusl", "--subbase", gray_file, "--space", "interval",
                 "--resolution", "1/64", "--depth", "3",
